@@ -1,44 +1,17 @@
-"""Hot numeric kernels: valid (no-padding) cross-correlation passes and
-simplex grid enumeration.
-
-Each kernel has a numba ``@njit`` implementation and a pure-numpy fallback.
-The numpy path is selected when numba is unavailable or when the environment
-variable ``PORTALLOC_DISABLE_NUMBA`` is set to 1/true/yes.  Both paths are
-exposed in ``IMPLEMENTATIONS`` so the benchmark can time them side by side.
-"""
+"""Valid (no-padding) 1-D cross-correlation passes in numpy."""
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
-_DISABLED = os.environ.get("PORTALLOC_DISABLE_NUMBA", "").strip().lower() in {
-    "1", "true", "yes",
-}
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by PORTALLOC_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _conv1d_fwd_np(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1d_fwd(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     kw = k.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)  # (ci, Lo, kw)
     y = np.tensordot(k, win, axes=((1, 2), (0, 2)))
     return y + b[:, None]
 
 
-def _conv1d_bwd_np(x, k, gy):
+def conv1d_bwd(x, k, gy):
     kw = k.shape[2]
     n_out = gy.shape[1]
     win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)
@@ -48,176 +21,3 @@ def _conv1d_bwd_np(x, k, gy):
     for j in range(kw):
         gx[:, j:j + n_out] += k[:, :, j].T @ gy
     return gx, gk, gb
-
-
-def _conv2d_fwd_np(x, k, b):
-    kh, kw = k.shape[2], k.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    y = np.tensordot(k, win, axes=((1, 2, 3), (0, 3, 4)))
-    return y + b[:, None, None]
-
-
-def _conv2d_bwd_np(x, k, gy):
-    kh, kw = k.shape[2], k.shape[3]
-    ho, wo = gy.shape[1], gy.shape[2]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    gk = np.tensordot(gy, win, axes=((1, 2), (1, 2)))
-    gb = gy.sum(axis=(1, 2))
-    gx = np.zeros_like(x)
-    for a in range(kh):
-        for c in range(kw):
-            gx[:, a:a + ho, c:c + wo] += np.tensordot(k[:, :, a, c], gy, axes=(0, 0))
-    return gx, gk, gb
-
-
-def _compositions_np(units: int, parts: int) -> np.ndarray:
-    # All non-negative integer vectors of length `parts` summing to `units`,
-    # lexicographically ordered, built level by level.
-    if parts == 1:
-        return np.array([[units]], dtype=np.int64)
-    blocks = []
-    for first in range(units, -1, -1):
-        rest = _compositions_np(units - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack((head, rest)))
-    return np.vstack(blocks)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _conv1d_fwd_nb(x, k, b):
-        co, ci, kw = k.shape
-        n_out = x.shape[1] - kw + 1
-        y = np.empty((co, n_out))
-        for o in range(co):
-            for t in range(n_out):
-                acc = b[o]
-                for c in range(ci):
-                    for j in range(kw):
-                        acc += k[o, c, j] * x[c, t + j]
-                y[o, t] = acc
-        return y
-
-    @njit(cache=True)
-    def _conv1d_bwd_nb(x, k, gy):
-        co, ci, kw = k.shape
-        n_out = gy.shape[1]
-        gx = np.zeros_like(x)
-        gk = np.zeros_like(k)
-        gb = np.zeros(co)
-        for o in range(co):
-            for t in range(n_out):
-                g = gy[o, t]
-                gb[o] += g
-                for c in range(ci):
-                    for j in range(kw):
-                        gk[o, c, j] += g * x[c, t + j]
-                        gx[c, t + j] += g * k[o, c, j]
-        return gx, gk, gb
-
-    @njit(cache=True)
-    def _conv2d_fwd_nb(x, k, b):
-        co, ci, kh, kw = k.shape
-        ho = x.shape[1] - kh + 1
-        wo = x.shape[2] - kw + 1
-        y = np.empty((co, ho, wo))
-        for o in range(co):
-            for r in range(ho):
-                for s in range(wo):
-                    acc = b[o]
-                    for c in range(ci):
-                        for a in range(kh):
-                            for d in range(kw):
-                                acc += k[o, c, a, d] * x[c, r + a, s + d]
-                    y[o, r, s] = acc
-        return y
-
-    @njit(cache=True)
-    def _conv2d_bwd_nb(x, k, gy):
-        co, ci, kh, kw = k.shape
-        ho, wo = gy.shape[1], gy.shape[2]
-        gx = np.zeros_like(x)
-        gk = np.zeros_like(k)
-        gb = np.zeros(co)
-        for o in range(co):
-            for r in range(ho):
-                for s in range(wo):
-                    g = gy[o, r, s]
-                    gb[o] += g
-                    for c in range(ci):
-                        for a in range(kh):
-                            for d in range(kw):
-                                gk[o, c, a, d] += g * x[c, r + a, s + d]
-                                gx[c, r + a, s + d] += g * k[o, c, a, d]
-        return gx, gk, gb
-
-    @njit(cache=True)
-    def _compositions_fill_nb(out, units, parts):
-        comp = np.zeros(parts, dtype=np.int64)
-        comp[0] = units
-        row = 0
-        while True:
-            for j in range(parts):
-                out[row, j] = comp[j]
-            row += 1
-            if comp[parts - 1] == units:
-                break
-            tail = comp[parts - 1]
-            comp[parts - 1] = 0
-            i = parts - 2
-            while comp[i] == 0:
-                i -= 1
-            comp[i] -= 1
-            comp[i + 1] = tail + 1
-        return row
-
-
-def _compositions_nb(units: int, parts: int) -> np.ndarray:
-    n = math.comb(units + parts - 1, parts - 1)
-    out = np.empty((n, parts), dtype=np.int64)
-    filled = _compositions_fill_nb(out, units, parts)
-    assert filled == n
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "conv1d_fwd": _conv1d_fwd_np,
-        "conv1d_bwd": _conv1d_bwd_np,
-        "conv2d_fwd": _conv2d_fwd_np,
-        "conv2d_bwd": _conv2d_bwd_np,
-        "simplex_compositions": _compositions_np,
-    },
-}
-if USING_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "conv1d_fwd": _conv1d_fwd_nb,
-        "conv1d_bwd": _conv1d_bwd_nb,
-        "conv2d_fwd": _conv2d_fwd_nb,
-        "conv2d_bwd": _conv2d_bwd_nb,
-        "simplex_compositions": _compositions_nb,
-    }
-
-_active = IMPLEMENTATIONS["numba" if USING_NUMBA else "numpy"]
-
-conv1d_fwd = _active["conv1d_fwd"]
-conv1d_bwd = _active["conv1d_bwd"]
-conv2d_fwd = _active["conv2d_fwd"]
-conv2d_bwd = _active["conv2d_bwd"]
-
-
-def simplex_compositions(units: int, parts: int) -> np.ndarray:
-    """Enumerate all non-negative integer vectors of length ``parts`` summing
-    to ``units``.  Shape (C(units+parts-1, parts-1), parts)."""
-    if parts < 1 or units < 0:
-        raise ValueError(f"invalid grid: units={units}, parts={parts}")
-    return _active["simplex_compositions"](units, parts)

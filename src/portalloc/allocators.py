@@ -1,6 +1,6 @@
 """Long-only portfolio construction on the simplex {w : w >= 0, sum w = 1}.
 
-Five programs over window moments (mu, Sigma, C, sigma):
+Six programs over window moments (mu, Sigma, C, sigma):
 
 * min-risk with a return floor     min w'Sw   s.t. mu'w >= r_min
 * max-return with a risk cap       max mu'w   s.t. w'Sw <= sigma_max^2
@@ -9,14 +9,18 @@ Five programs over window moments (mu, Sigma, C, sigma):
 * maximum decorrelation            min w'Cw
 * risk parity                      min 1/2 w'Sw - (1/l) sum ln w_i, renormalized
 
-The first five run on a shared projected-gradient descent with backtracking
-line search and multi-start; the two inequality-constrained programs fold
-their constraint in through its Lagrange multiplier, found by bisection over
-smooth inner solves, terminating once the constraint holds to 1e-8. Risk
-parity minimizes its barrier objective over the positive orthant by cyclic
-coordinate descent (each coordinate has a closed-form positive root), then
-renormalizes; the renormalized point carries equal risk contributions
-w_i (Sw)_i.
+The first five share one exact primal active-set solver for
+min 1/2 y'Qy + c'y s.t. Ay = b (one or two rows), y >= 0. Maximum
+diversification is the QP min y'Sy, sigma'y = 1 with w = y / sum y
+(Choueifaty & Coignard 2008). A binding return floor is a second equality
+row. A risk cap is met on the efficient frontier argmin 1/2 w'Sw - lam mu'w,
+walked up in lam: between turning points the weights are affine in lam, so
+the variance meets the cap at an exact root (the critical line algorithm;
+Bailey & Lopez de Prado 2013). converged means a KKT residual <= 1e-10 with
+Q scaled to a largest entry of 1; non_unique means a zero eigenvalue of the
+reduced Hessian: Q on the assets held or priced at zero, projected onto the
+null space of the equality rows. Risk parity runs cyclic coordinate descent
+on its barrier objective, each coordinate update a closed-form positive root.
 """
 from __future__ import annotations
 
@@ -28,6 +32,8 @@ from .errors import DataError, InfeasibleError, NumericError
 from .risk_models import CovarianceStats
 
 _SUM_TOL = 1e-8
+_TOL = 1e-10  # certificate tolerance, relative to the largest entry of |Q|
+_EPS = 1e-12  # step and pricing tolerance inside the solver
 
 
 @dataclass(frozen=True)
@@ -51,21 +57,13 @@ class Weights:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """max_iters caps the risk-parity coordinate-descent sweeps."""
+
     max_iters: int = 3000
-    step_size: float = 1.0
-    tolerance: float = 1e-9
-    restarts: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
-        if self.tolerance <= 0:
-            raise DataError("tolerance must be > 0")
-        if self.step_size <= 0:
-            raise DataError("step_size must be > 0")
-        if self.restarts < 1:
-            raise DataError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -85,175 +83,141 @@ def project_to_simplex(v: np.ndarray) -> Weights:
         raise DataError("projection input must be a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise DataError("projection input has non-finite entries")
-    w = _project(v)
-    return Weights(w)
-
-
-def _project(v: np.ndarray) -> np.ndarray:
-    if v.size == 1:
-        return np.array([1.0])
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1)
-    return np.maximum(v - tau, 0.0)
-
-
-def _starts(l: int, cfg: SolverConfig, extra: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, l]))
-    pts = [np.full(l, 1.0 / l)]
-    if extra:
-        pts.extend(np.asarray(p, dtype=float) for p in extra)
-    while len(pts) < cfg.restarts:
-        pts.append(rng.dirichlet(np.ones(l)))
-    return pts[: max(cfg.restarts, len(pts))]
-
-
-def _pg_descend(fun, grad, start: np.ndarray, cfg: SolverConfig):
-    """Projected gradient descent with Armijo backtracking from one start.
-
-    Returns (w, f(w), iterations, converged); converged means the projected
-    gradient mapping norm fell below cfg.tolerance.
-    """
-    w = _project(np.asarray(start, dtype=float))
-    fw = fun(w)
-    step = cfg.step_size
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        g = grad(w)
-        gnorm = float(np.linalg.norm(g))
-        s = step
-        accepted = False
-        while s > 1e-18:
-            cand = _project(w - s * g)
-            d = cand - w
-            dist2 = float(d @ d)
-            if dist2 == 0.0:
-                break
-            fc = fun(cand)
-            if fc <= fw - 1e-4 * dist2 / s:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            # no descent step exists at resolvable step sizes: stationary
-            converged = True
-            break
-        mapping = np.sqrt(dist2) / s
-        w, fw = cand, fc
-        step = min(s * 2.0, 1e6)
-        if mapping <= cfg.tolerance * max(1.0, gnorm):
-            converged = True
-            break
-    return w, fw, it, converged
-
-
-def _pg_multistart(fun, grad, l: int, cfg: SolverConfig, extra_starts=None):
-    """Run the descent from several starts; return the best endpoint plus a
-    non-uniqueness flag (endpoints far apart at numerically equal objectives)."""
-    endpoints = []
-    total_iters = 0
-    any_converged = False
-    for start in _starts(l, cfg, extra_starts):
-        w, fw, iters, conv = _pg_descend(fun, grad, start, cfg)
-        endpoints.append((fw, w, conv))
-        total_iters += iters
-        any_converged = any_converged or conv
-    best_f, best_w, best_conv = min(endpoints, key=lambda e: e[0])
-    non_unique = any(
-        abs(fw - best_f) < 1e-8 and np.max(np.abs(w - best_w)) > 0.01
-        for fw, w, _ in endpoints
-    )
-    return best_w, best_f, total_iters, best_conv, non_unique
+    rho = int(np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1])
+    return Weights(np.maximum(v - css[rho] / (rho + 1), 0.0))
 
 
 def _finish(w: np.ndarray, objective: float, iterations: int, converged: bool,
             active: tuple[str, ...] = (), non_unique: bool = False) -> SolveReport:
-    w = _project(w)  # enforce simplex feasibility exactly, never hope for it
+    w = w / w.sum()  # unit sum to rounding; the solvers' exact zeros stay zero
     active = active + tuple(f"w[{i}]=0" for i in np.nonzero(w <= 1e-12)[0])
     return SolveReport(Weights(w), float(objective), iterations, converged, active, non_unique)
 
 
-def _min_variance_arr(sigma: np.ndarray, cfg: SolverConfig):
-    def fun(w):
-        return float(w @ sigma @ w)
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, as columns, of {p : a p = 0}."""
+    _, s, vt = np.linalg.svd(a)
+    return vt[int(np.sum(s > _EPS * s.max())):].T
 
-    def grad(w):
-        return 2.0 * (sigma @ w)
 
-    return _pg_multistart(fun, grad, sigma.shape[0], cfg)
+def _multipliers(q, c, a, y, free):
+    """Equality multipliers nu fitted to stationarity on the free assets, and
+    the bound multipliers z = Qy + c - A'nu (zero on the free assets)."""
+    g = q @ y + c
+    nu = np.linalg.lstsq(a[:, free].T, g[free], rcond=None)[0]
+    return nu, g - a.T @ nu
+
+
+def _face_direction(q, a, free, g):
+    """(p, flat): for the gradient g, the Newton step p within the face of the
+    free assets and the null space of the equality rows, or descent along a
+    flat direction of a singular Q that g slopes along (flat). p = 0 where the
+    reduced gradient vanishes."""
+    basis = _null_space(a[:, free])
+    curv, vecs = np.linalg.eigh(basis.T @ q[np.ix_(free, free)] @ basis)
+    slope = vecs.T @ (basis.T @ g[free])
+    p = np.zeros(g.size)
+    if np.abs(slope).max(initial=0.0) <= _EPS:
+        return p, False
+    flat = curv <= _TOL
+    along_flat = np.abs(slope[flat]).max(initial=0.0) > _EPS
+    p[free] = basis @ (vecs @ (-slope * flat if along_flat
+                               else -slope / np.where(flat, np.inf, curv)))
+    return p, along_flat
+
+
+def _active_set(q, c, a, b, y):
+    """Primal active-set method from the feasible point y. Each step
+    minimizes over the face of the free assets up to the first asset it
+    drives to zero; an optimal face frees the asset with the most negative
+    bound multiplier. Returns (y, free mask, iterations)."""
+    free = y > 0
+    for it in range(1, 10 * y.size + 100):
+        g = q @ y + c
+        p, _ = _face_direction(q, a, free, g)
+        if p.any():
+            pqp = float(p @ q @ p)
+            alpha = -float(g @ p) / pqp if pqp > 0 else np.inf
+            ratios = np.divide(y, -p, out=np.full(y.size, np.inf), where=p < 0)
+            block = int(np.argmin(ratios))
+            y = np.maximum(y + min(alpha, ratios[block]) * p, 0.0)
+            if ratios[block] < alpha:
+                y[block], free[block] = 0.0, False
+            continue
+        z = np.where(free, np.inf, _multipliers(q, c, a, y, free)[1])
+        if z.min() >= -_EPS:
+            break
+        free[np.argmin(z)] = True
+    return y, free, it
+
+
+def _certify(q, c, a, b, y, free):
+    """(KKT residual, equality multipliers, non-unique flag) of y."""
+    nu, z = _multipliers(q, c, a, y, free)
+    kkt = max(float(np.abs(a @ y - b).max()),                # equality rows
+              float(np.abs(z[y > 0]).max(initial=0.0)),     # stationarity
+              max(-float(z.min()), 0.0),                    # dual feasibility
+              float(np.abs(y * z).max()))                   # complementary slackness
+    face = free | (z <= _TOL)
+    basis = _null_space(a[:, face])
+    reduced = basis.T @ q[np.ix_(face, face)] @ basis
+    non_unique = reduced.size > 0 and float(np.linalg.eigvalsh(reduced)[0]) <= _TOL
+    return kkt, nu, non_unique
+
+
+def _qp(q, a, b, y0=None):
+    """min 1/2 y'Qy s.t. Ay = b, y >= 0 from the feasible point y0 (by default
+    the vertex of a one-row problem with the least y'Qy), with Q and each row
+    of A scaled to a largest entry of 1 so that the tolerances are relative.
+    Returns (y, iterations, converged, non_unique, nu)."""
+    if y0 is None:
+        k = int(np.argmin(np.diag(q) / a[0] ** 2))
+        y0 = np.zeros(len(q))
+        y0[k] = b[0] / a[0, k]
+    norms = np.abs(a).max(axis=1)
+    q, a, b, c = q / np.abs(q).max(), a / norms[:, None], b / norms, np.zeros(y0.size)
+    y, free, iters = _active_set(q, c, a, b, y0.copy())
+    kkt, nu, non_unique = _certify(q, c, a, b, y, free)
+    return y, iters, kkt <= _TOL, non_unique, nu
+
+
+def _min_quadratic(q: np.ndarray) -> SolveReport:
+    w, iters, conv, non_unique, _ = _qp(q, np.ones((1, len(q))), np.ones(1))
+    return _finish(w, float(w @ q @ w), iters, conv, non_unique=non_unique)
 
 
 def solve_min_variance(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Minimize portfolio variance w'Sw on the simplex."""
-    w, fw, iters, conv, nu = _min_variance_arr(stats.sigma_mat, cfg)
-    return _finish(w, fw, iters, conv, non_unique=nu)
+    return _min_quadratic(stats.sigma_mat)
 
 
 def solve_max_decorrelation(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Minimize w'Cw (C the correlation matrix) on the simplex."""
-    corr = stats.corr
-
-    def fun(w):
-        return float(w @ corr @ w)
-
-    def grad(w):
-        return 2.0 * (corr @ w)
-
-    w, fw, iters, conv, nu = _pg_multistart(fun, grad, stats.num_assets, cfg)
-    return _finish(w, fw, iters, conv, non_unique=nu)
+    return _min_quadratic(stats.corr)
 
 
 def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw)."""
-    sigma = stats.sigma_mat
-    vols = stats.vols
+    """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw) through the
+    QP min y'Sy, sigma'y = 1, y >= 0 and w = y / sum y."""
+    sigma, vols = stats.sigma_mat, stats.vols
+    y, iters, conv, non_unique, _ = _qp(sigma, vols[None], np.ones(1))
+    w = y / y.sum()
+    quad = float(w @ sigma @ w)
     # below this, w'Sw is float noise around zero for this matrix scale
-    floor = 1e-12 * float(np.max(np.diag(sigma)))
-
-    def fun(w):
-        quad = float(w @ sigma @ w)
-        if quad <= floor:
-            raise NumericError("degenerate risk: portfolio volatility is zero")
-        return -float(vols @ w) / np.sqrt(quad)
-
-    def grad(w):
-        quad = float(w @ sigma @ w)
-        if quad <= floor:
-            raise NumericError("degenerate risk: portfolio volatility is zero")
-        b = np.sqrt(quad)
-        a = float(vols @ w)
-        return -vols / b + a * (sigma @ w) / b ** 3
-
-    w, fw, iters, conv, nu = _pg_multistart(fun, grad, stats.num_assets, cfg)
-    return _finish(w, -fw, iters, conv, non_unique=nu)
-
-
-def _quadratic_inner(sigma: np.ndarray, linear: np.ndarray, start: np.ndarray,
-                     cfg: SolverConfig):
-    """Minimize w'Sw + linear'w on the simplex from a warm start (convex, so
-    one descent run reaches the global optimum)."""
-
-    def fun(w):
-        return float(w @ sigma @ w) + float(linear @ w)
-
-    def grad(w):
-        return 2.0 * (sigma @ w) + linear
-
-    return _pg_descend(fun, grad, start, cfg)
+    if quad <= 1e-12 * float(np.max(np.diag(sigma))):
+        raise NumericError("degenerate risk: portfolio volatility is zero")
+    return _finish(w, float(vols @ w) / np.sqrt(quad), iters, conv, non_unique=non_unique)
 
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
                              cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
-    The return floor enters through its Lagrangian: bisection over the
-    multiplier lam of min w'Sw - lam * mu'w until the floor is met to 1e-8.
-    Infeasible targets (r_min above every asset mean) are rejected, never
-    clamped.
+    If the minimum-variance portfolio misses the floor, the floor binds and
+    the solve adds mu'w = r_min as a second equality row. Infeasible targets
+    (r_min above every asset mean) are rejected, never clamped.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if r_min > float(np.max(mu)) + 1e-12:
@@ -263,45 +227,26 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     if r_min >= float(np.max(mu)) - 1e-12:
         # only the best-mean face attains the floor: min variance over it
         face = np.nonzero(mu >= r_min - 1e-12)[0]
-        w_face, _, iters, conv, nu = _min_variance_arr(sigma[np.ix_(face, face)], cfg)
+        on_face = _min_quadratic(sigma[np.ix_(face, face)])
         w = np.zeros(stats.num_assets)
-        w[face] = w_face
-        return _finish(w, float(w @ sigma @ w), iters, conv, ("return_target",), nu)
-    minvar = solve_min_variance(stats, cfg)
-    w = minvar.weights.w
-    iters_total = minvar.iterations
-    if float(mu @ w) >= r_min - 1e-8:
-        active = ("return_target",) if abs(float(mu @ w) - r_min) <= 1e-6 else ()
-        return _finish(w, float(w @ sigma @ w), iters_total, minvar.converged, active,
-                       minvar.non_unique)
-    lam_lo = 0.0
-    lam_hi = 1.0
-    conv = True
-    for _ in range(80):
-        w, _, iters, c = _quadratic_inner(sigma, -lam_hi * mu, w, cfg)
-        iters_total += iters
-        conv = conv and c
-        if float(mu @ w) >= r_min - 1e-8:
-            break
-        lam_lo = lam_hi
-        lam_hi *= 4.0
-    else:
-        raise NumericError("return-floor bisection failed to bracket the multiplier")
-    w_feas = w
-    for _ in range(60):
-        lam = 0.5 * (lam_lo + lam_hi)
-        w, _, iters, c = _quadratic_inner(sigma, -lam * mu, w, cfg)
-        iters_total += iters
-        conv = conv and c
-        if float(mu @ w) >= r_min - 1e-8:
-            lam_hi, w_feas = lam, w
-        else:
-            lam_lo = lam
-        if abs(float(mu @ w) - r_min) <= 1e-10:
-            w_feas = w
-            break
-    return _finish(w_feas, float(w_feas @ sigma @ w_feas), iters_total, conv,
-                   ("return_target",))
+        w[face] = on_face.weights.w
+        return _finish(w, float(w @ sigma @ w), on_face.iterations, on_face.converged,
+                       ("return_target",), on_face.non_unique)
+    minvar = solve_min_variance(stats)
+    w0 = minvar.weights.w
+    if float(mu @ w0) >= r_min:
+        active = ("return_target",) if float(mu @ w0) - r_min <= _TOL * np.abs(mu).max() else ()
+        return _finish(w0, minvar.objective_value, minvar.iterations, minvar.converged,
+                       active, minvar.non_unique)
+    # start on the segment from w0 to the best-mean vertex where the floor holds
+    t = (r_min - float(mu @ w0)) / (float(np.max(mu)) - float(mu @ w0))
+    y0 = (1.0 - t) * w0 + t * (np.arange(mu.size) == np.argmax(mu))
+    w, iters, conv, non_unique, nu = _qp(sigma, np.vstack([np.ones_like(mu), mu]),
+                                         np.array([1.0, r_min]), y0)
+    # the floor is an inequality: its multiplier must not be negative
+    conv = conv and nu[1] >= -_TOL
+    return _finish(w, float(w @ sigma @ w), minvar.iterations + iters, conv,
+                   ("return_target",), non_unique)
 
 
 def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
@@ -309,58 +254,63 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
     sigma_max is a volatility; the cap applies to portfolio variance
-    sigma_max^2. Feasibility is checked against the minimum-variance
-    portfolio; the cap enters through its Lagrangian, with bisection over
-    lam of min lam * w'Sw - mu'w until the cap binds to 1e-8.
+    sigma_max^2. Unless the frontier top (least variance among the best-mean
+    assets) meets it, the cap binds on the frontier below the top.
     """
     mu, sigma = stats.mu, stats.sigma_mat
-    if sigma_max < 0:
+    if not sigma_max >= 0:
         raise DataError(f"sigma_max must be >= 0, got {sigma_max}")
     cap = sigma_max ** 2
-    vertex = np.zeros(stats.num_assets)
-    vertex[int(np.argmax(mu))] = 1.0
-    if float(vertex @ sigma @ vertex) <= cap + 1e-12:
-        # risk cap slack at the best-mean vertex: unconstrained maximum
-        return _finish(vertex, float(mu @ vertex), 0, True)
-    minvar = solve_min_variance(stats, cfg)
-    q_min = minvar.objective_value
-    if cap < q_min - 1e-12:
+    top = solve_markowitz_min_risk(stats, float(np.max(mu)))
+    if top.objective_value <= cap:
+        # the linear objective is flat on the best-mean face: several
+        # best-mean assets leave a family of optima inside the cap
+        ties = int(np.sum(mu >= float(np.max(mu)) - 1e-12)) > 1
+        return _finish(top.weights.w, float(mu @ top.weights.w), top.iterations,
+                       top.converged, (), ties)
+    minvar = solve_min_variance(stats)
+    scale = float(np.abs(sigma).max())
+    if cap < minvar.objective_value - _TOL * scale:
         raise InfeasibleError(
             f"infeasible risk cap: sigma_max^2={cap:.6g} is below the minimum "
-            f"attainable variance {q_min:.6g}"
+            f"attainable variance {minvar.objective_value:.6g}"
         )
-    iters_total = minvar.iterations
-    if cap <= q_min + 1e-14:
-        return _finish(minvar.weights.w, float(mu @ minvar.weights.w), iters_total,
-                       minvar.converged, ("risk_cap",), minvar.non_unique)
-    lam_lo = 0.0
-    lam_hi = 1.0
-    w = minvar.weights.w
-    conv = True
-    for _ in range(80):
-        w, _, iters, c = _quadratic_inner(lam_hi * sigma, -mu, w, cfg)
-        iters_total += iters
-        conv = conv and c
-        if float(w @ sigma @ w) <= cap + 1e-8:
+    # walk up from lam = 0 with the minimum-variance assets as the first face
+    q, v, cap_q = sigma / scale, mu / (np.abs(mu).max() or 1.0), cap / scale
+    ones, never = np.ones((1, stats.num_assets)), np.full(stats.num_assets, np.inf)
+    y, lam, first = minvar.weights.w, 0.0, minvar.iterations + 1
+    free = y > 0
+    for iters in range(first, first + 4 * stats.num_assets + 4):  # one per face
+        # dy/dlam on this face; along a flat direction of a singular S the
+        # return rises at constant variance, so y moves there at fixed lam
+        d, flat = _face_direction(q, ones, free, -v)
+        leave = np.divide(y, -d, out=never.copy(), where=free & (d < 0))
+        if flat:
+            y = np.maximum(y + leave.min() * d, 0.0)
+            y[np.argmin(leave)], free[np.argmin(leave)] = 0.0, False
+            continue
+        # the bound multipliers and their slopes, and the variance
+        # y'Qy + 2 s t + d'Qd t^2 at lam + t
+        z, dz = _multipliers(q, -lam * v, ones, y, free)[1], _multipliers(q, -v, ones, d, free)[1]
+        gap, s, dqd = cap_q - float(y @ q @ y), float(d @ q @ y), float(d @ q @ d)
+        with np.errstate(divide="ignore"):
+            root = np.float64(gap) / (s + np.sqrt(s * s + dqd * gap)) if gap > 0 else 0.0
+        enter = np.divide(np.maximum(z, 0.0), -dz, out=never.copy(), where=~free & (dz < 0))
+        turn = min(leave.min(), enter.min())
+        if not np.isfinite(min(root, turn)):
             break
-        lam_lo = lam_hi
-        lam_hi *= 4.0
-    else:
-        raise NumericError("risk-cap bisection failed to bracket the multiplier")
-    w_feas = w
-    for _ in range(60):
-        lam = 0.5 * (lam_lo + lam_hi)
-        w, _, iters, c = _quadratic_inner(lam * sigma, -mu, w, cfg)
-        iters_total += iters
-        conv = conv and c
-        if float(w @ sigma @ w) <= cap + 1e-8:
-            lam_hi, w_feas = lam, w
+        lam, y = lam + min(root, turn), np.maximum(y + min(root, turn) * d, 0.0)
+        if root < turn:  # a turning point at the cap may still raise the return
+            break
+        if leave.min() <= enter.min():
+            y[np.argmin(leave)], free[np.argmin(leave)] = 0.0, False
         else:
-            lam_lo = lam
-        if abs(float(w @ sigma @ w) - cap) <= 1e-12 * max(cap, 1.0):
-            w_feas = w
-            break
-    return _finish(w_feas, float(mu @ w_feas), iters_total, conv, ("risk_cap",))
+            free[np.argmin(enter)] = True
+    # y minimizes 1/2 y'Qy - lam v'y on the simplex with y'Qy at the cap:
+    # by Lagrangian sufficiency it maximizes the return within the cap
+    kkt, _, non_unique = _certify(q, -lam * v, ones, np.ones(1), y, free)
+    conv = max(kkt, abs(cap_q - float(y @ q @ y))) <= _TOL
+    return _finish(y, float(mu @ y), iters, conv, ("risk_cap",), non_unique)
 
 
 def _erc_coordinate_descent(sigma: np.ndarray, max_sweeps: int = 2000) -> tuple[np.ndarray, int]:
@@ -404,8 +354,7 @@ def solve_risk_parity(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()
     x, sweeps = _erc_coordinate_descent(sigma, max_sweeps=cfg.max_iters)
     w = x / x.sum()
     contrib = risk_contributions(w, sigma)
-    spread = float(contrib.max() / contrib.min()) - 1.0
-    converged = spread <= 1e-6
+    converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6
     objective = 0.5 + 0.5 * np.log(float(w @ sigma @ w)) - float(np.log(w).sum()) / len(w)
     return _finish(w, objective, sweeps, converged)
 

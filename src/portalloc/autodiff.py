@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 
 class Tensor:
@@ -28,9 +28,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -91,25 +88,6 @@ def conv1d(tape: Tape, x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def back():
         gx, gk, gb = _kernels.conv1d_bwd(x.data, kernels.data, out.grad)
-        _acc(x, gx)
-        _acc(kernels, gk)
-        _acc(bias, gb)
-
-    tape.record(back)
-    return out
-
-
-def conv2d(tape: Tape, x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 2-D cross-correlation: x (c_in, H, W), kernels
-    (c_out, c_in, kh, kw) -> (c_out, H - kh + 1, W - kw + 1)."""
-    h, w = x.data.shape[1], x.data.shape[2]
-    kh, kw = kernels.data.shape[2], kernels.data.shape[3]
-    if kh > h or kw > w:
-        raise ValueError(f"kernel ({kh}, {kw}) exceeds input ({h}, {w})")
-    out = Tensor(_kernels.conv2d_fwd(x.data, kernels.data, bias.data))
-
-    def back():
-        gx, gk, gb = _kernels.conv2d_bwd(x.data, kernels.data, out.grad)
         _acc(x, gx)
         _acc(kernels, gk)
         _acc(bias, gb)
@@ -297,16 +275,22 @@ def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
         raise NumericError(f"not a tensor container (bad magic): {path}")
-    header = lines[1]
+    header = lines[1] if len(lines) > 1 else ""
     tensors: dict[str, Tensor] = {}
     i = 2
     while i < len(lines) and lines[i] != "end":
         parts = lines[i].split()
-        if parts[0] != "tensor" or len(parts) < 3:
+        if len(parts) < 3 or parts[0] != "tensor":
             raise NumericError(f"corrupt tensor container at line {i + 1}: {path}")
-        name, ndim = parts[1], int(parts[2])
-        shape = tuple(int(d) for d in parts[3:3 + ndim])
-        values = np.array(lines[i + 1].split(), dtype=float)
+        name = parts[1]
+        if i + 1 >= len(lines):
+            raise DataError(f"tensor {name} has no value line: {path}")
+        try:
+            ndim = int(parts[2])
+            shape = tuple(int(d) for d in parts[3:3 + ndim])
+            values = np.array(lines[i + 1].split(), dtype=float)
+        except ValueError as exc:
+            raise DataError(f"corrupt tensor {name} at line {i + 1} ({exc}): {path}") from None
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise NumericError(f"tensor {name} has {values.size} values, shape {shape}: {path}")

@@ -265,12 +265,10 @@ def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
 
     def decide(t: int) -> tuple[np.ndarray, float]:
         if state["w"] is None or (t - first_decision) % cfg.rebalance == 0:
-            window = None if cfg.est_window is None else cfg.est_window
             sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
-            stats = estimate_stats(sub, window)
-            report = solve(method, stats, solver_cfg, r_min=cfg.r_min,
-                           sigma_max=cfg.sigma_max)
-            state["w"] = report.weights.w
+            stats = estimate_stats(sub, cfg.est_window)
+            state["w"] = solve(method, stats, solver_cfg, r_min=cfg.r_min,
+                               sigma_max=cfg.sigma_max).weights.w
         return state["w"], leverage
 
     return decide
@@ -321,7 +319,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     for name in models:
         if name not in valid:
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
-    solver_cfg = solver_cfg or SolverConfig(seed=cfg.seed)
+    solver_cfg = solver_cfg or SolverConfig()
     arch = arch or NetworkArch()
     train_cfg = train_cfg or TrainConfig(seed=cfg.seed)
     rf = bundle.rf

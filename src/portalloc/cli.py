@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .allocators import SolverConfig, method_names, solve
 from .backtest import (CompareConfig, DataBundle, compare_models, curves_csv,
                        make_schedule, report_table_csv, report_table_text,
@@ -56,8 +56,6 @@ class RunConfig:
     patience: int = 50
     policy_prob: float = 0.9
     solver_max_iters: int = 3000
-    solver_tolerance: float = 1e-9
-    solver_restarts: int = 5
     est_window: int = 0
     initial_train_end: str = "2006-12-31"
     test_span: int = 252
@@ -79,23 +77,25 @@ class RunConfig:
     weights: str = ""
 
     def lag_set(self) -> LagSet:
-        return LagSet(tuple(int(x) for x in self.lags.split(",") if x != ""))
+        return LagSet(_ints("lags", self.lags))
 
     def ctx_lag_set(self) -> LagSet:
-        raw = self.ctx_lags if self.ctx_lags else self.lags
-        return LagSet(tuple(int(x) for x in raw.split(",") if x != ""))
+        return LagSet(_ints("ctx_lags", self.ctx_lags)) if self.ctx_lags else self.lag_set()
 
     def arch(self) -> NetworkArch:
-        def conv_pairs(raw: str):
-            return tuple(tuple(int(v) for v in item.split(":")) for item in raw.split(",") if item)
+        def conv_pairs(key: str):
+            return tuple(_ints(key, item, ":") for item in getattr(self, key).split(",") if item)
 
-        hidden = tuple(int(x) for x in self.hidden.split(",") if x != "")
-        return NetworkArch(conv_pairs(self.asset_conv), conv_pairs(self.context_conv),
-                           hidden, self.max_leverage, self.l2_coeff)
+        return NetworkArch(conv_pairs("asset_conv"), conv_pairs("context_conv"),
+                           _ints("hidden", self.hidden), self.max_leverage, self.l2_coeff)
+
+    def level(self, key: str) -> float | None:
+        """The r_min or sigma_max constraint level, None when unset."""
+        raw = getattr(self, key)
+        return _convert(key, float, raw) if raw else None
 
     def solver_cfg(self) -> SolverConfig:
-        return SolverConfig(self.solver_max_iters, 1.0, self.solver_tolerance,
-                            self.solver_restarts, self.seed)
+        return SolverConfig(self.solver_max_iters)
 
     def train_cfg(self) -> TrainConfig:
         return TrainConfig(self.learning_rate, self.noise_std, self.max_iterations,
@@ -109,7 +109,7 @@ class RunConfig:
             label, _, steps = item.partition(":")
             if not steps:
                 raise UsageError(f"bad horizon {item!r}; expected label:steps")
-            out[label] = int(steps)
+            out[label] = _convert("horizons", int, steps)
         return out
 
     def compare_cfg(self) -> CompareConfig:
@@ -117,8 +117,7 @@ class RunConfig:
             cost_rate=self.cost_rate, rebalance=self.rebalance,
             trad_leverage=self.trad_leverage, ew_leverage=self.ew_leverage,
             est_window=self.est_window or None,
-            r_min=float(self.r_min) if self.r_min else None,
-            sigma_max=float(self.sigma_max) if self.sigma_max else None,
+            r_min=self.level("r_min"), sigma_max=self.level("sigma_max"),
             horizons=self.horizon_map(), seed=self.seed,
         )
 
@@ -132,12 +131,26 @@ def _parse_regimes(raw: str) -> tuple[RegimeSpec, ...]:
         parts = chunk.split("|")
         if len(parts) != 4:
             raise UsageError(f"bad regime {chunk!r}; expected means|vols|corr|duration")
-        mean = np.array([float(x) for x in parts[0].split(",")])
-        vol = np.array([float(x) for x in parts[1].split(",")])
-        regimes.append(RegimeSpec(mean, vol, float(parts[2]), int(parts[3])))
+        mean = np.array([_convert("regimes", float, x) for x in parts[0].split(",")])
+        vol = np.array([_convert("regimes", float, x) for x in parts[1].split(",")])
+        regimes.append(RegimeSpec(mean, vol, _convert("regimes", float, parts[2]),
+                                  _convert("regimes", int, parts[3])))
     if not regimes:
         raise UsageError("no regimes given")
     return tuple(regimes)
+
+
+def _convert(key: str, kind, text: str):
+    """kind(text), or a UsageError naming the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"bad value for {key}: {text!r} is not {noun}") from None
+
+
+def _ints(key: str, raw: str, sep: str = ",") -> tuple[int, ...]:
+    return tuple(_convert(key, int, x) for x in raw.split(sep) if x != "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,9 +201,9 @@ def _coerce(name: str, raw) -> object:
         return raw
     text = str(raw)
     if kind in ("int", int):
-        return int(text)
+        return _convert(name, int, text)
     if kind in ("float", float):
-        return float(text)
+        return _convert(name, float, text)
     if kind in ("bool", bool):
         return text.strip().lower() in {"1", "true", "yes"}
     return text
@@ -216,7 +229,6 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     lines.append(f"version.portalloc = {__version__}")
     lines.append(f"version.numpy = {np.__version__}")
-    lines.append(f"kernels = {'numba' if _kernels.USING_NUMBA else 'numpy'}")
     atomic_write_text(os.path.join(cfg.outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
@@ -271,9 +283,8 @@ def cmd_allocate(cfg: RunConfig) -> int:
         raise UsageError("missing --prices")
     rf = compute_returns(load_price_csv(cfg.prices))
     stats = estimate_stats(rf, cfg.est_window or None)
-    report = solve(cfg.method, stats, cfg.solver_cfg(),
-                   r_min=float(cfg.r_min) if cfg.r_min else None,
-                   sigma_max=float(cfg.sigma_max) if cfg.sigma_max else None)
+    report = solve(cfg.method, stats, cfg.solver_cfg(), r_min=cfg.level("r_min"),
+                   sigma_max=cfg.level("sigma_max"))
     print(f"method = {cfg.method}")
     for asset, w in zip(rf.assets, report.weights.w):
         print(f"  {asset}: {w:.6f}")
@@ -405,8 +416,11 @@ def _read_wide_csv(path: str):
     if not rows or rows[0][0] != "date":
         raise DataError(f"expected a date,... header in {path}")
     names = rows[0][1:]
-    dates = np.array([np.datetime64(r[0], "D") for r in rows[1:]])
-    matrix = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    try:
+        dates = np.array([np.datetime64(r[0], "D") for r in rows[1:]])
+        matrix = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed row in {path}: {exc}") from None
     return dates, names, matrix
 
 

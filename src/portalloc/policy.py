@@ -203,16 +203,19 @@ def load_params(path: str) -> PolicyParameters:
     """Load a checkpoint; fails loudly if tensor shapes and the stored
     architecture descriptor disagree."""
     tensors, header = ad.load_tensors(path)
-    meta = json.loads(header)
-    arch = NetworkArch(
-        asset_conv=tuple(tuple(x) for x in meta["asset_conv"]),
-        context_conv=tuple(tuple(x) for x in meta["context_conv"]),
-        hidden=tuple(meta["hidden"]),
-        max_leverage=meta["max_leverage"],
-        l2_coeff=meta["l2_coeff"],
-    )
-    params = PolicyParameters(tensors, arch, meta["assets"], meta["lags"],
-                              meta["context_series"], meta["context_lags"])
+    try:
+        meta = json.loads(header)
+        arch = NetworkArch(
+            asset_conv=tuple(tuple(x) for x in meta["asset_conv"]),
+            context_conv=tuple(tuple(x) for x in meta["context_conv"]),
+            hidden=tuple(meta["hidden"]),
+            max_leverage=meta["max_leverage"],
+            l2_coeff=meta["l2_coeff"],
+        )
+        params = PolicyParameters(tensors, arch, meta["assets"], meta["lags"],
+                                  meta["context_series"], meta["context_lags"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"bad checkpoint header ({type(exc).__name__}: {exc}): {path}") from None
     reference = init_network(arch, params.m, params.lags, params.ctx_series, params.ctx_lags)
     if set(reference.tensors) != set(tensors):
         raise DataError(f"checkpoint tensor names do not match architecture: {path}")

@@ -11,11 +11,23 @@ import math
 
 import numpy as np
 
-from portalloc._kernels import simplex_compositions
-
 GRID_STEP = 0.005
 
 _GRID_CACHE: dict[int, np.ndarray] = {}
+
+
+def simplex_compositions(units: int, parts: int) -> np.ndarray:
+    """All non-negative integer vectors of length ``parts`` summing to
+    ``units``, lexicographically descending, built level by level.
+    Shape (C(units+parts-1, parts-1), parts)."""
+    if parts == 1:
+        return np.array([[units]], dtype=np.int64)
+    blocks = []
+    for first in range(units, -1, -1):
+        rest = simplex_compositions(units - first, parts - 1)
+        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
+        blocks.append(np.hstack((head, rest)))
+    return np.vstack(blocks)
 
 
 def simplex_grid(l: int, step: float = GRID_STEP) -> np.ndarray:

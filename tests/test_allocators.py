@@ -254,3 +254,97 @@ class TestDispatchAndReports:
                 Weights(report.weights.w)  # re-validates invariants
                 assert abs(report.weights.w.sum() - 1.0) <= 1e-8
                 assert np.all(report.weights.w >= -1e-8)
+
+
+def kkt_residual(q, c, a, b, y):
+    """KKT residual of min 1/2 y'Qy + c'y s.t. Ay = b, y >= 0 at y, with Q and
+    c scaled to a largest |Q| entry of 1; also returns the equality multipliers."""
+    scale = np.abs(q).max()
+    q, c = q / scale, c / scale
+    held = y > 0
+    g = q @ y + c
+    nu = np.linalg.lstsq(a[:, held].T, g[held], rcond=None)[0]
+    z = g - a.T @ nu
+    res = max(np.abs(a @ y - b).max(), np.abs(z[held]).max(), max(-z.min(), 0.0),
+              np.abs(y * z).max())
+    return res, nu
+
+
+class TestExactCore:
+    @pytest.mark.parametrize("l", [2, 5, 24])
+    def test_kkt_residual_every_program(self, rng, l):
+        for _ in range(5):
+            stats = random_stats(rng, l)
+            sigma, mu, vols = stats.sigma_mat, stats.mu, stats.vols
+            ones = np.ones((1, l))
+            zero = np.zeros(l)
+            for q, method in ((sigma, "minvariance"), (stats.corr, "maxdecorrelation")):
+                report = solve(method, stats, CFG)
+                assert report.converged and not report.non_unique
+                assert kkt_residual(q, zero, ones, np.ones(1), report.weights.w)[0] <= 1e-10
+
+            w = solve("maxdiversification", stats, CFG).weights.w
+            y = w / float(vols @ w)
+            assert kkt_residual(sigma, zero, vols[None], np.ones(1), y)[0] <= 1e-10
+
+            base = float(mu @ solve("minvariance", stats, CFG).weights.w)
+            r_min = base + rng.uniform(0.2, 0.8) * (mu.max() - base)
+            floor = solve("markowitz", stats, CFG, r_min=r_min)
+            assert floor.converged and "return_target" in floor.active_constraints
+            res, nu = kkt_residual(sigma, zero, np.vstack([ones, mu]), np.array([1.0, r_min]),
+                                   floor.weights.w)
+            assert res <= 1e-10 and nu[1] >= 0
+
+            cap = floor.objective_value
+            capped = solve("maxreturn", stats, CFG, sigma_max=float(np.sqrt(cap)))
+            w = capped.weights.w
+            assert capped.converged and "risk_cap" in capped.active_constraints
+            assert abs(float(w @ sigma @ w) - cap) <= 1e-10 * np.abs(sigma).max()
+            # w minimizes 1/2 w'Sw - lam mu'w on the simplex for some lam >= 0
+            held = w > 0
+            lam = np.linalg.lstsq(np.column_stack([mu, np.ones(l)])[held], (sigma @ w)[held],
+                                  rcond=None)[0][0]
+            assert lam >= 0
+            assert kkt_residual(sigma, -lam * mu, ones, np.ones(1), w)[0] <= 1e-10
+
+    def test_duplicated_asset_flags_non_unique(self, rng):
+        stats = random_stats(rng, 3)
+        keep = [0, 1, 2, 0]
+        sigma = stats.sigma_mat[np.ix_(keep, keep)]
+        report = solve_min_variance(stats_from_covariance(stats.mu[keep], sigma), CFG)
+        assert report.converged and report.non_unique
+        w = report.weights.w
+        np.testing.assert_allclose(float(w @ sigma @ w),
+                                   solve_min_variance(stats, CFG).objective_value, rtol=1e-12)
+
+    def test_well_conditioned_never_non_unique(self, rng):
+        for _ in range(10):
+            stats = random_stats(rng, int(rng.integers(2, 9)))
+            base = float(stats.mu @ solve_min_variance(stats, CFG).weights.w)
+            r_min = 0.5 * (base + float(stats.mu.max()))
+            floor = solve_markowitz_min_risk(stats, r_min, CFG)
+            reports = [solve(method, stats, CFG, r_min=r_min,
+                             sigma_max=float(np.sqrt(floor.objective_value)))
+                       for method in ("minvariance", "maxdiversification", "maxdecorrelation",
+                                      "markowitz", "maxreturn", "riskparity")]
+            assert not any(r.non_unique for r in reports)
+            assert all(r.converged for r in reports)
+
+    def test_tied_best_means_at_the_top(self):
+        stats = stats_from_covariance(np.array([0.1, 0.1, 0.05]), np.diag([0.04, 0.01, 0.02]))
+        floor = solve_markowitz_min_risk(stats, 0.1, CFG)
+        np.testing.assert_allclose(floor.weights.w, [0.2, 0.8, 0.0], atol=1e-12)
+        assert floor.converged and "return_target" in floor.active_constraints
+        # a slack cap leaves every best-mean mix inside it optimal
+        capped = solve_markowitz_max_return(stats, 1.0, CFG)
+        np.testing.assert_allclose(capped.weights.w, [0.2, 0.8, 0.0], atol=1e-12)
+        assert capped.non_unique and capped.converged
+        np.testing.assert_allclose(capped.objective_value, 0.1, rtol=1e-12)
+
+    @pytest.mark.parametrize("l", [2, 5, 24])
+    def test_cap_exactly_at_min_variance_vol(self, rng, l):
+        stats = random_stats(rng, l)
+        minvar = solve_min_variance(stats, CFG)
+        report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)), CFG)
+        np.testing.assert_allclose(report.weights.w, minvar.weights.w, atol=1e-7)
+        assert report.converged and "risk_cap" in report.active_constraints

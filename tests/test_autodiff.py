@@ -4,7 +4,8 @@ import pytest
 import oracles
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape, Tensor, backward
-from portalloc.errors import NumericError
+from portalloc.errors import DataError, NumericError
+from portalloc.policy import NetworkArch, init_network, load_params, save_params
 
 
 def grad_of(build, x0):
@@ -42,36 +43,6 @@ class TestConv1d:
         rhs = (a_coef * ad.conv1d(Tape(), Tensor(x1), k, b).data
                + b_coef * ad.conv1d(Tape(), Tensor(x2), k, b).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-class TestConv2d:
-    def test_unit_kernel_identity(self, rng):
-        x = rng.normal(size=(1, 3, 4))
-        y = ad.conv2d(Tape(), Tensor(x), Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)))
-        np.testing.assert_allclose(y.data, x)
-
-    def test_averaging_kernel_preserves_constants(self):
-        x = Tensor(np.full((1, 4, 5), 7.0))
-        k = Tensor(np.full((1, 1, 2, 2), 0.25))
-        y = ad.conv2d(Tape(), x, k, Tensor(np.zeros(1)))
-        np.testing.assert_allclose(y.data, np.full((1, 3, 4), 7.0), atol=1e-12)
-
-    def test_matches_loop_nest(self, rng):
-        x = rng.normal(size=(2, 3, 4))
-        k = rng.normal(size=(3, 2, 2, 2))
-        b = rng.normal(size=3)
-        y = ad.conv2d(Tape(), Tensor(x), Tensor(k), Tensor(b)).data
-        ref = np.zeros((3, 2, 3))
-        for o in range(3):
-            for r in range(2):
-                for s in range(3):
-                    acc = b[o]
-                    for c in range(2):
-                        for a in range(2):
-                            for d in range(2):
-                                acc += k[o, c, a, d] * x[c, r + a, s + d]
-                    ref[o, r, s] = acc
-        np.testing.assert_allclose(y, ref, atol=1e-12)
 
 
 class TestActivations:
@@ -154,8 +125,6 @@ class TestBackward:
 OPS = {
     "conv1d": (lambda rng: (rng.normal(size=(2, 8)), rng.normal(size=(3, 2, 3)), rng.normal(size=3)),
                lambda tape, ts: ad.conv1d(tape, *ts)),
-    "conv2d": (lambda rng: (rng.normal(size=(2, 4, 5)), rng.normal(size=(3, 2, 2, 3)), rng.normal(size=3)),
-               lambda tape, ts: ad.conv2d(tape, *ts)),
     "dense": (lambda rng: (rng.normal(size=4), rng.normal(size=(4, 3)), rng.normal(size=3)),
               lambda tape, ts: ad.dense(tape, *ts)),
     "relu": (lambda rng: (rng.normal(size=7) + 0.05,),  # keep away from the kink
@@ -224,3 +193,44 @@ class TestTensorContainer:
         ad.save_tensors(p1, tensors)
         ad.save_tensors(p2, tensors)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+class TestCorruptCheckpoint:
+    def checkpoint(self, tmp_path) -> str:
+        path = str(tmp_path / "ckpt.txt")
+        save_params(init_network(NetworkArch(), 2, 7, 3, 7, seed=0), path)
+        return path
+
+    def rewrite(self, path, edit) -> str:
+        lines = open(path).read().splitlines()
+        edit(lines)
+        bad = path + ".bad"
+        open(bad, "w").write("\n".join(lines) + "\n")
+        return bad
+
+    def test_non_integer_dims(self, tmp_path):
+        def edit(lines):
+            lines[2] = lines[2].rsplit(" ", 1)[0] + " x"
+        bad = self.rewrite(self.checkpoint(tmp_path), edit)
+        with pytest.raises(DataError, match="corrupt tensor"):
+            ad.load_tensors(bad)
+
+    def test_tensor_header_without_value_line(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text('portalloc-tensors v1\n{}\ntensor a_w 1 2')
+        with pytest.raises(DataError, match="no value line"):
+            ad.load_tensors(str(path))
+
+    def test_bad_json_header(self, tmp_path):
+        def edit(lines):
+            lines[1] = lines[1][:-1]
+        bad = self.rewrite(self.checkpoint(tmp_path), edit)
+        with pytest.raises(DataError, match="bad checkpoint header"):
+            load_params(bad)
+
+    def test_missing_header_key(self, tmp_path):
+        def edit(lines):
+            lines[1] = lines[1].replace('"hidden"', '"hidden_sizes"')
+        bad = self.rewrite(self.checkpoint(tmp_path), edit)
+        with pytest.raises(DataError, match="hidden"):
+            load_params(bad)

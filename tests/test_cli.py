@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from portalloc.cli import main
 from portalloc.market_data import load_price_csv
@@ -307,3 +308,25 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("nonsense = 1\n")
         assert main(["synth", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flags, code, needle", [
+    (["synth", "--seed", "abc"], 1, "seed"),
+    (["compare", "--models", "equalweight", "--lags", "0,x"], 1, "lags"),
+    (["allocate", "--method", "markowitz", "--r-min", "nope"], 1, "r_min"),
+    (["compare", "--models", "equalweight", "--horizons", "2y:abc"], 1, "horizons"),
+    (["plot", "--curves", "BAD_CSV"], 2, "malformed row"),
+])
+def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,a\n2020-01-06,1.0\n2020-01-07,oops\n")
+    argv = [str(bad) if f == "BAD_CSV" else f for f in flags] + ["--outdir", str(tmp_path / "o")]
+    if flags[0] != "plot":
+        argv += ["--prices", str(src / "prices.csv"), "--initial-train-end",
+                 str(frame.dates[280]), "--test-span", "120"]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert needle in capsys.readouterr().err
