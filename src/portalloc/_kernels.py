@@ -1,4 +1,7 @@
-"""Valid (no-padding) 1-D cross-correlation passes in numpy."""
+"""Valid (no-padding) 1-D cross-correlation passes in numpy.
+
+Inputs may carry leading batch axes: x (..., c_in, L), gy (..., c_out, L_out).
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,18 +9,19 @@ import numpy as np
 
 def conv1d_fwd(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     kw = k.shape[2]
-    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)  # (ci, Lo, kw)
-    y = np.tensordot(k, win, axes=((1, 2), (0, 2)))
-    return y + b[:, None]
+    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=-1)  # (..., ci, Lo, kw)
+    y = np.tensordot(k, win, axes=((1, 2), (-3, -1)))  # (co, ..., Lo)
+    return np.moveaxis(y, 0, -2) + b[:, None]
 
 
 def conv1d_bwd(x, k, gy):
     kw = k.shape[2]
-    n_out = gy.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)
-    gk = np.tensordot(gy, win, axes=((1,), (1,)))
-    gb = gy.sum(axis=1)
+    n_out = gy.shape[-1]
+    batch = tuple(range(gy.ndim - 2))
+    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=-1)
+    gk = np.tensordot(gy, win, axes=(batch + (gy.ndim - 1,), batch + (gy.ndim - 1,)))
+    gb = gy.sum(axis=batch + (-1,))
     gx = np.zeros_like(x)
     for j in range(kw):
-        gx[:, j:j + n_out] += k[:, :, j].T @ gy
+        gx[..., j:j + n_out] += np.matmul(k[:, :, j].T, gy)
     return gx, gk, gb

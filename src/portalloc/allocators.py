@@ -183,9 +183,15 @@ def _qp(q, a, b, y0=None):
     return y, iters, kkt <= _TOL, non_unique, nu
 
 
+def _variance(w: np.ndarray, q: np.ndarray) -> float:
+    """w'Qw for a PSD Q, clamped at 0: on a singular Q rounding can leave it
+    slightly negative, and its square root is reported as a volatility."""
+    return max(float(w @ q @ w), 0.0)
+
+
 def _min_quadratic(q: np.ndarray) -> SolveReport:
     w, iters, conv, non_unique, _ = _qp(q, np.ones((1, len(q))), np.ones(1))
-    return _finish(w, float(w @ q @ w), iters, conv, non_unique=non_unique)
+    return _finish(w, _variance(w, q), iters, conv, non_unique=non_unique)
 
 
 def solve_min_variance(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -230,7 +236,7 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
         on_face = _min_quadratic(sigma[np.ix_(face, face)])
         w = np.zeros(stats.num_assets)
         w[face] = on_face.weights.w
-        return _finish(w, float(w @ sigma @ w), on_face.iterations, on_face.converged,
+        return _finish(w, _variance(w, sigma), on_face.iterations, on_face.converged,
                        ("return_target",), on_face.non_unique)
     minvar = solve_min_variance(stats)
     w0 = minvar.weights.w
@@ -245,7 +251,7 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
                                          np.array([1.0, r_min]), y0)
     # the floor is an inequality: its multiplier must not be negative
     conv = conv and nu[1] >= -_TOL
-    return _finish(w, float(w @ sigma @ w), minvar.iterations + iters, conv,
+    return _finish(w, _variance(w, sigma), minvar.iterations + iters, conv,
                    ("return_target",), non_unique)
 
 

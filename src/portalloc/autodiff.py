@@ -1,14 +1,15 @@
 """Minimal tape-based reverse-mode automatic differentiation over dense
 numpy tensors: just the operations the policy network and its episodic
 objective need. All data is float64; convolutions are valid (no padding),
-stride 1, cross-correlation orientation.
+stride 1, cross-correlation orientation. The network primitives accept
+leading batch axes, so one taped pass covers a whole stack of observations.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import _kernels
-from .errors import DataError, NumericError
+from .errors import DataError
 
 
 class Tensor:
@@ -79,9 +80,9 @@ def backward(tape: Tape, out: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def conv1d(tape: Tape, x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-D cross-correlation: x (c_in, L), kernels (c_out, c_in, k)
-    -> (c_out, L - k + 1)."""
-    length, k = x.data.shape[1], kernels.data.shape[2]
+    """Valid 1-D cross-correlation: x (..., c_in, L), kernels (c_out, c_in, k)
+    -> (..., c_out, L - k + 1)."""
+    length, k = x.data.shape[-1], kernels.data.shape[2]
     if k > length:
         raise ValueError(f"kernel length {k} exceeds input length {length}")
     out = Tensor(_kernels.conv1d_fwd(x.data, kernels.data, bias.data))
@@ -97,13 +98,15 @@ def conv1d(tape: Tape, x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def dense(tape: Tape, x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: x (n,) @ weights (n, o) + bias (o,)."""
+    """Affine map: x (..., n) @ weights (n, o) + bias (o,) -> (..., o)."""
     out = Tensor(x.data @ weights.data + bias.data)
 
     def back():
-        _acc(x, weights.data @ out.grad)
-        _acc(weights, np.outer(x.data, out.grad))
-        _acc(bias, out.grad)
+        g = out.grad
+        n, o = weights.data.shape
+        _acc(x, np.matmul(g, weights.data.T))
+        _acc(weights, x.data.reshape(-1, n).T @ g.reshape(-1, o))
+        _acc(bias, g.reshape(-1, o).sum(axis=0))
 
     tape.record(back)
     return out
@@ -133,14 +136,15 @@ def sigmoid(tape: Tape, x: Tensor) -> Tensor:
 
 
 def softmax(tape: Tape, x: Tensor) -> Tensor:
-    """Stable softmax of a vector; output is strictly positive and sums to 1."""
-    e = np.exp(x.data - np.max(x.data))
-    y = e / e.sum()
+    """Stable softmax over the last axis; output is strictly positive and
+    sums to 1 along it."""
+    e = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def back():
         g = out.grad
-        _acc(x, out.data * (g - float(g @ out.data)))
+        _acc(x, out.data * (g - np.einsum("...i,...i->...", g, out.data)[..., None]))
 
     tape.record(back)
     return out
@@ -156,13 +160,16 @@ def flatten(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-def concat(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    na = a.data.size
-    out = Tensor(np.concatenate([a.data.reshape(-1), b.data.reshape(-1)]))
+def concat(tape: Tape, a: Tensor, b: Tensor, batch_dims: int = 0) -> Tensor:
+    """Concatenate a and b, each flattened after the first batch_dims axes."""
+    batch = a.data.shape[:batch_dims]
+    fa = a.data.reshape(batch + (-1,))
+    out = Tensor(np.concatenate([fa, b.data.reshape(batch + (-1,))], axis=-1))
+    na = fa.shape[-1]
 
     def back():
-        _acc(a, out.grad[:na].reshape(a.data.shape))
-        _acc(b, out.grad[na:].reshape(b.data.shape))
+        _acc(a, out.grad[..., :na].reshape(a.data.shape))
+        _acc(b, out.grad[..., na:].reshape(b.data.shape))
 
     tape.record(back)
     return out
@@ -222,12 +229,33 @@ def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
 
 
 def dot_const(tape: Tape, x: Tensor, c: np.ndarray) -> Tensor:
-    """Inner product with a constant vector; result is a scalar tensor."""
+    """Inner product with a constant over the last axis: x (..., n), c
+    broadcastable to it -> (...); a scalar tensor for a vector x."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(float(x.data @ c))
+    out = Tensor(np.einsum("...i,...i->...", x.data, c))
 
     def back():
-        _acc(x, out.grad * c)
+        _acc(x, out.grad[..., None] * c)
+
+    tape.record(back)
+    return out
+
+
+def prod(tape: Tape, x: Tensor) -> Tensor:
+    """Product of all entries of x, multiplied in order; a scalar tensor.
+
+    The gradient of entry i is the product of every other entry, taken from
+    prefix and suffix products rather than by dividing the total by x_i, so
+    it stays exact when an entry is 0.
+    """
+    flat = x.data.reshape(-1)
+    prefix = np.cumprod(flat)
+    out = Tensor(prefix[-1])
+
+    def back():
+        before = np.concatenate(([1.0], prefix[:-1]))
+        after = np.concatenate((np.cumprod(flat[:0:-1])[::-1], [1.0]))
+        _acc(x, (out.grad * before * after).reshape(x.data.shape))
 
     tape.record(back)
     return out
@@ -274,14 +302,14 @@ def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _MAGIC:
-        raise NumericError(f"not a tensor container (bad magic): {path}")
+        raise DataError(f"not a tensor container (bad magic): {path}")
     header = lines[1] if len(lines) > 1 else ""
     tensors: dict[str, Tensor] = {}
     i = 2
     while i < len(lines) and lines[i] != "end":
         parts = lines[i].split()
         if len(parts) < 3 or parts[0] != "tensor":
-            raise NumericError(f"corrupt tensor container at line {i + 1}: {path}")
+            raise DataError(f"corrupt tensor container at line {i + 1}: {path}")
         name = parts[1]
         if i + 1 >= len(lines):
             raise DataError(f"tensor {name} has no value line: {path}")
@@ -293,9 +321,9 @@ def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
             raise DataError(f"corrupt tensor {name} at line {i + 1} ({exc}): {path}") from None
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
-            raise NumericError(f"tensor {name} has {values.size} values, shape {shape}: {path}")
+            raise DataError(f"tensor {name} has {values.size} values, shape {shape}: {path}")
         tensors[name] = Tensor(values.reshape(shape))
         i += 2
     if i >= len(lines):
-        raise NumericError(f"truncated tensor container (no end line): {path}")
+        raise DataError(f"truncated tensor container (no end line): {path}")
     return tensors, header

@@ -61,21 +61,32 @@ class ContextFrame:
 @dataclass(frozen=True)
 class Observation:
     """asset_tensor (2, assets, lags): channel 0 returns, channel 1 vols;
-    context_matrix (series, context lags); lag axes run oldest -> newest."""
+    context_matrix (series, context lags); lag axes run oldest -> newest.
+
+    A stack of observations carries one leading step axis on both arrays
+    and on the timestamps; indexing it selects steps.
+    """
 
     asset_tensor: np.ndarray
     context_matrix: np.ndarray
-    timestamp: np.datetime64
+    timestamp: np.datetime64 | np.ndarray
 
     def __post_init__(self):
-        if self.asset_tensor.ndim != 3 or self.asset_tensor.shape[0] != 2:
+        a, c = self.asset_tensor, self.context_matrix
+        if a.ndim not in (3, 4) or a.shape[-3] != 2:
             raise DataError("asset tensor must have shape (2, assets, lags)")
-        if self.context_matrix.ndim != 2:
-            raise DataError("context matrix must be 2-D")
-        if not np.all(np.isfinite(self.asset_tensor)) or not np.all(np.isfinite(self.context_matrix)):
+        if c.ndim != a.ndim - 1 or c.shape[:-2] != a.shape[:-3]:
+            raise DataError("context matrix must be 2-D per step")
+        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(c)):
             raise DataError("observation contains non-finite cells")
-        if np.any(self.asset_tensor[1] < 0):
+        if np.any(a[..., 1, :, :] < 0):
             raise DataError("volatility channel must be non-negative")
+
+    def __getitem__(self, index) -> "Observation":
+        if self.asset_tensor.ndim == 3:
+            raise TypeError("a single observation has no step axis")
+        return Observation(self.asset_tensor[index], self.context_matrix[index],
+                           self.timestamp[index])
 
 
 def load_context_csv(path: str) -> ContextFrame:
@@ -142,26 +153,34 @@ def min_valid_index(vf: VolFrame, rf: ReturnFrame, lags: LagSet, ctx_lags: LagSe
     return vol_offset + max(lags.max_lag, ctx_lags.max_lag)
 
 
-def build_observation(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
-                      lags: LagSet, ctx_lags: LagSet, t: int) -> Observation:
-    """Observation at return-frame index t; every lagged cell must exist.
+def build_observations(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
+                       lags: LagSet, ctx_lags: LagSet, t_start: int, t_end: int) -> Observation:
+    """Stack of the observations at return-frame indices t in [t_start, t_end),
+    gathered at once; every lagged cell must exist.
 
-    asset_tensor[0, k, j] is asset k's return at t - lag_j and
-    asset_tensor[1, k, j] the trailing volatility at the same offset, with
+    asset_tensor[i, 0, k, j] is asset k's return at t_start + i - lag_j and
+    asset_tensor[i, 1, k, j] the trailing volatility at the same offset, with
     lag axis j ordered oldest -> newest (lag 0, "now", is the last column).
     """
     vol_offset = len(rf.dates) - len(vf.dates)
     ctx_offset = len(rf.dates) - len(ctx.dates)
     if ctx_offset < 0 or not np.array_equal(ctx.dates, rf.dates[ctx_offset:]):
         raise DataError("context frame dates do not align with the return frame")
-    if t >= len(rf.dates):
-        raise DataError(f"index {t} beyond end of data")
+    if t_end > len(rf.dates):
+        raise DataError(f"index {t_end - 1} beyond end of data")
     needed = max(lags.max_lag + vol_offset, ctx_lags.max_lag + ctx_offset)
-    if t < needed:
-        raise DataError(f"insufficient history for lags at index {t}: need index >= {needed}")
-    asset_off = lags.offsets_oldest_first()
-    ctx_off = ctx_lags.offsets_oldest_first()
-    rets = rf.returns[t - asset_off, :].T
-    vols = vf.vols[t - asset_off - vol_offset, :].T
-    context = ctx.values[t - ctx_off - ctx_offset, :].T
-    return Observation(np.stack([rets, vols]), context, rf.dates[t])
+    if t_start < needed:
+        raise DataError(f"insufficient history for lags at index {t_start}: need index >= {needed}")
+    ts = np.arange(t_start, t_end)[:, None]
+    asset_rows = ts - lags.offsets_oldest_first()  # (steps, lags)
+    rets = rf.returns[asset_rows].transpose(0, 2, 1)
+    vols = vf.vols[asset_rows - vol_offset].transpose(0, 2, 1)
+    context = ctx.values[ts - ctx_lags.offsets_oldest_first() - ctx_offset].transpose(0, 2, 1)
+    return Observation(np.stack([rets, vols], axis=1), context, rf.dates[t_start:t_end])
+
+
+def build_observation(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
+                      lags: LagSet, ctx_lags: LagSet, t: int) -> Observation:
+    """Observation at return-frame index t, laid out as one step of
+    build_observations."""
+    return build_observations(rf, vf, ctx, lags, ctx_lags, t, t + 1)[0]

@@ -60,15 +60,19 @@ class NetworkArch:
 
 @dataclass(frozen=True)
 class Action:
-    """weights on the simplex plus a leverage scalar in [0, max_leverage]."""
+    """weights on the simplex plus a leverage scalar in [0, max_leverage].
+
+    Actions for a stack of observations carry a leading step axis: weights
+    (steps, assets) and a leverage array (steps,).
+    """
 
     weights: np.ndarray
-    leverage: float
+    leverage: float | np.ndarray
 
     def __post_init__(self):
-        if abs(float(self.weights.sum()) - 1.0) > 1e-8 or np.any(self.weights < 0):
+        if np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-8) or np.any(self.weights < 0):
             raise DataError("action weights must lie on the simplex")
-        if self.leverage < 0:
+        if np.any(np.asarray(self.leverage) < 0):
             raise DataError("leverage must be >= 0")
 
 
@@ -146,25 +150,25 @@ def init_network(arch: NetworkArch, m: int, lags: int, ctx_series: int, ctx_lags
 
 def forward_tape(tape: Tape, params: PolicyParameters,
                  obs: Observation) -> tuple[Tensor, Tensor]:
-    """Differentiable forward pass; returns (weights vector, leverage scalar)."""
+    """Differentiable forward pass; returns (weights (m,), leverage (1,)),
+    or (weights (steps, m), leverage (steps, 1)) for a stack of observations."""
     a = obs.asset_tensor
-    if a.shape[1] != params.m or a.shape[2] != params.lags:
-        raise DataError(f"asset tensor shape {a.shape} does not match network "
+    if a.shape[-2] != params.m or a.shape[-1] != params.lags:
+        raise DataError(f"asset tensor shape {a.shape[-3:]} does not match network "
                         f"(2, {params.m}, {params.lags})")
     c = obs.context_matrix
-    if c.shape != (params.ctx_series, params.ctx_lags):
-        raise DataError(f"context matrix shape {c.shape} does not match network "
+    if c.shape[-2:] != (params.ctx_series, params.ctx_lags):
+        raise DataError(f"context matrix shape {c.shape[-2:]} does not match network "
                         f"({params.ctx_series}, {params.ctx_lags})")
     t = params.tensors
-    x = Tensor(a.reshape(2 * params.m, params.lags))
+    batch = a.ndim - 3
+    x = Tensor(a.reshape(a.shape[:batch] + (2 * params.m, params.lags)))
     for i in range(len(params.arch.asset_conv)):
         x = ad.relu(tape, ad.conv1d(tape, x, t[f"asset_conv{i}_w"], t[f"asset_conv{i}_b"]))
-    x = ad.flatten(tape, x)
     y = Tensor(c)
     for i in range(len(params.arch.context_conv)):
         y = ad.relu(tape, ad.conv1d(tape, y, t[f"ctx_conv{i}_w"], t[f"ctx_conv{i}_b"]))
-    y = ad.flatten(tape, y)
-    feat = ad.concat(tape, x, y)
+    feat = ad.concat(tape, x, y, batch)
     for i in range(len(params.arch.hidden)):
         feat = ad.relu(tape, ad.dense(tape, feat, t[f"hidden{i}_w"], t[f"hidden{i}_b"]))
     weights = ad.softmax(tape, ad.dense(tape, feat, t["weights_head_w"], t["weights_head_b"]))
@@ -175,9 +179,10 @@ def forward_tape(tape: Tape, params: PolicyParameters,
 
 
 def forward(params: PolicyParameters, obs: Observation) -> Action:
-    """Inference-only forward pass."""
+    """Inference-only forward pass, for one observation or a stack."""
     weights, lev = forward_tape(Tape(), params, obs)
-    return Action(weights.data.copy(), float(lev.data[0]))
+    leverage = lev.data[..., 0]
+    return Action(weights.data.copy(), float(leverage) if leverage.ndim == 0 else leverage)
 
 
 def l2_penalty(params: PolicyParameters) -> float:

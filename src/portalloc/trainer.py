@@ -6,20 +6,23 @@ observations, a random action replaces the policy's with probability
 P_T / P_0 - 1 with a one-step action lag (the action decided at t earns the
 returns realized at t + 1). The gradient of the terminal reward (minus the
 L2 penalty) flows by exact backpropagation through every policy-chosen step;
-random-action steps contribute constant factors. Parameters ascend with Adam;
-training stops early when the best seen reward stops improving.
+random-action steps contribute constant factors. Observations, realized
+returns and random draws do not depend on the actions, so an iteration is
+one batched inference forward and one batched taped forward over all steps.
+Parameters ascend with Adam; training stops early when the best seen reward
+stops improving.
 """
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError, NumericError
-from .features import (ContextFrame, LagSet, Observation, build_observation,
+from .features import (ContextFrame, LagSet, Observation, build_observations,
                        min_valid_index)
 from .market_data import ReturnFrame, VolFrame
 from .policy import (Action, NetworkArch, PolicyParameters, forward,
@@ -53,15 +56,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TradingWindow:
-    """Pre-built decision points: observation at each step plus the asset
-    returns realized one step later."""
+    """Pre-built decision points: the stacked observations (one per step)
+    plus the asset returns realized one step later."""
 
-    observations: tuple[Observation, ...]
+    observations: Observation
     next_returns: np.ndarray
-    dates: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.next_returns)
 
 
 def make_window(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame, lags: LagSet,
@@ -75,98 +77,96 @@ def make_window(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame, lags: LagSet,
         raise DataError(f"window end {t_end} leaves no realized next-step return")
     if t_end <= t_start:
         raise DataError("window too short: no decision steps")
-    obs = tuple(build_observation(rf, vf, ctx, lags, ctx_lags, t)
-                for t in range(t_start, t_end))
+    obs = build_observations(rf, vf, ctx, lags, ctx_lags, t_start, t_end)
     nxt = rf.returns[t_start + 1:t_end + 1].copy()
-    return TradingWindow(obs, nxt, rf.dates[t_start:t_end].copy())
+    return TradingWindow(obs, nxt)
 
 
 @dataclass(frozen=True)
-class EpisodeRecord:
-    obs: Observation
-    action: Action
-    obs_next: Observation | None
-    next_returns: np.ndarray
-    is_policy: bool
-
-
-@dataclass
 class EpisodeBuffer:
-    """One replayed pass over a window; cleared and rebuilt every iteration."""
+    """One replayed pass over a window, stacked along the step axis: the
+    observations acted on, the actions taken, which steps the policy chose,
+    the realized next-step returns and the terminal net performance."""
 
-    records: list[EpisodeRecord] = field(default_factory=list)
-    terminal_reward: float = 0.0
-
-
-def _perturb(obs: Observation, noise_std: float, rng: np.random.Generator) -> Observation:
-    if noise_std == 0.0:
-        return obs
-    asset = obs.asset_tensor + rng.normal(0.0, noise_std, obs.asset_tensor.shape)
-    # volatility channel stays a non-negative quantity
-    asset[1] = np.maximum(asset[1], 0.0)
-    ctx = obs.context_matrix + rng.normal(0.0, noise_std, obs.context_matrix.shape)
-    return Observation(asset, ctx, obs.timestamp)
+    obs: Observation
+    actions: Action
+    is_policy: np.ndarray
+    next_returns: np.ndarray
+    terminal_reward: float
 
 
-def _random_action(m: int, max_leverage: float, rng: np.random.Generator) -> Action:
-    return Action(rng.dirichlet(np.ones(m)), float(rng.uniform(0.0, max_leverage)))
+def _growth(actions: Action, next_returns: np.ndarray) -> np.ndarray:
+    """Per-step growth factor 1 + leverage * (weights . realized returns)."""
+    return 1.0 + actions.leverage * np.einsum("ij,ij->i", actions.weights, next_returns)
 
 
 def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: float,
                 policy_prob: float, rng: np.random.Generator) -> EpisodeBuffer:
-    """Replay the window once, storing (observation used, action, noisy next
-    observation) per step and the terminal net performance.
+    """Replay the window once, storing the observation used and the action
+    taken at every step and the terminal net performance.
 
-    Noise lands on the stored/used observation copies only; the reward always
-    uses the true realized returns.
+    Observations, realized returns and every random draw are independent of
+    the actions, so one loop makes the draws first and one batched forward
+    then decides every policy step. Per step, in order: one uniform draw
+    (only when policy_prob < 1) that selects a random action when it is not
+    below policy_prob; for a random step a Dirichlet(1, ..., 1) weight draw
+    and a uniform leverage draw on [0, max_leverage]; then, unless it is the
+    last step, Gaussian noise on the next step's asset tensor (volatility
+    channel clipped at 0) and on its context matrix. Noise lands on the
+    stored/used observation copies only; the reward always uses the true
+    realized returns.
     """
-    if len(window) < 1:
+    steps = len(window)
+    if steps < 1:
         raise DataError("window too short for an episode")
-    buffer = EpisodeBuffer()
-    gross = 1.0
-    obs_used = window.observations[0]
-    for i in range(len(window)):
-        use_policy = policy_prob >= 1.0 or rng.uniform() < policy_prob
-        if use_policy:
-            action = forward(params, obs_used)
-        else:
-            action = _random_action(params.m, params.arch.max_leverage, rng)
-        step_ret = action.leverage * float(action.weights @ window.next_returns[i])
-        gross *= 1.0 + step_ret
-        obs_next = None
-        if i + 1 < len(window):
-            obs_next = _perturb(window.observations[i + 1], noise_std, rng)
-        buffer.records.append(EpisodeRecord(obs_used, action, obs_next,
-                                            window.next_returns[i], use_policy))
-        if obs_next is not None:
-            obs_used = obs_next
-    buffer.terminal_reward = gross - 1.0
-    return buffer
+    asset, ctx = window.observations.asset_tensor, window.observations.context_matrix
+    is_policy = np.ones(steps, dtype=bool)
+    weights = np.empty((steps, params.m))
+    leverage = np.empty(steps)
+    ones = np.ones(params.m)
+    # row i - 1 holds step i's noise: its asset draws, then its context draws
+    noise = np.empty((steps - 1, asset[0].size + ctx[0].size)) if noise_std != 0.0 else None
+    for i in range(steps):
+        # random() is uniform() on [0, 1): the same draw from the same stream
+        if policy_prob < 1.0 and not rng.random() < policy_prob:
+            is_policy[i] = False
+            weights[i] = rng.dirichlet(ones)
+            leverage[i] = rng.uniform(0.0, params.arch.max_leverage)
+        if noise is not None and i + 1 < steps:
+            rng.standard_normal(out=noise[i])
+    if noise is not None:
+        # normal(0, s) draws exactly s times a standard normal
+        noise *= noise_std
+        split = asset[0].size
+        asset = asset.copy()
+        asset[1:] += noise[:, :split].reshape(asset[1:].shape)
+        # volatility channel stays a non-negative quantity
+        np.maximum(asset[1:, 1], 0.0, out=asset[1:, 1])
+        ctx = ctx.copy()
+        ctx[1:] += noise[:, split:].reshape(ctx[1:].shape)
+    obs = Observation(asset, ctx, window.observations.timestamp)
+    if is_policy.any():
+        chosen = forward(params, obs[is_policy])
+        weights[is_policy] = chosen.weights
+        leverage[is_policy] = chosen.leverage
+    actions = Action(weights, leverage)
+    gross = np.cumprod(_growth(actions, window.next_returns))[-1]
+    return EpisodeBuffer(obs, actions, is_policy, window.next_returns, float(gross) - 1.0)
 
 
 def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer) -> Tensor:
     """Differentiable terminal reward minus L2 penalty, rebuilt from a stored
-    episode. Policy steps re-run the network on the stored observations;
-    random-action steps enter as constant growth factors."""
-    gross = None
-    for rec in buffer.records:
-        if rec.is_policy:
-            weights, lev = forward_tape(tape, params, rec.obs)
-            step = ad.mul(tape, lev, ad.dot_const(tape, weights, rec.next_returns))
-            factor = ad.add_const(tape, step, 1.0)
-        else:
-            const = 1.0 + rec.action.leverage * float(rec.action.weights @ rec.next_returns)
-            factor = None if const == 1.0 else const
-        if factor is None:
-            continue
-        if gross is None:
-            gross = factor if isinstance(factor, Tensor) else Tensor(np.array(factor))
-        elif isinstance(factor, Tensor):
-            gross = ad.mul(tape, gross, factor)
-        else:
-            gross = ad.scale(tape, gross, factor)
-    if gross is None:
-        gross = Tensor(np.array(1.0))
+    episode. One taped forward re-runs the network on every policy step's
+    stored observation; random-action steps enter as constant growth factors."""
+    pick = buffer.is_policy
+    constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
+    if pick.any():
+        weights, lev = forward_tape(tape, params, buffer.obs[pick])
+        step = ad.mul(tape, ad.flatten(tape, lev),
+                      ad.dot_const(tape, weights, buffer.next_returns[pick]))
+        gross = ad.scale(tape, ad.prod(tape, ad.add_const(tape, step, 1.0)), constant)
+    else:
+        gross = Tensor(np.array(constant))
     reward = ad.add_const(tape, gross, -1.0)
     return ad.sub(tape, reward, l2_penalty_tape(tape, params))
 
@@ -242,9 +242,8 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
     Tracks the best reward seen; stops after early_stop_patience iterations
     without improvement and returns the best-seen parameters, not the last.
     """
-    first = window.observations[0]
-    m, lags = first.asset_tensor.shape[1], first.asset_tensor.shape[2]
-    ctx_series, ctx_lags = first.context_matrix.shape
+    _, _, m, lags = window.observations.asset_tensor.shape
+    ctx_series, ctx_lags = window.observations.context_matrix.shape[1:]
     params = init_network(arch, m, lags, ctx_series, ctx_lags, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     adam = init_adam(params)

@@ -135,3 +135,52 @@ def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+# ---------------------------------------------------------------------------
+# episode references: one step at a time
+# ---------------------------------------------------------------------------
+
+def sequential_buffer_objective(tape, params, buffer):
+    """Terminal reward minus L2 of a stored episode, compounded step by step
+    with one taped forward per policy step (the unbatched tape path);
+    random-action steps enter as constant factors."""
+    from portalloc import autodiff as ad
+    from portalloc.policy import forward_tape, l2_penalty_tape
+
+    gross = ad.Tensor(np.array(1.0))
+    for i, r in enumerate(buffer.next_returns):
+        if buffer.is_policy[i]:
+            weights, lev = forward_tape(tape, params, buffer.obs[i])
+            step = ad.mul(tape, lev, ad.dot_const(tape, weights, r))
+            gross = ad.mul(tape, gross, ad.add_const(tape, step, 1.0))
+        else:
+            lev = float(buffer.actions.leverage[i])
+            gross = ad.scale(tape, gross, 1.0 + lev * float(buffer.actions.weights[i] @ r))
+    reward = ad.add_const(tape, gross, -1.0)
+    return ad.sub(tape, reward, l2_penalty_tape(tape, params))
+
+
+def episode_draws(rng, window, m, max_leverage, noise_std, policy_prob):
+    """The documented per-step random draws of one episode, made one call at
+    a time: a uniform selector when policy_prob < 1, a Dirichlet weight and a
+    uniform leverage for a random step, then Gaussian noise on the next
+    step's asset tensor (volatility clipped at 0) and context matrix.
+    Returns (is_policy, {step: (weights, leverage)}, noisy assets, noisy
+    contexts)."""
+    steps = len(window)
+    assets = [window.observations[i].asset_tensor.copy() for i in range(steps)]
+    contexts = [window.observations[i].context_matrix.copy() for i in range(steps)]
+    is_policy, random_actions = [], {}
+    for i in range(steps):
+        use_policy = policy_prob >= 1.0 or rng.uniform() < policy_prob
+        is_policy.append(use_policy)
+        if not use_policy:
+            weights = rng.dirichlet(np.ones(m))
+            random_actions[i] = (weights, float(rng.uniform(0.0, max_leverage)))
+        if noise_std != 0.0 and i + 1 < steps:
+            noisy = assets[i + 1] + rng.normal(0.0, noise_std, assets[i + 1].shape)
+            noisy[1] = np.maximum(noisy[1], 0.0)
+            assets[i + 1] = noisy
+            contexts[i + 1] = contexts[i + 1] + rng.normal(0.0, noise_std, contexts[i + 1].shape)
+    return np.array(is_policy), random_actions, np.stack(assets), np.stack(contexts)

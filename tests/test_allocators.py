@@ -348,3 +348,18 @@ class TestExactCore:
         report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)), CFG)
         np.testing.assert_allclose(report.weights.w, minvar.weights.w, atol=1e-7)
         assert report.converged and "risk_cap" in report.active_constraints
+
+    def test_singular_covariance_reports_non_negative_variance(self):
+        # 4 return rows for 24 assets: rank-3 covariance whose minimum variance
+        # is 0, and rounding can put the computed w'Sw just below it
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rows = rng.normal(scale=0.01, size=(4, 24))
+            sigma = np.cov(rows, rowvar=False)
+            stats = stats_from_covariance(rows.mean(axis=0), 0.5 * (sigma + sigma.T))
+            minvar = solve_min_variance(stats, CFG)
+            base = float(stats.mu @ minvar.weights.w)
+            floor = solve_markowitz_min_risk(stats, 0.5 * (base + stats.mu.max()), CFG)
+            for report in (minvar, floor):
+                assert report.objective_value >= 0.0
+                assert np.isfinite(np.sqrt(report.objective_value))

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape, Tensor, backward
-from portalloc.errors import DataError, NumericError
+from portalloc.errors import DataError
 from portalloc.policy import NetworkArch, init_network, load_params, save_params
 
 
@@ -137,6 +137,22 @@ OPS = {
                lambda tape, ts: ad.concat(tape, *ts)),
     "mul": (lambda rng: (rng.normal(size=6), rng.normal(size=6)),
             lambda tape, ts: ad.mul(tape, *ts)),
+    "prod": (lambda rng: (rng.normal(size=6),),
+             lambda tape, ts: ad.prod(tape, *ts)),
+    # leading batch axes
+    "conv1d_batched": (lambda rng: (rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 3)),
+                                    rng.normal(size=3)),
+                       lambda tape, ts: ad.conv1d(tape, *ts)),
+    "dense_batched": (lambda rng: (rng.normal(size=(5, 4)), rng.normal(size=(4, 3)),
+                                   rng.normal(size=3)),
+                      lambda tape, ts: ad.dense(tape, *ts)),
+    "softmax_batched": (lambda rng: (rng.normal(size=(4, 5)),),
+                        lambda tape, ts: ad.softmax(tape, *ts)),
+    "concat_batched": (lambda rng: (rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 4))),
+                       lambda tape, ts: ad.concat(tape, *ts, batch_dims=1)),
+    "dot_const_batched": (lambda rng: (rng.normal(size=(4, 5)),),
+                          lambda tape, ts: ad.dot_const(tape, *ts,
+                                                        np.linspace(-1.0, 2.0, 20).reshape(4, 5))),
 }
 
 
@@ -165,6 +181,25 @@ def test_gradient_matches_finite_differences(name, rng):
             assert errs.max() < 1e-4, (name, arg, errs.max())
 
 
+class TestProd:
+    def test_zero_factor_gradient_is_product_of_the_others(self):
+        x = np.array([1.5, -2.0, 0.0, 0.5, 3.0])
+        tape = Tape()
+        t = Tensor(x)
+        out = ad.prod(tape, t)
+        backward(tape, out)
+        assert out.item() == 0.0
+        assert np.all(np.isfinite(t.grad))
+        np.testing.assert_array_equal(t.grad, [np.prod(np.delete(x, i)) for i in range(x.size)])
+
+    def test_value_multiplies_in_order(self, rng):
+        x = 1.0 + 0.01 * rng.normal(size=50)
+        expect = 1.0
+        for v in x:
+            expect *= v
+        assert ad.prod(Tape(), Tensor(x)).item() == expect
+
+
 class TestTensorContainer:
     def test_round_trip(self, tmp_path, rng):
         tensors = {
@@ -184,7 +219,7 @@ class TestTensorContainer:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
-        with pytest.raises(NumericError, match="bad magic"):
+        with pytest.raises(DataError, match="bad magic"):
             ad.load_tensors(str(path))
 
     def test_deterministic_bytes(self, tmp_path, rng):

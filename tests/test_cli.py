@@ -214,6 +214,20 @@ class TestCompareCommand:
         assert code == 2
         assert "missing checkpoint" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        prices, train_end = self.setup_data(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--prices", prices, "--outdir", str(ckpt),
+                     "--initial-train-end", train_end] + FAST) == 0
+        for name in os.listdir(ckpt):
+            if name.startswith("checkpoint_"):
+                lines = (ckpt / name).read_text().splitlines()
+                assert lines[-1] == "end"
+                (ckpt / name).write_text("\n".join(lines[:-1]) + "\n")
+        args = self.compare_args(prices, tmp_path / "o", train_end, models="drl")
+        assert main(args + ["--checkpoints", str(ckpt)]) == 2
+        assert "no end line" in capsys.readouterr().err
+
     def test_svg_output(self, tmp_path):
         prices, train_end = self.setup_data(tmp_path)
         out = tmp_path / "svg"

@@ -87,6 +87,21 @@ class TestForward:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.leverage == b.leverage
 
+    def test_stacked_observations_match_one_at_a_time(self, rng):
+        params = init_network(ARCH, 3, 7, 3, 7, seed=4)
+        for t in params.tensors.values():
+            t.data = t.data + rng.normal(scale=0.5, size=t.data.shape)
+        singles = [make_obs(rng, m=3, scale=1.0) for _ in range(6)]
+        stack = Observation(np.stack([o.asset_tensor for o in singles]),
+                            np.stack([o.context_matrix for o in singles]),
+                            np.array([o.timestamp for o in singles]))
+        batched = forward(params, stack)
+        assert batched.weights.shape == (6, 3) and batched.leverage.shape == (6,)
+        for i, obs in enumerate(singles):
+            one = forward(params, obs)
+            np.testing.assert_allclose(batched.weights[i], one.weights, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(batched.leverage[i], one.leverage, rtol=1e-14, atol=0)
+
     def test_tape_forward_matches_inference(self, rng):
         params = init_network(ARCH, 2, 7, 3, 7, seed=2)
         for t in params.tensors.values():

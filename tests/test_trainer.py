@@ -6,7 +6,7 @@ from conftest import make_price_frame
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError, NumericError
-from portalloc.features import LagSet, build_context_series
+from portalloc.features import LagSet, build_context_series, build_observation
 from portalloc.market_data import compute_returns, rolling_volatility
 from portalloc.policy import NetworkArch, init_network
 from portalloc.trainer import (TrainConfig, adam_step, buffer_objective,
@@ -53,8 +53,7 @@ class TestRunEpisode:
         a = run_episode(params, window, 0.0, 1.0, np.random.default_rng(1))
         b = run_episode(params, window, 0.0, 1.0, np.random.default_rng(2))
         assert a.terminal_reward == b.terminal_reward
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.action.weights, rb.action.weights)
+        assert np.array_equal(a.actions.weights, b.actions.weights)
 
     def test_zero_returns_zero_reward(self):
         window = window_from_returns(np.zeros((30, 2)))
@@ -81,15 +80,13 @@ class TestRunEpisode:
         clean = run_episode(params, window, 0.0, 1.0, np.random.default_rng(5))
         noisy = run_episode(params, window, 0.05, 1.0, np.random.default_rng(5))
         assert clean.terminal_reward == noisy.terminal_reward
-        assert not np.array_equal(noisy.records[1].obs.asset_tensor,
-                                  clean.records[1].obs.asset_tensor)
+        assert not np.array_equal(noisy.obs[1].asset_tensor, clean.obs[1].asset_tensor)
 
     def test_random_action_steps_marked(self, rng):
         window = window_from_returns(0.01 * rng.standard_normal((60, 2)))
         params = perturbed_params(window)
         buf = run_episode(params, window, 0.0, 0.5, np.random.default_rng(3))
-        kinds = [rec.is_policy for rec in buf.records]
-        assert any(kinds) and not all(kinds)
+        assert buf.is_policy.any() and not buf.is_policy.all()
 
 
 class TestEpisodeObjective:
@@ -149,7 +146,7 @@ class TestEpisodeObjective:
         window = window_from_returns(0.01 * rng.standard_normal((40, 2)))
         params = perturbed_params(window)
         buf = run_episode(params, window, 0.0, 0.0, np.random.default_rng(0))
-        assert not any(rec.is_policy for rec in buf.records)
+        assert not buf.is_policy.any()
         params.zero_grads()
         tape = Tape()
         out = buffer_objective(tape, params, buf)
@@ -159,6 +156,67 @@ class TestEpisodeObjective:
             grad = params.tensors[name].grad
             expect = 2.0 * params.arch.l2_coeff * params.tensors[name].data
             np.testing.assert_allclose(-grad, expect, atol=1e-18)
+
+
+def objective_and_grads(objective, params, buffer):
+    params.zero_grads()
+    tape = Tape()
+    out = objective(tape, params, buffer)
+    ad.backward(tape, out)
+    return out.item(), {n: np.zeros_like(t.data) if t.grad is None else t.grad
+                        for n, t in params.tensors.items()}
+
+
+class TestBatchedEpisode:
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
+    def test_matches_sequential_reference(self, rng, policy_prob):
+        window = window_from_returns(0.02 * rng.standard_normal((30, 2)))
+        params = perturbed_params(window, scale=0.4)
+        buf = run_episode(params, window, 0.01, policy_prob, np.random.default_rng(7))
+        if policy_prob == 0.5:
+            assert buf.is_policy.any() and not buf.is_policy.all()
+        value, got = objective_and_grads(buffer_objective, params, buf)
+        ref, want = objective_and_grads(oracles.sequential_buffer_objective, params, buf)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+        for name in want:
+            errs = oracles.relative_errors(got[name], want[name], floor=1e-300)
+            assert errs.max() <= 1e-12, (name, errs.max())
+
+    def test_step_at_minus_100_percent_keeps_gradient_finite(self):
+        # at leverage 2 a -50% return loses everything: that step's factor is
+        # exactly 0, the reward -1, and the gradient flows through the others
+        returns = np.full((14, 1), 0.01)
+        returns[11] = -0.5
+        window = window_from_returns(returns, t_start=9, t_end=12)
+        params = perturbed_params(window)
+        params.tensors["leverage_head_w"].data[:] = 0.0
+        # sigmoid(ln 2) = 2/3, scaled by max_leverage 3 gives leverage 2
+        params.tensors["leverage_head_b"].data[:] = np.log(2.0)
+        buf = run_episode(params, window, 0.0, 1.0, np.random.default_rng(0))
+        assert buf.terminal_reward == -1.0
+        value, got = objective_and_grads(buffer_objective, params, buf)
+        ref, want = objective_and_grads(oracles.sequential_buffer_objective, params, buf)
+        assert value == ref
+        for name in want:
+            assert np.all(np.isfinite(got[name]))
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.002])
+    def test_rng_stream_matches_documented_draws(self, rng, policy_prob, noise_std):
+        window = window_from_returns(0.01 * rng.standard_normal((30, 2)))
+        params = perturbed_params(window)
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        buf = run_episode(params, window, noise_std, policy_prob, ours)
+        is_policy, random_actions, assets, contexts = oracles.episode_draws(
+            theirs, window, 2, params.arch.max_leverage, noise_std, policy_prob)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(buf.is_policy, is_policy)
+        assert np.array_equal(buf.obs.asset_tensor, assets)
+        assert np.array_equal(buf.obs.context_matrix, contexts)
+        for i, (weights, leverage) in random_actions.items():
+            assert np.array_equal(buf.actions.weights[i], weights)
+            assert buf.actions.leverage[i] == leverage
 
 
 class TestAdam:
@@ -238,10 +296,8 @@ class TestTrain:
         window = window_from_returns(rets)
         cfg = TrainConfig(max_iterations=60, early_stop_patience=60, seed=7)
         result = train(window, SMALL_ARCH, cfg)
-        weights = [result_action.weights[0] for result_action in
-                   (run_episode(result.params, window, 0.0, 1.0,
-                                np.random.default_rng(0)).records[i].action
-                    for i in range(len(window)))]
+        weights = run_episode(result.params, window, 0.0, 1.0,
+                              np.random.default_rng(0)).actions.weights[:, 0]
         assert np.mean(weights) > 0.6
 
     def test_non_finite_reward_aborts(self):
@@ -266,6 +322,20 @@ class TestMakeWindow:
         rets = 0.01 * rng.standard_normal((20, 2))
         with pytest.raises(DataError, match="no decision steps"):
             window_from_returns(rets, t_start=10, t_end=10)
+
+    def test_stack_matches_per_step_observations(self, rng):
+        returns = 0.01 * rng.standard_normal((40, 2))
+        prices = 100.0 * np.cumprod(np.vstack([np.ones(2), 1 + returns]), axis=0)
+        rf = compute_returns(make_price_frame(prices))
+        vf = rolling_volatility(rf, 3)
+        ctx = build_context_series(rf, vf)
+        lags = LagSet((0, 2, 5))
+        window = make_window(rf, vf, ctx, lags, SMALL_LAGS, 8, 30)
+        for i, t in enumerate(range(8, 30)):
+            one = build_observation(rf, vf, ctx, lags, SMALL_LAGS, t)
+            assert np.array_equal(window.observations[i].asset_tensor, one.asset_tensor)
+            assert np.array_equal(window.observations[i].context_matrix, one.context_matrix)
+            assert window.observations[i].timestamp == one.timestamp
 
     def test_alignment_of_next_returns(self, rng):
         rets = 0.01 * rng.standard_normal((30, 2))
