@@ -75,7 +75,11 @@ class EquityCurve:
     bankrupt: bool = False
 
     def step_returns(self) -> np.ndarray:
-        return self.values[1:] / self.values[:-1] - 1.0
+        """Simple returns per step; a step that starts from value 0 (after
+        ruin) reads 0."""
+        prev = self.values[:-1]
+        growth = np.divide(self.values[1:], prev, out=np.ones_like(prev), where=prev != 0)
+        return growth - 1.0
 
 
 def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
@@ -165,9 +169,11 @@ def sortino(curve: EquityCurve) -> float | None:
 
 
 def max_drawdown(curve: EquityCurve) -> float:
-    """Largest peak-to-trough loss: max over t of (running_max - P_t) / running_max."""
+    """Largest peak-to-trough loss: max over t of (running_max - P_t) / running_max;
+    a curve that is at 0 from its start (a span after ruin) has lost everything."""
     running_max = np.maximum.accumulate(curve.values)
-    drawdowns = (running_max - curve.values) / running_max
+    drawdowns = np.divide(running_max - curve.values, running_max,
+                          out=np.ones_like(running_max), where=running_max != 0)
     return float(drawdowns.max())
 
 
@@ -226,7 +232,8 @@ def stitch_curves(segments: list[EquityCurve]) -> EquityCurve:
     leverage = [segments[0].leverage]
     turnover = [segments[0].turnover]
     for seg in segments[1:]:
-        scale = values[-1][-1] / seg.values[0]
+        # a segment after ruin starts at value 0 and stays there
+        scale = values[-1][-1] / seg.values[0] if seg.values[0] else 0.0
         dates.append(seg.dates[1:])
         values.append(seg.values[1:] * scale)
         weights.append(seg.weights)
@@ -255,6 +262,14 @@ class CompareConfig:
     horizons: dict[str, int] = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("cost_rate", "trad_leverage", "ew_leverage"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DataError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.rebalance < 1:
+            raise DataError(f"rebalance must be >= 1, got {self.rebalance!r}")
+
 
 def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
                          cfg: CompareConfig, solver_cfg, leverage: float) -> DecideFn:
@@ -274,17 +289,41 @@ def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
     return decide
 
 
-def _policy_decider(params, bundle) -> DecideFn:
-    from .features import build_observation
+def _policy_decider(params, bundle, t_start: int, t_end: int) -> DecideFn:
+    """Decisions for steps [t_start, t_end), made up front by one batched
+    forward: an observation depends on the data up to its step only, never on
+    earlier actions, so the whole test span is known before replay."""
+    from .features import build_observations
     from .policy import forward
 
+    obs = build_observations(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
+                             bundle.ctx_lags, t_start, t_end)
+    action = forward(params, obs)
+
     def decide(t: int) -> tuple[np.ndarray, float]:
-        obs = build_observation(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
-                                bundle.ctx_lags, t)
-        action = forward(params, obs)
-        return action.weights, action.leverage
+        return action.weights[t - t_start], action.leverage[t - t_start]
 
     return decide
+
+
+def _ruined(rf: ReturnFrame, t_start: int, t_end: int,
+            seg: EquityCurve | None = None) -> EquityCurve:
+    """A curve over steps [t_start, t_end) that follows seg, a curve that
+    run_strategy ended at ruin, and then holds value 0 with zero leverage and
+    weights; without seg the whole span is untraded at value 0."""
+    steps = t_end - t_start
+    taken = 0 if seg is None else len(seg.weights)
+    values = np.zeros(steps + 1)
+    weights = np.zeros((steps, rf.num_assets))
+    leverage = np.zeros(steps)
+    turnover = np.zeros(steps)
+    if seg is not None:
+        values[:taken + 1] = seg.values
+        weights[:taken] = seg.weights
+        leverage[:taken] = seg.leverage
+        turnover[:taken] = seg.turnover
+    return EquityCurve(rf.dates[t_start:t_end + 1].copy(), values, weights, leverage,
+                       turnover, True)
 
 
 @dataclass(frozen=True)
@@ -307,6 +346,9 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     The learned model retrains per split on the expanding train range unless
     per-split parameters are supplied in trained_params (split index -> params).
     Traditional models re-solve every cfg.rebalance steps on trailing stats.
+    A model that loses 100% on a step is ruined: its curve stays at value 0,
+    with zero leverage and weights, on every later test date, and the later
+    splits are not traded.
     """
     from .allocators import SolverConfig, method_names
     from .features import min_valid_index
@@ -331,11 +373,15 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
         position = None
         for k, split in enumerate(schedule.splits):
             first_decision = split.test_start - 1
+            t_end = split.test_end - 1
             if first_decision < lo:
                 raise DataError(
                     f"split {k} starts testing at index {split.test_start}, before "
                     f"the first index with full feature history ({lo + 1})"
                 )
+            if segments and segments[-1].bankrupt:
+                segments.append(_ruined(rf, first_decision, t_end))
+                continue
             if model == "drl":
                 if trained_params is not None and k in trained_params:
                     params = trained_params[k]
@@ -345,15 +391,17 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                     seed_k = int(np.random.SeedSequence([cfg.seed, k]).generate_state(1)[0])
                     from dataclasses import replace
                     params = train(window, arch, replace(train_cfg, seed=seed_k)).params
-                decide = _policy_decider(params, bundle)
+                decide = _policy_decider(params, bundle, first_decision, t_end)
             elif model == "equalweight":
                 ew = np.full(m, 1.0 / m)
                 decide = lambda t, ew=ew: (ew, cfg.ew_leverage)  # noqa: E731
             else:
                 decide = _traditional_decider(model, rf, first_decision, cfg,
                                               solver_cfg, cfg.trad_leverage)
-            seg = run_strategy(decide, rf, first_decision, split.test_end - 1,
+            seg = run_strategy(decide, rf, first_decision, t_end,
                                cfg.cost_rate, prev_position=position)
+            if seg.bankrupt:
+                seg = _ruined(rf, first_decision, t_end, seg)
             position = seg.leverage[-1] * seg.weights[-1]
             segments.append(seg)
         stitched = stitch_curves(segments)
@@ -404,9 +452,9 @@ def curves_csv(reports: list[PerformanceReport]) -> str:
         if not np.array_equal(rep.curve.dates, base):
             raise DataError("model curves have mismatched date axes")
     lines = ["date," + ",".join(r.model for r in with_curves)]
-    for i, day in enumerate(base):
-        lines.append(str(day) + "," + ",".join(repr(float(r.curve.values[i]))
-                                               for r in with_curves))
+    columns = np.column_stack([r.curve.values for r in with_curves]).tolist()
+    for day, row in zip(base.astype(str).tolist(), columns):
+        lines.append(day + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -417,9 +465,9 @@ def weights_csv(report: PerformanceReport) -> str:
     curve = report.curve
     m = curve.weights.shape[1]
     lines = ["date," + ",".join(f"w{i + 1}" for i in range(m)) + ",leverage"]
-    for i in range(len(curve.weights)):
-        scaled = curve.leverage[i] * curve.weights[i]
-        lines.append(str(curve.dates[i]) + "," +
-                     ",".join(repr(float(x)) for x in scaled) + "," +
-                     repr(float(curve.leverage[i])))
+    steps = len(curve.weights)
+    scaled = (curve.leverage[:, None] * curve.weights).tolist()
+    for day, row, lvg in zip(curve.dates[:steps].astype(str).tolist(), scaled,
+                             curve.leverage.tolist()):
+        lines.append(day + "," + ",".join(map(repr, row)) + "," + repr(lvg))
     return "\n".join(lines) + "\n"

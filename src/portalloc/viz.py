@@ -15,8 +15,9 @@ _W, _H = 880, 460
 _ML, _MR, _MT, _MB = 70, 24, 34, 46
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+def _points(xs: np.ndarray, ys: np.ndarray) -> list[str]:
+    """'x,y' SVG point strings with two decimals each."""
+    return list(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
 
 
 def _scale(vals: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: float) -> np.ndarray:
@@ -64,7 +65,7 @@ def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray],
     xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
     for i, (name, vals) in enumerate(series.items()):
         ys = _scale(np.asarray(vals, dtype=float), lo, hi, _H - _MB, _MT)
-        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        points = " ".join(_points(xs, ys))
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
@@ -90,10 +91,9 @@ def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray,
         top = cum[:, j]
         ys_top = _scale(top, 0.0, hi, _H - _MB, _MT)
         ys_base = _scale(base, 0.0, hi, _H - _MB, _MT)
-        forward_pts = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys_top)]
-        back_pts = [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs[::-1], ys_base[::-1])]
+        outline = _points(xs, ys_top) + _points(xs[::-1], ys_base[::-1])
         color = _PALETTE[j % len(_PALETTE)]
-        parts.append(f'<polygon points="{" ".join(forward_pts + back_pts)}" '
+        parts.append(f'<polygon points="{" ".join(outline)}" '
                      f'fill="{color}" fill-opacity="0.75" stroke="none"/>')
         parts.append(f'<rect x="{_W - _MR - 170}" y="{_MT + 16 * j}" width="12" height="12" '
                      f'fill="{color}"/>')

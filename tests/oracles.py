@@ -184,3 +184,29 @@ def episode_draws(rng, window, m, max_leverage, noise_std, policy_prob):
             assets[i + 1] = noisy
             contexts[i + 1] = contexts[i + 1] + rng.normal(0.0, noise_std, contexts[i + 1].shape)
     return np.array(is_policy), random_actions, np.stack(assets), np.stack(contexts)
+
+
+def cell_by_cell_curves_csv(reports) -> str:
+    """curves_csv formatted one numpy cell at a time with repr(float(x))."""
+    curves = [r.curve for r in reports]
+    lines = ["date," + ",".join(r.model for r in reports)]
+    for i, day in enumerate(curves[0].dates):
+        lines.append(str(day) + "," + ",".join(repr(float(c.values[i])) for c in curves))
+    return "\n".join(lines) + "\n"
+
+
+def cell_by_cell_weights_csv(report) -> str:
+    """weights_csv formatted one numpy cell at a time with repr(float(x))."""
+    curve = report.curve
+    m = curve.weights.shape[1]
+    lines = ["date," + ",".join(f"w{i + 1}" for i in range(m)) + ",leverage"]
+    for i in range(len(curve.weights)):
+        scaled = curve.leverage[i] * curve.weights[i]
+        lines.append(str(curve.dates[i]) + "," + ",".join(repr(float(x)) for x in scaled)
+                     + "," + repr(float(curve.leverage[i])))
+    return "\n".join(lines) + "\n"
+
+
+def scalar_svg_points(xs, ys) -> list[str]:
+    """SVG 'x,y' point strings from numpy scalars, two f-string formats each."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]

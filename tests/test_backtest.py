@@ -317,3 +317,174 @@ class TestCompare:
             b = compare_models([model], bundle_b, one_split, cfg)[0]
             assert np.array_equal(a.curve.weights, b.curve.weights)
             assert np.array_equal(a.curve.values, b.curve.values)
+
+
+def perturbed_params(bundle, seed):
+    """A policy whose heads are not zero, so decisions vary by day."""
+    from portalloc.policy import NetworkArch, init_network
+
+    params = init_network(NetworkArch(asset_conv=((4, 2),), context_conv=((2, 2),)),
+                          bundle.rf.num_assets, len(bundle.lags),
+                          bundle.ctx.values.shape[1], len(bundle.ctx_lags), seed=seed)
+    rng = np.random.default_rng(seed)
+    for tensor in params.tensors.values():
+        tensor.data = tensor.data + 0.5 * rng.standard_normal(tensor.data.shape)
+    return params
+
+
+class TestBatchedPolicyDecisions:
+    """The drl test span is decided up front by one batched forward; every
+    day must equal a one-observation forward at that day."""
+
+    def schedule(self, bundle):
+        schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 45)
+        assert len(schedule) == 3
+        return schedule
+
+    def assert_matches_per_step(self, report, bundle, schedule, params_by_split):
+        from portalloc.features import build_observation
+        from portalloc.policy import forward
+
+        origin = schedule.splits[0].test_start - 1
+        days = 0
+        for k, split in enumerate(schedule.splits):
+            for t in range(split.test_start - 1, split.test_end - 1):
+                obs = build_observation(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
+                                        bundle.ctx_lags, t)
+                want = forward(params_by_split[k], obs)
+                np.testing.assert_allclose(report.curve.weights[t - origin], want.weights,
+                                           rtol=0, atol=1e-12)
+                assert abs(report.curve.leverage[t - origin] - want.leverage) <= 1e-12
+                days += 1
+        assert days == len(report.curve.weights)
+
+    def test_trained_params_match_per_step_forward(self, rng):
+        bundle = small_bundle(rng)
+        schedule = self.schedule(bundle)
+        params = {k: perturbed_params(bundle, 10 + k) for k in range(len(schedule))}
+        report = compare_models(["drl"], bundle, schedule, CompareConfig(horizons={}),
+                                trained_params=params)[0]
+        assert len(set(np.round(report.curve.leverage, 12))) > 10
+        self.assert_matches_per_step(report, bundle, schedule, params)
+
+    def test_inline_training_matches_per_step_forward(self, rng, monkeypatch):
+        import portalloc.trainer as trainer
+        from portalloc.policy import NetworkArch
+        from portalloc.trainer import TrainConfig
+
+        trained = []
+        real_train = trainer.train
+
+        def recording_train(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            trained.append(result.params)
+            return result
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        bundle = small_bundle(rng)
+        schedule = self.schedule(bundle)
+        report = compare_models(["drl"], bundle, schedule, CompareConfig(horizons={}),
+                                arch=NetworkArch(asset_conv=((4, 2),), context_conv=((2, 2),)),
+                                train_cfg=TrainConfig(max_iterations=2, early_stop_patience=2))[0]
+        assert len(trained) == len(schedule)
+        self.assert_matches_per_step(report, bundle, schedule, dict(enumerate(trained)))
+
+    def test_one_inference_forward_per_split(self, rng, monkeypatch):
+        import portalloc.policy as policy
+
+        calls = []
+        real_forward = policy.forward
+
+        def counting_forward(params, obs):
+            calls.append(obs.asset_tensor.shape[0])
+            return real_forward(params, obs)
+
+        monkeypatch.setattr(policy, "forward", counting_forward)
+        bundle = small_bundle(rng)
+        schedule = self.schedule(bundle)
+        params = {k: perturbed_params(bundle, k) for k in range(len(schedule))}
+        compare_models(["drl"], bundle, schedule, CompareConfig(horizons={}),
+                       trained_params=params)
+        assert calls == [s.test_end - s.test_start for s in schedule.splits]
+
+
+class TestRuin:
+    """A model that loses 100% on a step stays at value 0, untraded, for the
+    rest of the comparison."""
+
+    def compare(self, rng):
+        bundle = small_bundle(rng)
+        schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 30)
+        cfg = CompareConfig(trad_leverage=400.0, horizons={"20d": 20})
+        return bundle, schedule, compare_models(["minvariance", "equalweight"], bundle,
+                                                schedule, cfg)
+
+    def test_curve_padded_at_zero_on_every_later_date(self, rng):
+        bundle, schedule, (ruined, ew) = self.compare(rng)
+        curve = ruined.curve
+        assert curve.bankrupt and not ew.curve.bankrupt
+        np.testing.assert_array_equal(curve.dates, ew.curve.dates)
+        ruin = int(np.argmax(curve.values == 0.0))
+        assert 0 < ruin < schedule.splits[0].test_end - schedule.splits[0].test_start
+        assert np.all(curve.values[:ruin] > 0) and np.all(curve.values[ruin:] == 0.0)
+        assert np.all(curve.leverage[:ruin] == 400.0)
+        assert np.all(curve.leverage[ruin:] == 0.0) and np.all(curve.weights[ruin:] == 0.0)
+        assert np.all(curve.step_returns()[ruin:] == 0.0)
+        assert curve.step_returns()[ruin - 1] == -1.0
+
+    def test_every_metric_defined_and_outputs_written(self, rng):
+        _, schedule, reports = self.compare(rng)
+        ruined = reports[0]
+        assert len(ruined.per_window) == len(schedule)
+        for ms in [ruined.full, *ruined.horizons.values(), *ruined.per_window]:
+            for value in (ms.annualized_return, ms.sortino, ms.sharpe, ms.max_dd):
+                assert value is None or np.isfinite(value)
+        assert ruined.full.annualized_return == -1.0 and ruined.full.max_dd == 1.0
+        assert ruined.horizons["20d"].max_dd == 1.0
+        lines = curves_csv(reports).splitlines()
+        assert lines[-1].split(",")[1] == "0.0"
+        assert weights_csv(ruined).splitlines()[-1].endswith(",0.0,0.0,0.0")
+
+
+class TestCompareConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("cost_rate", -0.001), ("cost_rate", float("nan")),
+        ("trad_leverage", -1.0), ("trad_leverage", float("inf")),
+        ("ew_leverage", -0.5), ("ew_leverage", float("nan")),
+        ("rebalance", 0),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(DataError, match=field):
+            CompareConfig(**{field: value})
+
+    def test_zero_cost_and_leverage_allowed(self):
+        CompareConfig(cost_rate=0.0, trad_leverage=0.0, ew_leverage=0.0)
+
+
+def random_curve(rng, steps, m, start="2020-01-06"):
+    """Curve cells mixing zeros, negatives, tiny and >= 1e3 magnitudes."""
+    def cells(shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 5, size=shape)
+        x[rng.random(shape) < 0.1] = 0.0
+        return x
+
+    return EquityCurve(weekday_dates(start, steps + 1), cells(steps + 1), cells((steps, m)),
+                       cells(steps), np.zeros(steps))
+
+
+class TestReportBytes:
+    def test_curves_csv_matches_cell_by_cell_formatting(self, rng):
+        from portalloc.backtest import PerformanceReport
+
+        for _ in range(5):
+            steps = int(rng.integers(1, 40))
+            reports = [PerformanceReport(name, None, curve=random_curve(rng, steps, 2))
+                       for name in ("a", "b", "c")]
+            assert curves_csv(reports) == oracles.cell_by_cell_curves_csv(reports)
+
+    def test_weights_csv_matches_cell_by_cell_formatting(self, rng):
+        from portalloc.backtest import PerformanceReport
+
+        for m in (1, 3, 5):
+            report = PerformanceReport("x", None, curve=random_curve(rng, 30, m))
+            assert weights_csv(report) == oracles.cell_by_cell_weights_csv(report)

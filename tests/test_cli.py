@@ -344,3 +344,40 @@ def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle
     capsys.readouterr()
     assert main(argv) == code
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "--cost-rate=-0.001", "--trad-leverage=-1", "--trad-leverage=inf",
+    "--ew-leverage=-0.5", "--ew-leverage=nan", "--rebalance=0",
+])
+def test_bad_compare_settings_exit_2(tmp_path, capsys, setting):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    code = main(["compare", "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
+                 "--initial-train-end", str(frame.dates[280]), "--models", "equalweight",
+                 setting] + FAST)
+    assert code == 2
+    key = setting[2:].split("=")[0].replace("-", "_")
+    assert key in capsys.readouterr().err
+
+
+def test_ruined_model_padded_at_zero(tmp_path):
+    src, out = tmp_path / "data", tmp_path / "o"
+    assert main(["synth", "--outdir", str(src), "--synth-steps", "600", "--seed", "1"]) == 0
+    frame = load_price_csv(str(src / "prices.csv"))
+    code = main(["compare", "--prices", str(src / "prices.csv"), "--outdir", str(out),
+                 "--models", "minvariance,equalweight", "--trad-leverage", "400",
+                 "--test-span", "60", "--horizons", "",
+                 "--initial-train-end", str(frame.dates[300])])
+    assert code == 0
+    for name in ("metrics.csv", "metrics.txt", "curves.csv", "weights_minvariance.csv",
+                 "weights_equalweight.csv", "manifest.txt"):
+        assert (out / name).exists(), name
+    rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[1:]]
+    values = [float(r[1]) for r in rows]
+    ruin = values.index(0.0)
+    assert 0 < ruin < 60 and all(v == 0.0 for v in values[ruin:])
+    assert all(float(r[2]) > 0 for r in rows)
+    assert "nan" not in (out / "metrics.csv").read_text()
