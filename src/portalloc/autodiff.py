@@ -322,6 +322,8 @@ def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise DataError(f"tensor {name} has {values.size} values, shape {shape}: {path}")
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"tensor {name} has non-finite values: {path}")
         tensors[name] = Tensor(values.reshape(shape))
         i += 2
     if i >= len(lines):

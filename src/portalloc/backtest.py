@@ -9,13 +9,13 @@ each later split absorbs the previous test span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
-from .market_data import ReturnFrame
+from .errors import DataError, NumericError
+from .market_data import ReturnFrame, dated_csv
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -91,8 +91,9 @@ def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
     cost_rate * sum |lvg_t w_t - lvg_{t-1} w_{t-1}|. The initial previous
     position defaults to flat (all zeros), so entering the market is charged.
     A step loss of 100% or worse terminates the curve with bankrupt=True.
+    Non-finite weights or leverage raise NumericError.
     """
-    if cost_rate < 0:
+    if not cost_rate >= 0:
         raise DataError("cost_rate must be >= 0")
     if t_end > len(rf.dates) - 1:
         raise DataError("t_end leaves no realized next-step return")
@@ -123,6 +124,8 @@ def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
             values[i + 1] = max(values[i + 1], 0.0)
             bankrupt = True
             break
+    if not (np.all(np.isfinite(weights[:taken])) and np.all(np.isfinite(leverage[:taken]))):
+        raise NumericError("decision rule returned non-finite weights or leverage")
     dates = rf.dates[t_start:t_start + taken + 1].copy()
     return EquityCurve(dates, values[:taken + 1], weights[:taken], leverage[:taken],
                        turnover[:taken], bankrupt)
@@ -353,7 +356,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     from .allocators import SolverConfig, method_names
     from .features import min_valid_index
     from .policy import NetworkArch
-    from .trainer import TrainConfig, make_window, train
+    from .trainer import TrainConfig, train_split
 
     if not models:
         raise DataError("empty model list")
@@ -363,7 +366,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
     solver_cfg = solver_cfg or SolverConfig()
     arch = arch or NetworkArch()
-    train_cfg = train_cfg or TrainConfig(seed=cfg.seed)
+    train_cfg = replace(train_cfg or TrainConfig(), seed=cfg.seed)
     rf = bundle.rf
     m = rf.num_assets
     lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
@@ -386,11 +389,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                 if trained_params is not None and k in trained_params:
                     params = trained_params[k]
                 else:
-                    window = make_window(rf, bundle.vf, bundle.ctx, bundle.lags,
-                                         bundle.ctx_lags, lo, split.train_end - 1)
-                    seed_k = int(np.random.SeedSequence([cfg.seed, k]).generate_state(1)[0])
-                    from dataclasses import replace
-                    params = train(window, arch, replace(train_cfg, seed=seed_k)).params
+                    params = train_split(bundle, k, split, arch, train_cfg).params
                 decide = _policy_decider(params, bundle, first_decision, t_end)
             elif model == "equalweight":
                 ew = np.full(m, 1.0 / m)
@@ -451,11 +450,8 @@ def curves_csv(reports: list[PerformanceReport]) -> str:
     for rep in with_curves[1:]:
         if not np.array_equal(rep.curve.dates, base):
             raise DataError("model curves have mismatched date axes")
-    lines = ["date," + ",".join(r.model for r in with_curves)]
-    columns = np.column_stack([r.curve.values for r in with_curves]).tolist()
-    for day, row in zip(base.astype(str).tolist(), columns):
-        lines.append(day + "," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return dated_csv(base, [r.model for r in with_curves],
+                     np.column_stack([r.curve.values for r in with_curves]))
 
 
 def weights_csv(report: PerformanceReport) -> str:
@@ -463,11 +459,7 @@ def weights_csv(report: PerformanceReport) -> str:
     if report.curve is None:
         raise DataError("report has no curve attached")
     curve = report.curve
-    m = curve.weights.shape[1]
-    lines = ["date," + ",".join(f"w{i + 1}" for i in range(m)) + ",leverage"]
-    steps = len(curve.weights)
-    scaled = (curve.leverage[:, None] * curve.weights).tolist()
-    for day, row, lvg in zip(curve.dates[:steps].astype(str).tolist(), scaled,
-                             curve.leverage.tolist()):
-        lines.append(day + "," + ",".join(map(repr, row)) + "," + repr(lvg))
-    return "\n".join(lines) + "\n"
+    names = [f"w{i + 1}" for i in range(curve.weights.shape[1])] + ["leverage"]
+    scaled = curve.leverage[:, None] * curve.weights
+    return dated_csv(curve.dates[:len(curve.weights)], names,
+                     np.column_stack([scaled, curve.leverage]))

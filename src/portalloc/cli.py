@@ -26,10 +26,10 @@ from .errors import DataError, NumericError, PortallocError
 from .features import LagSet, build_context_series, load_context_csv
 from .market_data import (RegimeSpec, SyntheticSpec, atomic_write_text,
                           compute_returns, generate_synthetic, load_price_csv,
-                          rolling_volatility, write_price_csv)
+                          read_dated_csv, rolling_volatility, write_price_csv)
 from .policy import NetworkArch, load_params, save_params
 from .risk_models import estimate_stats
-from .trainer import TrainConfig, make_window, train, training_log_csv
+from .trainer import TrainConfig, train_split, training_log_csv
 
 
 class UsageError(PortallocError):
@@ -300,22 +300,12 @@ def cmd_allocate(cfg: RunConfig) -> int:
     return 0
 
 
-def _split_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def cmd_train(cfg: RunConfig) -> int:
     bundle = _bundle(cfg)
     schedule = _schedule(cfg, bundle)
     arch = cfg.arch()
-    base_train = cfg.train_cfg()
-    from .features import min_valid_index
-
-    lo = min_valid_index(bundle.vf, bundle.rf, bundle.lags, bundle.ctx_lags)
     for k, split in enumerate(schedule.splits):
-        window = make_window(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
-                             bundle.ctx_lags, lo, split.train_end - 1)
-        trained = train(window, arch, replace(base_train, seed=_split_seed(cfg.seed, k)))
+        trained = train_split(bundle, k, split, arch, cfg.train_cfg())
         save_params(trained.params, os.path.join(cfg.outdir, f"checkpoint_w{k:02d}.txt"))
         atomic_write_text(os.path.join(cfg.outdir, f"train_log_w{k:02d}.csv"),
                           training_log_csv(trained.log))
@@ -386,13 +376,13 @@ def cmd_plot(cfg: RunConfig) -> int:
 
     wrote = []
     if cfg.curves:
-        dates, names, matrix = _read_wide_csv(cfg.curves)
+        dates, names, matrix = read_dated_csv(cfg.curves, "curves")
         series = {name: matrix[:, j] for j, name in enumerate(names)}
         path = os.path.join(cfg.outdir, "curves.svg")
         atomic_write_text(path, line_chart_svg(dates, series))
         wrote.append(path)
     if cfg.weights:
-        dates, names, matrix = _read_wide_csv(cfg.weights)
+        dates, names, matrix = read_dated_csv(cfg.weights, "weights")
         keep = [j for j, n in enumerate(names) if n != "leverage"]
         path = os.path.join(cfg.outdir, "weights.svg")
         atomic_write_text(path, stacked_area_svg(dates, [names[j] for j in keep],
@@ -404,24 +394,6 @@ def cmd_plot(cfg: RunConfig) -> int:
     for path in wrote:
         print(f"wrote {path}")
     return 0
-
-
-def _read_wide_csv(path: str):
-    import csv
-
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "date":
-        raise DataError(f"expected a date,... header in {path}")
-    names = rows[0][1:]
-    try:
-        dates = np.array([np.datetime64(r[0], "D") for r in rows[1:]])
-        matrix = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"malformed row in {path}: {exc}") from None
-    return dates, names, matrix
 
 
 _HANDLERS = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .market_data import ReturnFrame, VolFrame
+from .market_data import ReturnFrame, VolFrame, read_dated_csv
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class LagSet:
 
     def offsets_oldest_first(self) -> np.ndarray:
         return np.array(self.lags[::-1], dtype=np.int64)
-
-
-DEFAULT_LAGS = LagSet((0, 1, 2, 3, 4, 20, 60))
 
 
 @dataclass(frozen=True)
@@ -90,40 +87,9 @@ class Observation:
 
 
 def load_context_csv(path: str) -> ContextFrame:
-    """Read external context series from a CSV in the price-file format
-    (values are unconstrained reals rather than positive prices)."""
-    import csv
-    import datetime
-    import os
-
-    if not os.path.exists(path):
-        raise DataError(f"context file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "date" or len(header) < 2:
-            raise DataError("context header must be 'date,<name1>,...'")
-        names = tuple(header[1:])
-        dates, rows = [], []
-        prev = None
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(names) + 1:
-                raise DataError(f"context row {i} has {len(row)} cells, expected {len(names) + 1}")
-            try:
-                day = datetime.date.fromisoformat(row[0])
-            except ValueError:
-                raise DataError(f"malformed date at context row {i}: {row[0]!r}") from None
-            if prev is not None and day <= prev:
-                raise DataError(f"unordered or duplicate date at context row {i}: {row[0]}")
-            prev = day
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError:
-                raise DataError(f"non-numeric cell at context row {i}") from None
-            dates.append(np.datetime64(day.isoformat(), "D"))
-    if not rows:
-        raise DataError(f"context file has no data rows: {path}")
-    return ContextFrame(np.array(dates, dtype="datetime64[D]"), names, np.array(rows, dtype=float))
+    """Read external context series from a dated CSV (values are any finite
+    reals, not only positive prices)."""
+    return ContextFrame(*read_dated_csv(path, "context"))
 
 
 def build_context_series(rf: ReturnFrame, vf: VolFrame,

@@ -1,9 +1,11 @@
 """Price panel ingestion, return/volatility computation, and a
 regime-switching synthetic price generator.
 
-CSV format (used for prices and for context series alike): header row
-``date,NAME1,...,NAMEm``, one row per date, ISO-8601 dates, ``.`` decimal
-separator, no thousands separators.
+This module owns the dated-CSV format shared by prices, context series,
+``curves.csv``, ``weights_<model>.csv`` and the ``plot`` inputs: header row
+``date,NAME1,...,NAMEm``, one row per date, strictly increasing ISO-8601
+dates, finite ``.``-decimal numbers without thousands separators.
+``read_dated_csv`` and ``dated_csv`` are its only reader and writer.
 """
 from __future__ import annotations
 
@@ -16,10 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-
-
-def _as_day(value) -> np.datetime64:
-    return np.datetime64(value, "D")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -37,9 +35,64 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _format_float(x: float) -> str:
-    # repr round-trips exactly, so load(write(frame)) == frame bit for bit
-    return repr(float(x))
+def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Read a dated CSV into (dates, names, matrix of shape (rows, names)).
+
+    Raises DataError with a distinct message for: missing or unreadable file,
+    bad header, no data rows, ragged rows, malformed, duplicate or unordered
+    dates, non-numeric cells and non-finite cells. ``kind`` only names the
+    file in messages; the header is row 1.
+    """
+    if not os.path.exists(path):
+        raise DataError(f"{kind} file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh)) or [[]]
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"unreadable {kind} file ({exc}): {path}") from None
+    if len(header) < 2 or header[0] != "date":
+        raise DataError(f"{kind} header must be 'date,<name1>,...': {path}")
+    if not body:
+        raise DataError(f"{kind} file has no data rows: {path}")
+    names = tuple(header[1:])
+
+    def malformed(detail: str) -> DataError:
+        return DataError(f"malformed row in {kind} file {path}: {detail}")
+
+    days, rows = [], []
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(names) + 1:
+            raise malformed(f"row {i} has {len(row)} cells, expected {len(names) + 1}")
+        try:
+            day = datetime.date.fromisoformat(row[0])
+        except ValueError:
+            raise malformed(f"malformed date at row {i}: {row[0]!r}") from None
+        if days and day == days[-1]:
+            raise malformed(f"duplicate date at row {i}: {row[0]}")
+        if days and day < days[-1]:
+            raise malformed(f"unordered dates at row {i}: {row[0]} after {days[-1]}")
+        days.append(day)
+        values = []
+        for name, cell in zip(names, row[1:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise malformed(f"non-numeric cell at (row {i}, column {name}): {cell!r}") from None
+        rows.append(values)
+    matrix = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        raise malformed(f"non-finite cell at (row {bad[0, 0] + 2}, column {names[bad[0, 1]]})")
+    return np.array(days, dtype="datetime64[D]"), names, matrix
+
+
+def dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:
+    """The dated-CSV text of a (rows, names) matrix; floats print with repr,
+    which round-trips exactly through read_dated_csv."""
+    lines = ["date," + ",".join(names)]
+    for day, row in zip(dates.astype(str).tolist(), matrix.tolist()):
+        lines.append(day + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -150,60 +203,17 @@ class SyntheticSpec:
 
 
 def load_price_csv(path: str) -> PriceFrame:
-    """Load a price panel CSV, validating every cell.
-
-    Raises DataError with a distinct message for: missing file, bad header,
-    malformed/duplicate/unordered dates, ragged rows, non-numeric cells and
-    non-positive prices.
-    """
-    if not os.path.exists(path):
-        raise DataError(f"price file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty price file: {path}") from None
-        if len(header) < 2 or header[0] != "date":
-            raise DataError("header must be 'date,<asset1>,...'")
-        assets = tuple(header[1:])
-        dates: list[np.datetime64] = []
-        rows: list[list[float]] = []
-        prev: datetime.date | None = None
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(assets) + 1:
-                raise DataError(f"row {i} has {len(row)} cells, expected {len(assets) + 1}")
-            try:
-                day = datetime.date.fromisoformat(row[0])
-            except ValueError:
-                raise DataError(f"malformed date at row {i}: {row[0]!r}") from None
-            if prev is not None:
-                if day == prev:
-                    raise DataError(f"duplicate date at row {i}: {row[0]}")
-                if day < prev:
-                    raise DataError(f"unordered dates at row {i}: {row[0]} after {prev.isoformat()}")
-            prev = day
-            values = []
-            for name, cell in zip(assets, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"non-numeric cell at (row {i}, asset {name}): {cell!r}") from None
-                if not np.isfinite(value) or value <= 0:
-                    raise DataError(f"non-positive price at (row {i}, asset {name})")
-                values.append(value)
-            dates.append(_as_day(day.isoformat()))
-            rows.append(values)
-    if not rows:
-        raise DataError(f"price file has no data rows: {path}")
-    return PriceFrame(np.array(dates, dtype="datetime64[D]"), assets, np.array(rows, dtype=float))
+    """Load a price panel CSV: read_dated_csv plus a positivity check that
+    names the first non-positive cell."""
+    dates, assets, prices = read_dated_csv(path, "price")
+    bad = np.argwhere(prices <= 0)
+    if len(bad):
+        raise DataError(f"non-positive price at (row {bad[0, 0] + 2}, asset {assets[bad[0, 1]]})")
+    return PriceFrame(dates, assets, prices)
 
 
 def write_price_csv(frame: PriceFrame, path: str) -> None:
-    lines = ["date," + ",".join(frame.assets)]
-    for day, row in zip(frame.dates, frame.prices):
-        lines.append(str(day) + "," + ",".join(_format_float(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, dated_csv(frame.dates, frame.assets, frame.prices))
 
 
 def compute_returns(frame: PriceFrame) -> ReturnFrame:

@@ -70,9 +70,10 @@ class Action:
     leverage: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-8) or np.any(self.weights < 0):
+        if not (np.all(np.abs(self.weights.sum(axis=-1) - 1.0) <= 1e-8)
+                and np.all(self.weights >= 0)):
             raise DataError("action weights must lie on the simplex")
-        if np.any(np.asarray(self.leverage) < 0):
+        if not np.all(np.asarray(self.leverage) >= 0):
             raise DataError("leverage must be >= 0")
 
 

@@ -15,7 +15,7 @@ stops improving.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,3 +278,14 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
     result = copy.deepcopy(params)
     result.restore(best_snap)
     return TrainedPolicy(result, log, best, best_iter)
+
+
+def train_split(bundle, index: int, split, arch: NetworkArch, cfg: TrainConfig) -> TrainedPolicy:
+    """Train on split `index` of a bundle (rf, vf, ctx, lags, ctx_lags): decision
+    steps from the first with full feature history up to split.train_end - 1, so
+    every reward is realized in the train range; seeded by SeedSequence([cfg.seed, index])."""
+    lo = min_valid_index(bundle.vf, bundle.rf, bundle.lags, bundle.ctx_lags)
+    window = make_window(bundle.rf, bundle.vf, bundle.ctx, bundle.lags, bundle.ctx_lags,
+                         lo, split.train_end - 1)
+    seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
+    return train(window, arch, replace(cfg, seed=seed))

@@ -19,15 +19,24 @@ _GRID_CACHE: dict[int, np.ndarray] = {}
 def simplex_compositions(units: int, parts: int) -> np.ndarray:
     """All non-negative integer vectors of length ``parts`` summing to
     ``units``, lexicographically descending, built level by level.
-    Shape (C(units+parts-1, parts-1), parts)."""
-    if parts == 1:
-        return np.array([[units]], dtype=np.int64)
-    blocks = []
-    for first in range(units, -1, -1):
-        rest = simplex_compositions(units - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack((head, rest)))
-    return np.vstack(blocks)
+    Shape (C(units+parts-1, parts-1), parts).
+
+    Each (remaining units, remaining parts) block is built once and reused;
+    test_oracles.py checks the rows against the recursive definition."""
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+
+    def build(total: int, k: int) -> np.ndarray:
+        if k == 1:
+            return np.array([[total]], dtype=np.int64)
+        if (total, k) not in blocks:
+            rows = []
+            for first in range(total, -1, -1):
+                rest = build(total - first, k - 1)
+                rows.append(np.hstack((np.full((rest.shape[0], 1), first, dtype=np.int64), rest)))
+            blocks[total, k] = np.vstack(rows)
+        return blocks[total, k]
+
+    return build(units, parts)
 
 
 def simplex_grid(l: int, step: float = GRID_STEP) -> np.ndarray:

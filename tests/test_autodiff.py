@@ -269,3 +269,11 @@ class TestCorruptCheckpoint:
         bad = self.rewrite(self.checkpoint(tmp_path), edit)
         with pytest.raises(DataError, match="hidden"):
             load_params(bad)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        def edit(lines):
+            lines[3] = " ".join([cell] + lines[3].split()[1:])
+        bad = self.rewrite(self.checkpoint(tmp_path), edit)
+        with pytest.raises(DataError, match="non-finite"):
+            ad.load_tensors(bad)

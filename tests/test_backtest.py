@@ -8,7 +8,7 @@ from portalloc.backtest import (CompareConfig, DataBundle, EquityCurve, MetricSe
                                 make_schedule, max_drawdown, report_table_csv,
                                 run_strategy, sharpe, sortino, stitch_curves,
                                 weights_csv)
-from portalloc.errors import DataError
+from portalloc.errors import DataError, NumericError
 from portalloc.features import LagSet, build_context_series
 from portalloc.market_data import compute_returns, rolling_volatility
 
@@ -488,3 +488,14 @@ class TestReportBytes:
         for m in (1, 3, 5):
             report = PerformanceReport("x", None, curve=random_curve(rng, 30, m))
             assert weights_csv(report) == oracles.cell_by_cell_weights_csv(report)
+
+
+def test_run_strategy_rejects_nan_decisions_and_cost():
+    nan = float("nan")
+    rf = compute_returns(make_price_frame(np.full((5, 2), 100.0)))
+    with pytest.raises(NumericError, match="non-finite"):
+        run_strategy(lambda t: (np.array([0.5, 0.5]), nan), rf, 0, 3, 0.0)
+    with pytest.raises(NumericError, match="non-finite"):
+        run_strategy(lambda t: (np.array([nan, 0.5]), 1.0), rf, 0, 3, 0.0)
+    with pytest.raises(DataError, match="cost_rate"):
+        run_strategy(lambda t: (np.array([0.5, 0.5]), 1.0), rf, 0, 3, nan)

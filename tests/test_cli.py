@@ -207,6 +207,22 @@ class TestCompareCommand:
         assert main(args + ["--checkpoints", str(ckpt)]) == 0
         assert read(inline / "curves.csv") == read(reused / "curves.csv")
 
+    def test_nan_checkpoint_exits_2(self, tmp_path, capsys):
+        prices, train_end = self.setup_data(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--prices", prices, "--outdir", str(ckpt),
+                     "--initial-train-end", train_end] + FAST) == 0
+        path = ckpt / "checkpoint_w00.txt"
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("tensor weights_head_w "))
+        values = lines[at + 1].split()
+        lines[at + 1] = " ".join(["nan"] + values[1:])
+        path.write_text("\n".join(lines) + "\n")
+        args = self.compare_args(prices, tmp_path / "o", train_end, models="drl")
+        capsys.readouterr()
+        assert main(args + ["--checkpoints", str(ckpt)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         prices, train_end = self.setup_data(tmp_path)
         args = self.compare_args(prices, tmp_path / "o", train_end, models="drl")

@@ -62,6 +62,13 @@ class TestForward:
             assert np.all(action.weights > 0)
             assert 0.0 <= action.leverage <= ARCH.max_leverage
 
+    @pytest.mark.parametrize("weights, leverage", [
+        ([np.nan, 0.5], 1.0), ([0.5, 0.5], np.nan), ([np.nan, np.nan], np.nan),
+    ])
+    def test_action_rejects_nan(self, weights, leverage):
+        with pytest.raises(DataError):
+            Action(np.array(weights), leverage)
+
     def test_deterministic_inference(self, rng):
         params = init_network(ARCH, 2, 7, 3, 7, seed=7)
         obs = make_obs(rng)
