@@ -9,17 +9,19 @@ Six programs over window moments (mu, Sigma, C, sigma):
 * maximum decorrelation            min w'Cw
 * risk parity                      min 1/2 w'Sw - (1/l) sum ln w_i, renormalized
 
-The first five share one exact primal active-set solver for
-min 1/2 y'Qy + c'y s.t. Ay = b (one or two rows), y >= 0. Maximum
-diversification is the QP min y'Sy, sigma'y = 1 with w = y / sum y
-(Choueifaty & Coignard 2008). A binding return floor is a second equality
-row. A risk cap is met on the efficient frontier argmin 1/2 w'Sw - lam mu'w,
-walked up in lam: between turning points the weights are affine in lam, so
-the variance meets the cap at an exact root (the critical line algorithm;
-Bailey & Lopez de Prado 2013). converged means a KKT residual <= 1e-10 with
-Q scaled to a largest entry of 1; non_unique means a zero eigenvalue of the
+The first five are solved exactly by one critical-line walk (Markowitz
+1956; Bailey & Lopez de Prado 2013), which follows y(lam) = argmin
+1/2 y'Qy - lam v'y s.t. a'y = b, y >= 0 face by face; it is affine in lam
+between turning points. Minimum variance (Q = S), maximum decorrelation
+(Q = C) and maximum diversification (min y'Sy, sigma'y = 1, w = y / sum y;
+Choueifaty & Coignard 2008) walk from a vertex to lam = 0. The frontier
+argmin 1/2 w'Sw - lam mu'w is walked up from the minimum-variance portfolio
+until mu'w meets a return floor or w'Sw a risk cap, at an exact root.
+iterations counts the faces walked, plus those of the minimum-variance walk
+for markowitz and maxreturn. converged means a KKT residual <= 1e-10 with Q
+scaled to a largest entry of 1; non_unique means a zero eigenvalue of the
 reduced Hessian: Q on the assets held or priced at zero, projected onto the
-null space of the equality rows. Risk parity runs cyclic coordinate descent
+null space of the equality row. Risk parity runs cyclic coordinate descent
 on its barrier objective, each coordinate update a closed-form positive root.
 """
 from __future__ import annotations
@@ -103,11 +105,10 @@ def _null_space(a: np.ndarray) -> np.ndarray:
 
 
 def _multipliers(q, c, a, y, free):
-    """Equality multipliers nu fitted to stationarity on the free assets, and
-    the bound multipliers z = Qy + c - A'nu (zero on the free assets)."""
+    """The bound multipliers z = Qy + c - A'nu, with the equality multipliers
+    nu fitted to stationarity on the free assets (where z is zero)."""
     g = q @ y + c
-    nu = np.linalg.lstsq(a[:, free].T, g[free], rcond=None)[0]
-    return nu, g - a.T @ nu
+    return g - a.T @ np.linalg.lstsq(a[:, free].T, g[free], rcond=None)[0]
 
 
 def _face_direction(q, a, free, g):
@@ -128,59 +129,77 @@ def _face_direction(q, a, free, g):
     return p, along_flat
 
 
-def _active_set(q, c, a, b, y):
-    """Primal active-set method from the feasible point y. Each step
-    minimizes over the face of the free assets up to the first asset it
-    drives to zero; an optimal face frees the asset with the most negative
-    bound multiplier. Returns (y, free mask, iterations)."""
+def _walk(q, v, a, y, lam, stop):
+    """Follow the critical line y(lam) = argmin 1/2 y'Qy - lam v'y s.t. a'y = b,
+    y >= 0 up in lam from its point y at lam, face by face. Between turning
+    points (a held asset falls to zero, or the bound multiplier of another
+    reaches zero) y moves along d = dy/dlam; along a flat direction of a
+    singular Q that v slopes along, v'y rises at constant y'Qy, so y moves
+    there at fixed lam (flat). stop(y, d, lam, flat) is the step along the
+    current segment to the caller's stopping point, inf if it has none there;
+    a turning point at the same step is taken first. Returns (y, lam, free
+    mask, faces walked, stopped); stopped is False when no turning point is
+    left."""
+    a, never = a[None], np.full(y.size, np.inf)
     free = y > 0
-    for it in range(1, 10 * y.size + 100):
-        g = q @ y + c
-        p, _ = _face_direction(q, a, free, g)
-        if p.any():
-            pqp = float(p @ q @ p)
-            alpha = -float(g @ p) / pqp if pqp > 0 else np.inf
-            ratios = np.divide(y, -p, out=np.full(y.size, np.inf), where=p < 0)
-            block = int(np.argmin(ratios))
-            y = np.maximum(y + min(alpha, ratios[block]) * p, 0.0)
-            if ratios[block] < alpha:
-                y[block], free[block] = 0.0, False
-            continue
-        z = np.where(free, np.inf, _multipliers(q, c, a, y, free)[1])
-        if z.min() >= -_EPS:
-            break
-        free[np.argmin(z)] = True
-    return y, free, it
+    for faces in range(1, 10 * y.size + 100):
+        d, flat = _face_direction(q, a, free, -v)
+        leave = np.divide(y, -d, out=never.copy(), where=free & (d < 0))
+        enter = never
+        if not flat:
+            # multipliers within the tolerance of zero enter at once: at lam = 0
+            # on a singular Q the walk so reaches the best v'y among the
+            # minimizers (the lam -> 0+ limit) before a stop there
+            z, dz = _multipliers(q, -lam * v, a, y, free), _multipliers(q, -v, a, d, free)
+            enter = np.divide(np.where(z > _TOL, z, 0.0), -dz, out=never.copy(),
+                              where=~free & (dz < 0))
+        turn, t = min(leave.min(), enter.min()), stop(y, d, lam, flat)
+        step = min(turn, t)
+        if not np.isfinite(step):
+            return y, lam, free, faces, False
+        y, lam = np.maximum(y + step * d, 0.0), lam + (0.0 if flat else step)
+        if t < turn:
+            return y, lam, free, faces, True
+        if leave.min() <= enter.min():
+            y[np.argmin(leave)], free[np.argmin(leave)] = 0.0, False
+        else:
+            free[np.argmin(enter)] = True
+    return y, lam, free, faces, False
 
 
 def _certify(q, c, a, b, y, free):
-    """(KKT residual, equality multipliers, non-unique flag) of y."""
-    nu, z = _multipliers(q, c, a, y, free)
-    kkt = max(float(np.abs(a @ y - b).max()),                # equality rows
+    """(KKT residual, non-unique flag) of y for min 1/2 y'Qy + c'y s.t.
+    a'y = b, y >= 0."""
+    z = _multipliers(q, c, a[None], y, free)
+    kkt = max(abs(float(a @ y) - b),                        # equality row
               float(np.abs(z[y > 0]).max(initial=0.0)),     # stationarity
               max(-float(z.min()), 0.0),                    # dual feasibility
               float(np.abs(y * z).max()))                   # complementary slackness
     face = free | (z <= _TOL)
-    basis = _null_space(a[:, face])
+    basis = _null_space(a[None, face])
     reduced = basis.T @ q[np.ix_(face, face)] @ basis
     non_unique = reduced.size > 0 and float(np.linalg.eigvalsh(reduced)[0]) <= _TOL
-    return kkt, nu, non_unique
+    return kkt, non_unique
 
 
-def _qp(q, a, b, y0=None):
-    """min 1/2 y'Qy s.t. Ay = b, y >= 0 from the feasible point y0 (by default
-    the vertex of a one-row problem with the least y'Qy), with Q and each row
-    of A scaled to a largest entry of 1 so that the tolerances are relative.
-    Returns (y, iterations, converged, non_unique, nu)."""
-    if y0 is None:
-        k = int(np.argmin(np.diag(q) / a[0] ** 2))
-        y0 = np.zeros(len(q))
-        y0[k] = b[0] / a[0, k]
-    norms = np.abs(a).max(axis=1)
-    q, a, b, c = q / np.abs(q).max(), a / norms[:, None], b / norms, np.zeros(y0.size)
-    y, free, iters = _active_set(q, c, a, b, y0.copy())
-    kkt, nu, non_unique = _certify(q, c, a, b, y, free)
-    return y, iters, kkt <= _TOL, non_unique, nu
+def _qp(q, a):
+    """min 1/2 y'Qy s.t. a'y = 1, y >= 0 for a > 0, with Q and a scaled to a
+    largest entry of 1 so that the tolerances are relative. The vertex k with
+    the least q_kk / a_k^2 minimizes 1/2 y'Qy + lam y_k for every lam up to
+    y_k min_i (q_ik a_k / a_i - q_kk), where the first bound multiplier
+    reaches zero; the walk goes from there to lam = 0. Returns (y,
+    iterations, converged, non_unique)."""
+    norm = np.abs(a).max()
+    q, a, b = q / np.abs(q).max(), a / norm, 1.0 / norm
+    k = int(np.argmin(np.diag(q) / a ** 2))
+    y = np.zeros(a.size)
+    y[k] = b / a[k]
+    lam = y[k] * float(np.min(q[:, k] * a[k] / a - q[k, k]))
+    # stop at lam = 0; a flat step before it runs to its turning point
+    y, _, free, faces, _ = _walk(q, -np.eye(a.size)[k], a, y, lam,
+                                 lambda y, d, lam, flat: np.inf if flat and lam < 0 else -lam)
+    kkt, non_unique = _certify(q, np.zeros(a.size), a, b, y, free)
+    return y, faces, kkt <= _TOL, non_unique
 
 
 def _variance(w: np.ndarray, q: np.ndarray) -> float:
@@ -190,7 +209,7 @@ def _variance(w: np.ndarray, q: np.ndarray) -> float:
 
 
 def _min_quadratic(q: np.ndarray) -> SolveReport:
-    w, iters, conv, non_unique, _ = _qp(q, np.ones((1, len(q))), np.ones(1))
+    w, iters, conv, non_unique = _qp(q, np.ones(len(q)))
     return _finish(w, _variance(w, q), iters, conv, non_unique=non_unique)
 
 
@@ -208,7 +227,7 @@ def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = Solver
     """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw) through the
     QP min y'Sy, sigma'y = 1, y >= 0 and w = y / sum y."""
     sigma, vols = stats.sigma_mat, stats.vols
-    y, iters, conv, non_unique, _ = _qp(sigma, vols[None], np.ones(1))
+    y, iters, conv, non_unique = _qp(sigma, vols)
     w = y / y.sum()
     quad = float(w @ sigma @ w)
     # below this, w'Sw is float noise around zero for this matrix scale
@@ -221,37 +240,31 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
                              cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
-    If the minimum-variance portfolio misses the floor, the floor binds and
-    the solve adds mu'w = r_min as a second equality row. Infeasible targets
-    (r_min above every asset mean) are rejected, never clamped.
+    If the minimum-variance portfolio misses the floor, the floor binds: the
+    frontier is walked up from it until mu'w = r_min, where the frontier
+    multiplier lam >= 0 is the floor's. Infeasible targets (r_min above every
+    asset mean) are rejected, never clamped.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if r_min > float(np.max(mu)) + 1e-12:
         raise InfeasibleError(
             f"infeasible return target: r_min={r_min} exceeds max mean {np.max(mu):.6g}"
         )
-    if r_min >= float(np.max(mu)) - 1e-12:
-        # only the best-mean face attains the floor: min variance over it
-        face = np.nonzero(mu >= r_min - 1e-12)[0]
-        on_face = _min_quadratic(sigma[np.ix_(face, face)])
-        w = np.zeros(stats.num_assets)
-        w[face] = on_face.weights.w
-        return _finish(w, _variance(w, sigma), on_face.iterations, on_face.converged,
-                       ("return_target",), on_face.non_unique)
     minvar = solve_min_variance(stats)
     w0 = minvar.weights.w
     if float(mu @ w0) >= r_min:
         active = ("return_target",) if float(mu @ w0) - r_min <= _TOL * np.abs(mu).max() else ()
         return _finish(w0, minvar.objective_value, minvar.iterations, minvar.converged,
                        active, minvar.non_unique)
-    # start on the segment from w0 to the best-mean vertex where the floor holds
-    t = (r_min - float(mu @ w0)) / (float(np.max(mu)) - float(mu @ w0))
-    y0 = (1.0 - t) * w0 + t * (np.arange(mu.size) == np.argmax(mu))
-    w, iters, conv, non_unique, nu = _qp(sigma, np.vstack([np.ones_like(mu), mu]),
-                                         np.array([1.0, r_min]), y0)
-    # the floor is an inequality: its multiplier must not be negative
-    conv = conv and nu[1] >= -_TOL
-    return _finish(w, _variance(w, sigma), minvar.iterations + iters, conv,
+    # S and mu scaled to a largest entry of 1, and the floor with mu
+    scale = np.abs(mu).max() or 1.0
+    q, v, r = sigma / np.abs(sigma).max(), mu / scale, min(r_min, float(np.max(mu))) / scale
+    ones = np.ones(mu.size)
+    y, lam, free, faces, _ = _walk(q, v, ones, w0, 0.0, lambda y, d, lam, flat: (
+        (r - v @ y) / (v @ d) if v @ d > 0 else np.inf))
+    kkt, non_unique = _certify(q, -lam * v, ones, 1.0, y, free)
+    conv = max(kkt, abs(r - float(v @ y))) <= _TOL
+    return _finish(y, _variance(y, sigma), minvar.iterations + faces, conv,
                    ("return_target",), non_unique)
 
 
@@ -260,20 +273,14 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
     sigma_max is a volatility; the cap applies to portfolio variance
-    sigma_max^2. Unless the frontier top (least variance among the best-mean
-    assets) meets it, the cap binds on the frontier below the top.
+    sigma_max^2. The frontier is walked up from the minimum-variance
+    portfolio until its variance meets the cap, or to the frontier top (least
+    variance among the best-mean assets) if that is within the cap.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
         raise DataError(f"sigma_max must be >= 0, got {sigma_max}")
     cap = sigma_max ** 2
-    top = solve_markowitz_min_risk(stats, float(np.max(mu)))
-    if top.objective_value <= cap:
-        # the linear objective is flat on the best-mean face: several
-        # best-mean assets leave a family of optima inside the cap
-        ties = int(np.sum(mu >= float(np.max(mu)) - 1e-12)) > 1
-        return _finish(top.weights.w, float(mu @ top.weights.w), top.iterations,
-                       top.converged, (), ties)
     minvar = solve_min_variance(stats)
     scale = float(np.abs(sigma).max())
     if cap < minvar.objective_value - _TOL * scale:
@@ -281,40 +288,29 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
             f"infeasible risk cap: sigma_max^2={cap:.6g} is below the minimum "
             f"attainable variance {minvar.objective_value:.6g}"
         )
-    # walk up from lam = 0 with the minimum-variance assets as the first face
     q, v, cap_q = sigma / scale, mu / (np.abs(mu).max() or 1.0), cap / scale
-    ones, never = np.ones((1, stats.num_assets)), np.full(stats.num_assets, np.inf)
-    y, lam, first = minvar.weights.w, 0.0, minvar.iterations + 1
-    free = y > 0
-    for iters in range(first, first + 4 * stats.num_assets + 4):  # one per face
-        # dy/dlam on this face; along a flat direction of a singular S the
-        # return rises at constant variance, so y moves there at fixed lam
-        d, flat = _face_direction(q, ones, free, -v)
-        leave = np.divide(y, -d, out=never.copy(), where=free & (d < 0))
+
+    def variance_root(y, d, lam, flat):
+        # the variance y'Qy + 2 s t + d'Qd t^2 at lam + t meets the cap;
+        # along a flat step the return rises at constant variance
         if flat:
-            y = np.maximum(y + leave.min() * d, 0.0)
-            y[np.argmin(leave)], free[np.argmin(leave)] = 0.0, False
-            continue
-        # the bound multipliers and their slopes, and the variance
-        # y'Qy + 2 s t + d'Qd t^2 at lam + t
-        z, dz = _multipliers(q, -lam * v, ones, y, free)[1], _multipliers(q, -v, ones, d, free)[1]
+            return np.inf
         gap, s, dqd = cap_q - float(y @ q @ y), float(d @ q @ y), float(d @ q @ d)
         with np.errstate(divide="ignore"):
-            root = np.float64(gap) / (s + np.sqrt(s * s + dqd * gap)) if gap > 0 else 0.0
-        enter = np.divide(np.maximum(z, 0.0), -dz, out=never.copy(), where=~free & (dz < 0))
-        turn = min(leave.min(), enter.min())
-        if not np.isfinite(min(root, turn)):
-            break
-        lam, y = lam + min(root, turn), np.maximum(y + min(root, turn) * d, 0.0)
-        if root < turn:  # a turning point at the cap may still raise the return
-            break
-        if leave.min() <= enter.min():
-            y[np.argmin(leave)], free[np.argmin(leave)] = 0.0, False
-        else:
-            free[np.argmin(enter)] = True
+            return np.float64(gap) / (s + np.sqrt(s * s + dqd * gap)) if gap > 0 else 0.0
+
+    ones = np.ones(mu.size)
+    y, lam, free, faces, stopped = _walk(q, v, ones, minvar.weights.w, 0.0, variance_root)
+    kkt, non_unique = _certify(q, -lam * v, ones, 1.0, y, free)
+    iters = minvar.iterations + faces
+    if not stopped:
+        # the frontier top meets the cap; the linear objective is flat on the
+        # best-mean face: several best-mean assets leave a family of optima
+        ties = int(np.sum(mu >= float(np.max(mu)) - 1e-12)) > 1
+        conv = max(kkt, float(v.max() - v @ y)) <= _TOL
+        return _finish(y, float(mu @ y), iters, conv, (), ties)
     # y minimizes 1/2 y'Qy - lam v'y on the simplex with y'Qy at the cap:
     # by Lagrangian sufficiency it maximizes the return within the cap
-    kkt, _, non_unique = _certify(q, -lam * v, ones, np.ones(1), y, free)
     conv = max(kkt, abs(cap_q - float(y @ q @ y))) <= _TOL
     return _finish(y, float(mu @ y), iters, conv, ("risk_cap",), non_unique)
 

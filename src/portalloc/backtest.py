@@ -112,6 +112,8 @@ def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
     for i, t in enumerate(range(t_start, t_end)):
         w, lvg = decide(t)
         w = np.asarray(w, dtype=float)
+        if not (np.isfinite(w).all() and math.isfinite(lvg)):
+            raise NumericError("decision rule returned non-finite weights or leverage")
         target = lvg * w
         weights[i] = w
         leverage[i] = lvg
@@ -124,8 +126,6 @@ def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
             values[i + 1] = max(values[i + 1], 0.0)
             bankrupt = True
             break
-    if not (np.all(np.isfinite(weights[:taken])) and np.all(np.isfinite(leverage[:taken]))):
-        raise NumericError("decision rule returned non-finite weights or leverage")
     dates = rf.dates[t_start:t_start + taken + 1].copy()
     return EquityCurve(dates, values[:taken + 1], weights[:taken], leverage[:taken],
                        turnover[:taken], bankrupt)

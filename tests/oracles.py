@@ -7,6 +7,7 @@ for gradients.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -96,6 +97,27 @@ def grid_equal_risk_contribution(sigma: np.ndarray):
     obj = np.where(interior, obj, np.inf)
     i = int(np.argmin(obj))
     return W[i], float(obj[i])
+
+
+def best_zero_variance_return(rows: np.ndarray) -> float:
+    """max mu'w over the zero-variance portfolios of the sample covariance of
+    return rows (n, l) with n <= l: w >= 0, sum w = 1 and R_c w = 0 for the
+    centred rows R_c, mu the row mean. Vertex enumeration: R_c has rank
+    n - 1, so a basic solution holds at most n assets; every n-subset solves
+    n - 1 centred rows plus the unit sum exactly, and the best non-negative
+    solution wins. -inf when no zero-variance portfolio exists."""
+    n, l = rows.shape
+    centred = rows - rows.mean(axis=0)
+    subsets = np.array(list(itertools.combinations(range(l), n)))
+    systems = np.concatenate([centred[:-1][:, subsets].transpose(1, 0, 2),
+                              np.ones((len(subsets), 1, n))], axis=1)
+    usable = np.abs(np.linalg.det(systems)) > 1e-12 * np.abs(centred).max() ** (n - 1)
+    rhs = np.zeros((int(usable.sum()), n, 1))
+    rhs[:, -1] = 1.0
+    w = np.linalg.solve(systems[usable], rhs)[..., 0]
+    feasible = np.all(w >= -1e-12, axis=1)
+    returns = np.einsum("sn,sn->s", w, rows.mean(axis=0)[subsets[usable]])
+    return float(np.max(returns[feasible], initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------

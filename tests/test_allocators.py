@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from portalloc.allocators import (SolveReport, SolverConfig, Weights,
@@ -9,7 +11,7 @@ from portalloc.allocators import (SolveReport, SolverConfig, Weights,
                                   solve_max_decorrelation,
                                   solve_max_diversification, solve_min_variance,
                                   solve_risk_parity)
-from portalloc.errors import DataError, InfeasibleError
+from portalloc.errors import DataError, InfeasibleError, NumericError
 from portalloc.risk_models import stats_from_covariance
 
 CFG = SolverConfig()
@@ -363,3 +365,71 @@ class TestExactCore:
             for report in (minvar, floor):
                 assert report.objective_value >= 0.0
                 assert np.isfinite(np.sqrt(report.objective_value))
+
+    def test_cap_at_zero_variance_reaches_the_best_zero_variance_return(self):
+        # 4 return rows for 24 assets: many portfolios have zero variance, and
+        # a cap at zero admits exactly those; the walk must reach the best of
+        # them, not stop at the minimum-variance portfolio it starts from
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rows = rng.normal(scale=0.01, size=(4, 24))
+            sigma = np.cov(rows, rowvar=False)
+            stats = stats_from_covariance(rows.mean(axis=0), 0.5 * (sigma + sigma.T))
+            best = oracles.best_zero_variance_return(rows)
+            minvar = solve_min_variance(stats, CFG)
+            for sigma_max in (float(np.sqrt(minvar.objective_value)), 1e-12):
+                report = solve_markowitz_max_return(stats, sigma_max, CFG)
+                assert report.converged
+                assert abs(float(stats.mu @ report.weights.w) - best) <= 1e-6 * abs(best)
+
+
+def return_rows(n, m, seed):
+    """n daily return rows of m assets with a common factor; n <= m gives a
+    singular sample covariance."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(scale=0.01, size=(n, m)) + rng.normal(scale=0.005, size=(n, 1))
+    rows = rows + rng.uniform(-0.002, 0.004, m)
+    sigma = np.cov(rows, rowvar=False).reshape(m, m)
+    return stats_from_covariance(rows.mean(axis=0), 0.5 * (sigma + sigma.T))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.sampled_from([2, 3, 5, 8, 24]), extra=st.integers(-22, 12),
+       seed=st.integers(0, 2 ** 32 - 1), fraction=st.floats(0.05, 0.95))
+def test_every_exact_program_is_certified(m, extra, seed, fraction):
+    stats = return_rows(max(2, m + extra), m, seed)
+    sigma, mu, vols = stats.sigma_mat, stats.mu, stats.vols
+    ones, zero = np.ones((1, m)), np.zeros(m)
+    for q, method in ((sigma, "minvariance"), (stats.corr, "maxdecorrelation")):
+        report = solve(method, stats, CFG)
+        if report.converged:
+            assert kkt_residual(q, zero, ones, np.ones(1), report.weights.w)[0] <= 1e-10
+    try:
+        report = solve("maxdiversification", stats, CFG)
+    except NumericError:  # a zero-variance portfolio on a singular covariance
+        assert np.linalg.matrix_rank(sigma) < m
+    else:
+        y = report.weights.w / float(vols @ report.weights.w)
+        if report.converged:
+            assert kkt_residual(sigma, zero, vols[None], np.ones(1), y)[0] <= 1e-10
+
+    base = float(mu @ solve("minvariance", stats, CFG).weights.w)
+    r_min = base + fraction * (mu.max() - base)
+    floor = solve("markowitz", stats, CFG, r_min=r_min)
+    # multiplier signs hold to the residual's tolerance, in the residual's
+    # scale (|S| scaled to 1): a floor met at zero variance has multiplier 0
+    if floor.converged and "return_target" in floor.active_constraints:
+        res, nu = kkt_residual(sigma, zero, np.vstack([ones, mu]), np.array([1.0, r_min]),
+                               floor.weights.w)
+        assert res <= 1e-10 and nu[1] * np.abs(mu).max() >= -1e-10
+    capped = solve("maxreturn", stats, CFG, sigma_max=float(np.sqrt(floor.objective_value)))
+    w = capped.weights.w
+    if capped.converged and "risk_cap" in capped.active_constraints:
+        assert abs(float(w @ sigma @ w) - floor.objective_value) <= 1e-10 * np.abs(sigma).max()
+        held = w > 0
+        lam = np.linalg.lstsq(np.column_stack([mu, np.ones(m)])[held], (sigma @ w)[held],
+                              rcond=None)[0][0]
+        assert lam * np.abs(mu).max() / np.abs(sigma).max() >= -1e-10
+        assert kkt_residual(sigma, -lam * mu, ones, np.ones(1), w)[0] <= 1e-10
+    if not (floor.non_unique or capped.non_unique):
+        assert np.abs(w - floor.weights.w).max() <= 1e-10

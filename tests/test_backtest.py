@@ -499,3 +499,13 @@ def test_run_strategy_rejects_nan_decisions_and_cost():
         run_strategy(lambda t: (np.array([nan, 0.5]), 1.0), rf, 0, 3, 0.0)
     with pytest.raises(DataError, match="cost_rate"):
         run_strategy(lambda t: (np.array([0.5, 0.5]), 1.0), rf, 0, 3, nan)
+
+
+def test_run_strategy_rejects_infinite_decisions_before_the_step():
+    # inf * 0 on zero returns would warn before any after-the-fact check
+    inf = float("inf")
+    rf = compute_returns(make_price_frame(np.full((5, 2), 100.0)))
+    with pytest.raises(NumericError, match="non-finite"):
+        run_strategy(lambda t: (np.array([0.5, 0.5]), inf), rf, 0, 3, 0.0)
+    with pytest.raises(NumericError, match="non-finite"):
+        run_strategy(lambda t: (np.array([inf, 0.5]), 1.0), rf, 0, 3, 0.0)
