@@ -11,18 +11,21 @@ Six programs over window moments (mu, Sigma, C, sigma):
 
 The first five are solved exactly by one critical-line walk (Markowitz
 1956; Bailey & Lopez de Prado 2013), which follows y(lam) = argmin
-1/2 y'Qy - lam v'y s.t. a'y = b, y >= 0 face by face; it is affine in lam
-between turning points. Minimum variance (Q = S), maximum decorrelation
-(Q = C) and maximum diversification (min y'Sy, sigma'y = 1, w = y / sum y;
-Choueifaty & Coignard 2008) walk from a vertex to lam = 0. The frontier
-argmin 1/2 w'Sw - lam mu'w is walked up from the minimum-variance portfolio
-until mu'w meets a return floor or w'Sw a risk cap, at an exact root.
-iterations counts the faces walked, plus those of the minimum-variance walk
-for markowitz and maxreturn. converged means a KKT residual <= 1e-10 with Q
-scaled to a largest entry of 1; non_unique means a zero eigenvalue of the
-reduced Hessian: Q on the assets held or priced at zero, projected onto the
-null space of the equality row. Risk parity runs cyclic coordinate descent
-on its barrier objective, each coordinate update a closed-form positive root.
+1/2 y'Qy - lam v'y on the simplex face by face; it is affine in lam between
+turning points. Minimum variance (Q = S) and maximum decorrelation (Q = C)
+walk from a vertex to lam = 0. Maximum diversification needs no walk of its
+own: with x = sigma * w / sigma'w its ratio is 1 / sqrt(x'Cx), so its
+weights are the maximum-decorrelation weights rescaled by 1 / sigma
+(Choueifaty & Coignard 2008). The frontier argmin 1/2 w'Sw - lam mu'w is
+walked up from the minimum-variance portfolio until mu'w meets a return
+floor or w'Sw a risk cap, at an exact root. iterations counts the faces
+walked, plus those of the minimum-variance walk for markowitz and maxreturn;
+maxdiversification reports its maximum-decorrelation solve's count and flags.
+converged means a KKT residual <= 1e-10 with Q scaled to a largest entry of
+1; non_unique means a zero eigenvalue of the reduced Hessian: Q on the
+assets held or priced at zero, projected onto the sum-zero directions. Risk
+parity runs cyclic coordinate descent on its barrier objective, each
+coordinate update a closed-form positive root.
 """
 from __future__ import annotations
 
@@ -78,19 +81,6 @@ class SolveReport:
     non_unique: bool = False
 
 
-def project_to_simplex(v: np.ndarray) -> Weights:
-    """Euclidean projection onto the simplex (sort-and-threshold)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DataError("projection input must be a non-empty vector")
-    if not np.all(np.isfinite(v)):
-        raise DataError("projection input has non-finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = int(np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1])
-    return Weights(np.maximum(v - css[rho] / (rho + 1), 0.0))
-
-
 def _finish(w: np.ndarray, objective: float, iterations: int, converged: bool,
             active: tuple[str, ...] = (), non_unique: bool = False) -> SolveReport:
     w = w / w.sum()  # unit sum to rounding; the solvers' exact zeros stay zero
@@ -98,25 +88,24 @@ def _finish(w: np.ndarray, objective: float, iterations: int, converged: bool,
     return SolveReport(Weights(w), float(objective), iterations, converged, active, non_unique)
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, as columns, of {p : a p = 0}."""
-    _, s, vt = np.linalg.svd(a)
-    return vt[int(np.sum(s > _EPS * s.max())):].T
+def _null_space(k: int) -> np.ndarray:
+    """Orthonormal basis, as columns, of {p in R^k : sum p = 0}."""
+    return np.linalg.svd(np.ones((1, k)))[2][1:].T
 
 
-def _multipliers(q, c, a, y, free):
-    """The bound multipliers z = Qy + c - A'nu, with the equality multipliers
-    nu fitted to stationarity on the free assets (where z is zero)."""
+def _multipliers(q, c, y, free):
+    """The bound multipliers z = Qy + c - nu, with the sum multiplier nu the
+    mean of the gradient over the free assets (where z is zero)."""
     g = q @ y + c
-    return g - a.T @ np.linalg.lstsq(a[:, free].T, g[free], rcond=None)[0]
+    return g - g[free].mean()
 
 
-def _face_direction(q, a, free, g):
+def _face_direction(q, free, g):
     """(p, flat): for the gradient g, the Newton step p within the face of the
-    free assets and the null space of the equality rows, or descent along a
-    flat direction of a singular Q that g slopes along (flat). p = 0 where the
-    reduced gradient vanishes."""
-    basis = _null_space(a[:, free])
+    free assets at constant sum, or descent along a flat direction of a
+    singular Q that g slopes along (flat). p = 0 where the reduced gradient
+    vanishes."""
+    basis = _null_space(int(free.sum()))
     curv, vecs = np.linalg.eigh(basis.T @ q[np.ix_(free, free)] @ basis)
     slope = vecs.T @ (basis.T @ g[free])
     p = np.zeros(g.size)
@@ -129,9 +118,9 @@ def _face_direction(q, a, free, g):
     return p, along_flat
 
 
-def _walk(q, v, a, y, lam, stop):
-    """Follow the critical line y(lam) = argmin 1/2 y'Qy - lam v'y s.t. a'y = b,
-    y >= 0 up in lam from its point y at lam, face by face. Between turning
+def _walk(q, v, y, lam, stop):
+    """Follow the critical line y(lam) = argmin 1/2 y'Qy - lam v'y on the
+    simplex up in lam from its point y at lam, face by face. Between turning
     points (a held asset falls to zero, or the bound multiplier of another
     reaches zero) y moves along d = dy/dlam; along a flat direction of a
     singular Q that v slopes along, v'y rises at constant y'Qy, so y moves
@@ -140,17 +129,17 @@ def _walk(q, v, a, y, lam, stop):
     a turning point at the same step is taken first. Returns (y, lam, free
     mask, faces walked, stopped); stopped is False when no turning point is
     left."""
-    a, never = a[None], np.full(y.size, np.inf)
+    never = np.full(y.size, np.inf)
     free = y > 0
     for faces in range(1, 10 * y.size + 100):
-        d, flat = _face_direction(q, a, free, -v)
+        d, flat = _face_direction(q, free, -v)
         leave = np.divide(y, -d, out=never.copy(), where=free & (d < 0))
         enter = never
         if not flat:
             # multipliers within the tolerance of zero enter at once: at lam = 0
             # on a singular Q the walk so reaches the best v'y among the
             # minimizers (the lam -> 0+ limit) before a stop there
-            z, dz = _multipliers(q, -lam * v, a, y, free), _multipliers(q, -v, a, d, free)
+            z, dz = _multipliers(q, -lam * v, y, free), _multipliers(q, -v, d, free)
             enter = np.divide(np.where(z > _TOL, z, 0.0), -dz, out=never.copy(),
                               where=~free & (dz < 0))
         turn, t = min(leave.min(), enter.min()), stop(y, d, lam, flat)
@@ -167,39 +156,19 @@ def _walk(q, v, a, y, lam, stop):
     return y, lam, free, faces, False
 
 
-def _certify(q, c, a, b, y, free):
-    """(KKT residual, non-unique flag) of y for min 1/2 y'Qy + c'y s.t.
-    a'y = b, y >= 0."""
-    z = _multipliers(q, c, a[None], y, free)
-    kkt = max(abs(float(a @ y) - b),                        # equality row
+def _certify(q, c, y, free):
+    """(KKT residual, non-unique flag) of y for min 1/2 y'Qy + c'y on the
+    simplex."""
+    z = _multipliers(q, c, y, free)
+    kkt = max(abs(float(y.sum()) - 1.0),                    # unit sum
               float(np.abs(z[y > 0]).max(initial=0.0)),     # stationarity
               max(-float(z.min()), 0.0),                    # dual feasibility
               float(np.abs(y * z).max()))                   # complementary slackness
     face = free | (z <= _TOL)
-    basis = _null_space(a[None, face])
+    basis = _null_space(int(face.sum()))
     reduced = basis.T @ q[np.ix_(face, face)] @ basis
     non_unique = reduced.size > 0 and float(np.linalg.eigvalsh(reduced)[0]) <= _TOL
     return kkt, non_unique
-
-
-def _qp(q, a):
-    """min 1/2 y'Qy s.t. a'y = 1, y >= 0 for a > 0, with Q and a scaled to a
-    largest entry of 1 so that the tolerances are relative. The vertex k with
-    the least q_kk / a_k^2 minimizes 1/2 y'Qy + lam y_k for every lam up to
-    y_k min_i (q_ik a_k / a_i - q_kk), where the first bound multiplier
-    reaches zero; the walk goes from there to lam = 0. Returns (y,
-    iterations, converged, non_unique)."""
-    norm = np.abs(a).max()
-    q, a, b = q / np.abs(q).max(), a / norm, 1.0 / norm
-    k = int(np.argmin(np.diag(q) / a ** 2))
-    y = np.zeros(a.size)
-    y[k] = b / a[k]
-    lam = y[k] * float(np.min(q[:, k] * a[k] / a - q[k, k]))
-    # stop at lam = 0; a flat step before it runs to its turning point
-    y, _, free, faces, _ = _walk(q, -np.eye(a.size)[k], a, y, lam,
-                                 lambda y, d, lam, flat: np.inf if flat and lam < 0 else -lam)
-    kkt, non_unique = _certify(q, np.zeros(a.size), a, b, y, free)
-    return y, faces, kkt <= _TOL, non_unique
 
 
 def _variance(w: np.ndarray, q: np.ndarray) -> float:
@@ -209,8 +178,20 @@ def _variance(w: np.ndarray, q: np.ndarray) -> float:
 
 
 def _min_quadratic(q: np.ndarray) -> SolveReport:
-    w, iters, conv, non_unique = _qp(q, np.ones(len(q)))
-    return _finish(w, _variance(w, q), iters, conv, non_unique=non_unique)
+    """min y'Qy on the simplex, walked with Q scaled to a largest entry of 1
+    so that the tolerances are relative. The vertex k with the least q_kk
+    minimizes 1/2 y'Qy + lam y_k for every lam up to min_i (q_ik - q_kk),
+    where the first bound multiplier reaches zero; the walk goes from there
+    to lam = 0."""
+    scaled = q / np.abs(q).max()
+    k = int(np.argmin(np.diag(scaled)))
+    vertex = np.eye(len(q))[k]
+    lam = float(np.min(scaled[:, k] - scaled[k, k]))
+    # stop at lam = 0; a flat step before it runs to its turning point
+    y, _, free, faces, _ = _walk(scaled, -vertex, vertex, lam,
+                                 lambda y, d, lam, flat: np.inf if flat and lam < 0 else -lam)
+    kkt, non_unique = _certify(scaled, np.zeros(len(q)), y, free)
+    return _finish(y, _variance(y, q), faces, kkt <= _TOL, non_unique=non_unique)
 
 
 def solve_min_variance(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
@@ -224,16 +205,19 @@ def solve_max_decorrelation(stats: CovarianceStats, cfg: SolverConfig = SolverCo
 
 
 def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw) through the
-    QP min y'Sy, sigma'y = 1, y >= 0 and w = y / sum y."""
+    """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw). With
+    x = sigma * w / sigma'w the ratio is 1 / sqrt(x'Cx), so w is the
+    maximum-decorrelation portfolio rescaled by 1 / sigma."""
     sigma, vols = stats.sigma_mat, stats.vols
-    y, iters, conv, non_unique = _qp(sigma, vols)
-    w = y / y.sum()
+    decorrelated = solve_max_decorrelation(stats, cfg)
+    w = decorrelated.weights.w / vols
+    w = w / w.sum()
     quad = float(w @ sigma @ w)
     # below this, w'Sw is float noise around zero for this matrix scale
     if quad <= 1e-12 * float(np.max(np.diag(sigma))):
         raise NumericError("degenerate risk: portfolio volatility is zero")
-    return _finish(w, float(vols @ w) / np.sqrt(quad), iters, conv, non_unique=non_unique)
+    return _finish(w, float(vols @ w) / np.sqrt(quad), decorrelated.iterations,
+                   decorrelated.converged, non_unique=decorrelated.non_unique)
 
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
@@ -259,10 +243,9 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     # S and mu scaled to a largest entry of 1, and the floor with mu
     scale = np.abs(mu).max() or 1.0
     q, v, r = sigma / np.abs(sigma).max(), mu / scale, min(r_min, float(np.max(mu))) / scale
-    ones = np.ones(mu.size)
-    y, lam, free, faces, _ = _walk(q, v, ones, w0, 0.0, lambda y, d, lam, flat: (
+    y, lam, free, faces, _ = _walk(q, v, w0, 0.0, lambda y, d, lam, flat: (
         (r - v @ y) / (v @ d) if v @ d > 0 else np.inf))
-    kkt, non_unique = _certify(q, -lam * v, ones, 1.0, y, free)
+    kkt, non_unique = _certify(q, -lam * v, y, free)
     conv = max(kkt, abs(r - float(v @ y))) <= _TOL
     return _finish(y, _variance(y, sigma), minvar.iterations + faces, conv,
                    ("return_target",), non_unique)
@@ -299,9 +282,8 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
         with np.errstate(divide="ignore"):
             return np.float64(gap) / (s + np.sqrt(s * s + dqd * gap)) if gap > 0 else 0.0
 
-    ones = np.ones(mu.size)
-    y, lam, free, faces, stopped = _walk(q, v, ones, minvar.weights.w, 0.0, variance_root)
-    kkt, non_unique = _certify(q, -lam * v, ones, 1.0, y, free)
+    y, lam, free, faces, stopped = _walk(q, v, minvar.weights.w, 0.0, variance_root)
+    kkt, non_unique = _certify(q, -lam * v, y, free)
     iters = minvar.iterations + faces
     if not stopped:
         # the frontier top meets the cap; the linear objective is flat on the
@@ -315,7 +297,7 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     return _finish(y, float(mu @ y), iters, conv, ("risk_cap",), non_unique)
 
 
-def _erc_coordinate_descent(sigma: np.ndarray, max_sweeps: int = 2000) -> tuple[np.ndarray, int]:
+def _erc_coordinate_descent(sigma: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
     """Minimize 1/2 x'Sx - (1/l) sum ln x_i over x > 0 by cyclic coordinate
     descent; each coordinate update is the positive root of a quadratic."""
     l = sigma.shape[0]
@@ -353,7 +335,7 @@ def solve_risk_parity(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()
         raise DataError(
             "singular covariance matrix: apply shrink_covariance before solving risk parity"
         )
-    x, sweeps = _erc_coordinate_descent(sigma, max_sweeps=cfg.max_iters)
+    x, sweeps = _erc_coordinate_descent(sigma, cfg.max_iters)
     w = x / x.sum()
     contrib = risk_contributions(w, sigma)
     converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6

@@ -9,7 +9,7 @@ each later split absorbs the previous test span.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -263,7 +263,6 @@ class CompareConfig:
     r_min: float | None = None
     sigma_max: float | None = None
     horizons: dict[str, int] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("cost_rate", "trad_leverage", "ew_leverage"):
@@ -366,7 +365,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
     solver_cfg = solver_cfg or SolverConfig()
     arch = arch or NetworkArch()
-    train_cfg = replace(train_cfg or TrainConfig(), seed=cfg.seed)
+    train_cfg = train_cfg or TrainConfig()
     rf = bundle.rf
     m = rf.num_assets
     lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)

@@ -118,7 +118,7 @@ class RunConfig:
             trad_leverage=self.trad_leverage, ew_leverage=self.ew_leverage,
             est_window=self.est_window or None,
             r_min=self.level("r_min"), sigma_max=self.level("sigma_max"),
-            horizons=self.horizon_map(), seed=self.seed,
+            horizons=self.horizon_map(),
         )
 
 

@@ -85,7 +85,6 @@ class PolicyParameters:
     lags: int
     ctx_series: int
     ctx_lags: int
-    seed: int = 0
 
     def weight_names(self) -> list[str]:
         return [n for n in self.tensors if n.endswith("_w")]
@@ -146,7 +145,7 @@ def init_network(arch: NetworkArch, m: int, lags: int, ctx_series: int, ctx_lags
     tensors["weights_head_b"] = Tensor(np.zeros(m))
     tensors["leverage_head_w"] = Tensor(np.zeros((feat, 1)))
     tensors["leverage_head_b"] = Tensor(np.zeros(1))
-    return PolicyParameters(tensors, arch, m, lags, ctx_series, ctx_lags, seed)
+    return PolicyParameters(tensors, arch, m, lags, ctx_series, ctx_lags)
 
 
 def forward_tape(tape: Tape, params: PolicyParameters,

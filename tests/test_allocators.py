@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from portalloc.allocators import (SolveReport, SolverConfig, Weights,
-                                  project_to_simplex, risk_contributions, solve,
+                                  risk_contributions, solve,
                                   solve_markowitz_max_return,
                                   solve_markowitz_min_risk,
                                   solve_max_decorrelation,
@@ -24,33 +24,6 @@ def random_stats(rng, l, corr_mix=0.5):
     sigma = np.outer(vols, vols) * corr
     mu = rng.uniform(0.02, 0.20, l)
     return stats_from_covariance(mu, 0.5 * (sigma + sigma.T))
-
-
-class TestProjection:
-    def test_already_feasible(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([0.5, 0.5])).w, [0.5, 0.5])
-
-    def test_outside_clips_to_vertex(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([2.0, 0.0])).w, [1.0, 0.0])
-
-    def test_singleton(self):
-        np.testing.assert_allclose(project_to_simplex(np.array([0.1])).w, [1.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError, match="non-finite"):
-            project_to_simplex(np.array([np.nan, 0.5]))
-
-    def test_projection_properties(self, rng):
-        # idempotent, feasible, and no feasible point is closer than the projection
-        for _ in range(50):
-            l = int(rng.integers(1, 7))
-            v = rng.normal(scale=3.0, size=l)
-            w = project_to_simplex(v).w
-            assert abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
-            np.testing.assert_allclose(project_to_simplex(w).w, w, atol=1e-12)
-            for _ in range(10):
-                other = rng.dirichlet(np.ones(l))
-                assert np.linalg.norm(v - w) <= np.linalg.norm(v - other) + 1e-12
 
 
 class TestMinVariance:
@@ -312,12 +285,12 @@ class TestExactCore:
     def test_duplicated_asset_flags_non_unique(self, rng):
         stats = random_stats(rng, 3)
         keep = [0, 1, 2, 0]
-        sigma = stats.sigma_mat[np.ix_(keep, keep)]
-        report = solve_min_variance(stats_from_covariance(stats.mu[keep], sigma), CFG)
-        assert report.converged and report.non_unique
-        w = report.weights.w
-        np.testing.assert_allclose(float(w @ sigma @ w),
-                                   solve_min_variance(stats, CFG).objective_value, rtol=1e-12)
+        doubled = stats_from_covariance(stats.mu[keep], stats.sigma_mat[np.ix_(keep, keep)])
+        for method in ("minvariance", "maxdiversification", "maxdecorrelation"):
+            report = solve(method, doubled, CFG)
+            assert report.converged and report.non_unique
+            np.testing.assert_allclose(report.objective_value,
+                                       solve(method, stats, CFG).objective_value, rtol=1e-12)
 
     def test_well_conditioned_never_non_unique(self, rng):
         for _ in range(10):

@@ -389,6 +389,20 @@ class TestBatchedPolicyDecisions:
         assert len(trained) == len(schedule)
         self.assert_matches_per_step(report, bundle, schedule, dict(enumerate(trained)))
 
+    def test_inline_training_takes_the_train_config_seed(self, rng):
+        from portalloc.policy import NetworkArch
+        from portalloc.trainer import TrainConfig
+
+        bundle = small_bundle(rng)
+        schedule = self.schedule(bundle)
+        arch = NetworkArch(asset_conv=((4, 2),), context_conv=((2, 2),))
+        curves = [compare_models(["drl"], bundle, schedule, CompareConfig(horizons={}),
+                                 arch=arch, train_cfg=TrainConfig(max_iterations=2,
+                                                                  early_stop_patience=2,
+                                                                  seed=seed))[0].curve
+                  for seed in (1, 2)]
+        assert not np.array_equal(curves[0].values, curves[1].values)
+
     def test_one_inference_forward_per_split(self, rng, monkeypatch):
         import portalloc.policy as policy
 
