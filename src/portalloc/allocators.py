@@ -18,14 +18,19 @@ own: with x = sigma * w / sigma'w its ratio is 1 / sqrt(x'Cx), so its
 weights are the maximum-decorrelation weights rescaled by 1 / sigma
 (Choueifaty & Coignard 2008). The frontier argmin 1/2 w'Sw - lam mu'w is
 walked up from the minimum-variance portfolio until mu'w meets a return
-floor or w'Sw a risk cap, at an exact root. iterations counts the faces
-walked, plus those of the minimum-variance walk for markowitz and maxreturn;
-maxdiversification reports its maximum-decorrelation solve's count and flags.
-converged means a KKT residual <= 1e-10 with Q scaled to a largest entry of
-1; non_unique means a zero eigenvalue of the reduced Hessian: Q on the
-assets held or priced at zero, projected onto the sum-zero directions. Risk
-parity runs cyclic coordinate descent on its barrier objective, each
-coordinate update a closed-form positive root.
+floor or w'Sw a risk cap, at an exact root; a caller that already holds the
+minimum-variance report of the same moments (the walk-forward comparison
+solves it once per rebalance date) passes it in as minvar. On a face whose
+Q_FF is positive definite beyond the certificate tolerance, a step is one
+solve of the bordered KKT system [Q_FF 1; 1' 0]; otherwise the reduced
+Hessian is eigen-decomposed to find the flat directions. iterations counts
+the faces walked, plus those of the minimum-variance walk for markowitz and
+maxreturn; maxdiversification reports its maximum-decorrelation solve's
+count and flags. converged means a KKT residual <= 1e-10 with Q scaled to a
+largest entry of 1; non_unique means a zero eigenvalue of the reduced
+Hessian: Q on the assets held or priced at zero, projected onto the sum-zero
+directions. Risk parity runs cyclic coordinate descent on its barrier
+objective, each coordinate update a closed-form positive root.
 """
 from __future__ import annotations
 
@@ -104,7 +109,31 @@ def _face_direction(q, free, g):
     """(p, flat): for the gradient g, the Newton step p within the face of the
     free assets at constant sum, or descent along a flat direction of a
     singular Q that g slopes along (flat). p = 0 where the reduced gradient
-    vanishes."""
+    vanishes.
+
+    If Q_FF - _TOL I has a Cholesky factor, every eigenvalue of Q_FF, and so
+    (by Cauchy interlacing) of the reduced Hessian, exceeds _TOL: no
+    direction is flat, and p solves the bordered KKT system
+    [Q_FF 1; 1' 0] [p; nu] = [-g_F; 0]. Otherwise the reduced Hessian is
+    eigen-decomposed (_eigen_face_direction)."""
+    qff, gf = q[np.ix_(free, free)], g[free]
+    k = gf.size
+    try:
+        np.linalg.cholesky(qff - _TOL * np.eye(k))
+    except np.linalg.LinAlgError:
+        return _eigen_face_direction(q, free, g)
+    p = np.zeros(g.size)
+    if np.abs(gf - gf.mean()).max() <= _EPS:
+        return p, False
+    bordered = np.ones((k + 1, k + 1))
+    bordered[:k, :k], bordered[k, k] = qff, 0.0
+    p[free] = np.linalg.solve(bordered, np.append(-gf, 0.0))[:k]
+    return p, False
+
+
+def _eigen_face_direction(q, free, g):
+    """_face_direction through the eigen-decomposition of the reduced
+    Hessian, which finds the flat directions of a singular one."""
     basis = _null_space(int(free.sum()))
     curv, vecs = np.linalg.eigh(basis.T @ q[np.ix_(free, free)] @ basis)
     slope = vecs.T @ (basis.T @ g[free])
@@ -221,20 +250,22 @@ def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = Solver
 
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
-                             cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                             cfg: SolverConfig = SolverConfig(),
+                             minvar: SolveReport | None = None) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
     If the minimum-variance portfolio misses the floor, the floor binds: the
     frontier is walked up from it until mu'w = r_min, where the frontier
     multiplier lam >= 0 is the floor's. Infeasible targets (r_min above every
-    asset mean) are rejected, never clamped.
+    asset mean) are rejected, never clamped. minvar, if given, is
+    solve_min_variance(stats), which is then not solved again.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if r_min > float(np.max(mu)) + 1e-12:
         raise InfeasibleError(
             f"infeasible return target: r_min={r_min} exceeds max mean {np.max(mu):.6g}"
         )
-    minvar = solve_min_variance(stats)
+    minvar = solve_min_variance(stats) if minvar is None else minvar
     w0 = minvar.weights.w
     if float(mu @ w0) >= r_min:
         active = ("return_target",) if float(mu @ w0) - r_min <= _TOL * np.abs(mu).max() else ()
@@ -252,19 +283,21 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
 
 
 def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
-                               cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                               cfg: SolverConfig = SolverConfig(),
+                               minvar: SolveReport | None = None) -> SolveReport:
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
     sigma_max is a volatility; the cap applies to portfolio variance
     sigma_max^2. The frontier is walked up from the minimum-variance
     portfolio until its variance meets the cap, or to the frontier top (least
-    variance among the best-mean assets) if that is within the cap.
+    variance among the best-mean assets) if that is within the cap. minvar,
+    if given, is solve_min_variance(stats), which is then not solved again.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
         raise DataError(f"sigma_max must be >= 0, got {sigma_max}")
     cap = sigma_max ** 2
-    minvar = solve_min_variance(stats)
+    minvar = solve_min_variance(stats) if minvar is None else minvar
     scale = float(np.abs(sigma).max())
     if cap < minvar.objective_value - _TOL * scale:
         raise InfeasibleError(
@@ -272,15 +305,20 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
             f"attainable variance {minvar.objective_value:.6g}"
         )
     q, v, cap_q = sigma / scale, mu / (np.abs(mu).max() or 1.0), cap / scale
+    rounding = 4 * len(mu) * np.finfo(float).eps
 
     def variance_root(y, d, lam, flat):
         # the variance y'Qy + 2 s t + d'Qd t^2 at lam + t meets the cap;
         # along a flat step the return rises at constant variance
         if flat:
             return np.inf
+        # a gap within the rounding of y'Qy (entries of Q and y at most 1) is
+        # met: at the min-variance point s is about 0, and the root would
+        # turn that rounding into a step of ~sqrt(gap / d'Qd)
         gap, s, dqd = cap_q - float(y @ q @ y), float(d @ q @ y), float(d @ q @ d)
         with np.errstate(divide="ignore"):
-            return np.float64(gap) / (s + np.sqrt(s * s + dqd * gap)) if gap > 0 else 0.0
+            return (np.float64(gap) / (s + np.sqrt(s * s + dqd * gap))
+                    if gap > rounding else 0.0)
 
     y, lam, free, faces, stopped = _walk(q, v, minvar.weights.w, 0.0, variance_root)
     kkt, non_unique = _certify(q, -lam * v, y, free)
@@ -358,17 +396,22 @@ def method_names() -> tuple[str, ...]:
 
 
 def solve(method: str, stats: CovarianceStats, cfg: SolverConfig = SolverConfig(),
-          r_min: float | None = None, sigma_max: float | None = None) -> SolveReport:
+          r_min: float | None = None, sigma_max: float | None = None,
+          minvar: SolveReport | None = None) -> SolveReport:
     """Dispatch over the named programs. markowitz requires r_min and
-    maxreturn requires sigma_max."""
+    maxreturn requires sigma_max. minvar, if given, is
+    solve_min_variance(stats): minvariance returns it, and markowitz and
+    maxreturn start from it; the other programs do not use it."""
     if method not in _METHODS:
         raise DataError(f"unknown method {method!r}; valid: {', '.join(_METHODS)}")
     if method == "markowitz":
         if r_min is None:
             raise DataError("method 'markowitz' requires r_min")
-        return solve_markowitz_min_risk(stats, r_min, cfg)
+        return solve_markowitz_min_risk(stats, r_min, cfg, minvar)
     if method == "maxreturn":
         if sigma_max is None:
             raise DataError("method 'maxreturn' requires sigma_max")
-        return solve_markowitz_max_return(stats, sigma_max, cfg)
+        return solve_markowitz_max_return(stats, sigma_max, cfg, minvar)
+    if method == "minvariance" and minvar is not None:
+        return minvar
     return _METHODS[method](stats, cfg)

@@ -271,21 +271,36 @@ class CompareConfig:
                 raise DataError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.rebalance < 1:
             raise DataError(f"rebalance must be >= 1, got {self.rebalance!r}")
+        if self.est_window is not None and self.est_window < 1:
+            raise DataError(f"est_window must be >= 1, got {self.est_window!r}")
+
+
+_FROM_MIN_VARIANCE = ("minvariance", "markowitz", "maxreturn")
 
 
 def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
-                         cfg: CompareConfig, solver_cfg, leverage: float) -> DecideFn:
-    from .allocators import solve
+                         cfg: CompareConfig, solver_cfg, leverage: float,
+                         moments: dict[int, tuple]) -> DecideFn:
+    """Re-solve `method` every cfg.rebalance steps. moments, shared by every
+    convex model of one comparison, maps a decision index t to (the moments
+    of the window ending at t, their minimum-variance report or None): each
+    is computed once, by the first model that needs it."""
+    from .allocators import solve, solve_min_variance
     from .risk_models import estimate_stats
 
     state: dict = {"w": None}
 
     def decide(t: int) -> tuple[np.ndarray, float]:
         if state["w"] is None or (t - first_decision) % cfg.rebalance == 0:
-            sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
-            stats = estimate_stats(sub, cfg.est_window)
+            stats, minvar = moments.get(t, (None, None))
+            if stats is None:
+                sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
+                stats = estimate_stats(sub, cfg.est_window)
+            if minvar is None and method in _FROM_MIN_VARIANCE:
+                minvar = solve_min_variance(stats, solver_cfg)
+            moments[t] = stats, minvar
             state["w"] = solve(method, stats, solver_cfg, r_min=cfg.r_min,
-                               sigma_max=cfg.sigma_max).weights.w
+                               sigma_max=cfg.sigma_max, minvar=minvar).weights.w
         return state["w"], leverage
 
     return decide
@@ -347,7 +362,9 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
 
     The learned model retrains per split on the expanding train range unless
     per-split parameters are supplied in trained_params (split index -> params).
-    Traditional models re-solve every cfg.rebalance steps on trailing stats.
+    Traditional models re-solve every cfg.rebalance steps on trailing stats;
+    they share each rebalance date's moment estimate and minimum-variance
+    solve.
     A model that loses 100% on a step is ruined: its curve stays at value 0,
     with zero leverage and weights, on every later test date, and the later
     splits are not traded.
@@ -369,6 +386,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     rf = bundle.rf
     m = rf.num_assets
     lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
+    moments: dict[int, tuple] = {}
     reports = []
     for model in models:
         segments = []
@@ -395,7 +413,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                 decide = lambda t, ew=ew: (ew, cfg.ew_leverage)  # noqa: E731
             else:
                 decide = _traditional_decider(model, rf, first_decision, cfg,
-                                              solver_cfg, cfg.trad_leverage)
+                                              solver_cfg, cfg.trad_leverage, moments)
             seg = run_strategy(decide, rf, first_decision, t_end,
                                cfg.cost_rate, prev_position=position)
             if seg.bankrupt:

@@ -61,6 +61,8 @@ def stats_from_covariance(mu: np.ndarray, sigma_mat: np.ndarray) -> CovarianceSt
 def estimate_stats(rf: ReturnFrame, window: int | None = None) -> CovarianceStats:
     """Sample mean and sample covariance (divisor n-1) over the trailing
     `window` rows (full frame when window is None)."""
+    if window is not None and window < 1:
+        raise DataError(f"estimation window must be >= 1, got {window}")
     rows = rf.returns if window is None else rf.returns[-window:]
     n, l = rows.shape
     if n < l + 1:

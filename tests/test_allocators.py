@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from portalloc import allocators
 from portalloc.allocators import (SolveReport, SolverConfig, Weights,
                                   risk_contributions, solve,
                                   solve_markowitz_max_return,
@@ -354,6 +355,73 @@ class TestExactCore:
                 report = solve_markowitz_max_return(stats, sigma_max, CFG)
                 assert report.converged
                 assert abs(float(stats.mu @ report.weights.w) - best) <= 1e-6 * abs(best)
+
+
+class TestFaceStep:
+    """A face whose Q_FF is positive definite steps by one bordered KKT solve,
+    which must equal the eigen-decomposition step; a singular Q_FF must take
+    the eigen path, which finds its flat directions."""
+
+    @staticmethod
+    def fast_step(monkeypatch, q, free, g):
+        def refuse(*args):
+            raise AssertionError("took the eigen path")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(allocators, "_eigen_face_direction", refuse)
+            return allocators._face_direction(q, free, g)
+
+    @pytest.mark.parametrize("m", [2, 5, 24])
+    def test_bordered_step_equals_eigen_step(self, rng, monkeypatch, m):
+        for trial in range(20):
+            q = random_stats(rng, m).sigma_mat
+            q = q / np.abs(q).max()
+            free = rng.random(m) < 0.7
+            free[rng.integers(m)] = True
+            # the last trial's gradient is constant on the face: no step
+            g = np.full(m, 0.3) if trial == 19 else rng.normal(size=m)
+            p, flat = self.fast_step(monkeypatch, q, free, g)
+            want, want_flat = allocators._eigen_face_direction(q, free, g)
+            assert not flat and not want_flat
+            np.testing.assert_allclose(p, want, rtol=0, atol=1e-12)
+            assert np.all(p[~free] == 0.0) and abs(p.sum()) <= 1e-12
+        assert not np.any(p)
+
+    @pytest.mark.parametrize("case", ["duplicated asset", "fewer rows than assets"])
+    def test_singular_face_takes_the_eigen_path(self, rng, monkeypatch, case):
+        if case == "duplicated asset":
+            stats = random_stats(rng, 3)
+            keep = [0, 1, 2, 0]
+            q, v = stats.sigma_mat[np.ix_(keep, keep)], np.array([0.1, 0.05, 0.08, 0.12])
+        else:
+            stats = return_rows(3, 5, seed=7)
+            q, v = stats.sigma_mat, stats.mu
+        q = q / np.abs(q).max()
+        calls = []
+        real = allocators._eigen_face_direction
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(allocators, "_eigen_face_direction", spy)
+        free = np.ones(len(v), dtype=bool)
+        p, flat = allocators._face_direction(q, free, -v)
+        assert calls == [1] and flat
+        # a flat step moves v'y up at constant y'Qy
+        assert float(v @ p) > 0 and np.abs(q @ p).max() <= 1e-10 * np.abs(p).max()
+
+
+def test_cap_at_min_variance_vol_returns_its_weights_to_rounding():
+    # a gap within the rounding of y'Qy used to become a step of ~1e-10 in lam
+    for m in (2, 3, 5, 8, 24):
+        for seed in range(40):
+            stats = random_stats(np.random.default_rng(seed), m)
+            minvar = solve_min_variance(stats, CFG)
+            report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)),
+                                                CFG)
+            assert np.abs(report.weights.w - minvar.weights.w).max() <= 1e-12
+            assert report.converged and "risk_cap" in report.active_constraints
 
 
 def return_rows(n, m, seed):

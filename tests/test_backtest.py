@@ -319,6 +319,56 @@ class TestCompare:
             assert np.array_equal(a.curve.values, b.curve.values)
 
 
+class TestSharedMoments:
+    """The convex models of one comparison share each rebalance date's moment
+    estimate and minimum-variance solve; each model's weights must still equal
+    its own estimate and solve on every date, bit for bit."""
+
+    MODELS = ("markowitz", "maxreturn", "minvariance", "riskparity")
+
+    def test_weights_equal_per_model_solves_with_one_estimate_per_date(self, rng,
+                                                                      monkeypatch):
+        import portalloc.allocators as allocators
+        import portalloc.risk_models as risk_models
+        from portalloc.market_data import ReturnFrame
+
+        bundle = small_bundle(rng, assets=3)
+        rf = bundle.rf
+        schedule = make_schedule(rf.dates, rf.dates[299], 40)
+        assert len(schedule) == 3
+        # a floor and a cap that bind on some dates and are feasible on all
+        _, dates = oracles.convex_decisions("minvariance", rf, schedule, CompareConfig())
+        stats = [risk_models.estimate_stats(ReturnFrame(rf.dates[:t + 1], rf.assets,
+                                                        rf.returns[:t + 1])) for t in dates]
+        minvars = [allocators.solve_min_variance(s) for s in stats]
+        lowest_top = min(float(s.mu.max()) for s in stats)
+        highest_base = max(float(s.mu @ r.weights.w) for s, r in zip(stats, minvars))
+        assert highest_base < lowest_top
+        cfg = CompareConfig(horizons={}, r_min=0.5 * (highest_base + lowest_top),
+                            sigma_max=1.1 * max(np.sqrt(r.objective_value) for r in minvars))
+        want = {model: oracles.convex_decisions(model, rf, schedule, cfg)[0]
+                for model in self.MODELS}
+
+        estimated, min_variance_solves = [], []
+        real_estimate, real_min_variance = risk_models.estimate_stats, allocators.solve_min_variance
+
+        def counting_estimate(frame, window=None):
+            estimated.append(len(frame.returns) - 1)
+            return real_estimate(frame, window)
+
+        def counting_min_variance(*args, **kwargs):
+            min_variance_solves.append(1)
+            return real_min_variance(*args, **kwargs)
+
+        monkeypatch.setattr(risk_models, "estimate_stats", counting_estimate)
+        monkeypatch.setattr(allocators, "solve_min_variance", counting_min_variance)
+        reports = compare_models(list(self.MODELS), bundle, schedule, cfg)
+        assert estimated == dates
+        assert len(min_variance_solves) == len(dates)
+        for model, report in zip(self.MODELS, reports):
+            assert np.array_equal(report.curve.weights, want[model]), model
+
+
 def perturbed_params(bundle, seed):
     """A policy whose heads are not zero, so decisions vary by day."""
     from portalloc.policy import NetworkArch, init_network
@@ -473,6 +523,13 @@ class TestCompareConfigValidation:
 
     def test_zero_cost_and_leverage_allowed(self):
         CompareConfig(cost_rate=0.0, trad_leverage=0.0, ew_leverage=0.0)
+
+
+def test_compare_config_rejects_a_window_below_one():
+    for window in (0, -5):
+        with pytest.raises(DataError, match="est_window"):
+            CompareConfig(est_window=window)
+    CompareConfig(est_window=1)
 
 
 def random_curve(rng, steps, m, start="2020-01-06"):

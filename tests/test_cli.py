@@ -397,3 +397,33 @@ def test_ruined_model_padded_at_zero(tmp_path):
     assert 0 < ruin < 60 and all(v == 0.0 for v in values[ruin:])
     assert all(float(r[2]) > 0 for r in rows)
     assert "nan" not in (out / "metrics.csv").read_text()
+
+
+def test_negative_est_window_exits_2(tmp_path, capsys):
+    # a negative window would slice rows[-window:]: every row but the first few
+    src = tmp_path / "data"
+    main(synth_args(src))
+    prices = str(src / "prices.csv")
+    frame = load_price_csv(prices)
+    capsys.readouterr()
+    assert main(["allocate", "--prices", prices, "--method", "minvariance",
+                 "--est-window=-5", "--outdir", str(tmp_path / "a")]) == 2
+    assert "window" in capsys.readouterr().err
+    out = tmp_path / "c"
+    assert main(["compare", "--prices", prices, "--outdir", str(out), "--models", "drl",
+                 "--initial-train-end", str(frame.dates[280]), "--est-window=-5"] + FAST) == 2
+    assert "est_window" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_zero_est_window_means_full_history(tmp_path):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    prices = str(src / "prices.csv")
+    weights = []
+    for flags in ([], ["--est-window", "0"]):
+        out = tmp_path / f"a{len(flags)}"
+        assert main(["allocate", "--prices", prices, "--method", "minvariance",
+                     "--outdir", str(out)] + flags) == 0
+        weights.append(read(out / "weights.csv"))
+    assert weights[0] == weights[1]

@@ -111,3 +111,12 @@ class TestShrinkage:
         for lam in (0.25, 0.75):
             out = shrink_covariance(stats, lam)
             assert np.linalg.eigvalsh(out.sigma_mat)[0] >= -1e-12
+
+
+def test_window_below_one_rejected(rng):
+    rf = frame_from_returns(0.01 * rng.standard_normal((40, 2)))
+    for window in (0, -5):
+        with pytest.raises(DataError, match="window"):
+            estimate_stats(rf, window)
+    last = estimate_stats(rf, 10)
+    np.testing.assert_array_equal(last.mu, rf.returns[-10:].mean(axis=0))
