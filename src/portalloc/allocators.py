@@ -29,8 +29,9 @@ maxreturn; maxdiversification reports its maximum-decorrelation solve's
 count and flags. converged means a KKT residual <= 1e-10 with Q scaled to a
 largest entry of 1; non_unique means a zero eigenvalue of the reduced
 Hessian: Q on the assets held or priced at zero, projected onto the sum-zero
-directions. Risk parity runs cyclic coordinate descent on its barrier
-objective, each coordinate update a closed-form positive root.
+directions. Risk parity runs damped Newton on its barrier objective scaled
+to be self-concordant, which converges with no step-size rule to tune
+(Spinu 2013); iterations counts its Newton steps.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .risk_models import CovarianceStats
 _SUM_TOL = 1e-8
 _TOL = 1e-10  # certificate tolerance, relative to the largest entry of |Q|
 _EPS = 1e-12  # step and pricing tolerance inside the solver
+_NEWTON_STEPS = 100  # risk parity's damped Newton converges well within this
 
 
 @dataclass(frozen=True)
@@ -63,17 +65,6 @@ class Weights:
             raise DataError("weights outside [0, 1]")
         if abs(float(w.sum()) - 1.0) > _SUM_TOL:
             raise DataError(f"weights sum to {w.sum():.12f}, not 1")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """max_iters caps the risk-parity coordinate-descent sweeps."""
-
-    max_iters: int = 3000
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -223,22 +214,22 @@ def _min_quadratic(q: np.ndarray) -> SolveReport:
     return _finish(y, _variance(y, q), faces, kkt <= _TOL, non_unique=non_unique)
 
 
-def solve_min_variance(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+def solve_min_variance(stats: CovarianceStats) -> SolveReport:
     """Minimize portfolio variance w'Sw on the simplex."""
     return _min_quadratic(stats.sigma_mat)
 
 
-def solve_max_decorrelation(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+def solve_max_decorrelation(stats: CovarianceStats) -> SolveReport:
     """Minimize w'Cw (C the correlation matrix) on the simplex."""
     return _min_quadratic(stats.corr)
 
 
-def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+def solve_max_diversification(stats: CovarianceStats) -> SolveReport:
     """Maximize the diversification ratio (w'sigma) / sqrt(w'Sw). With
     x = sigma * w / sigma'w the ratio is 1 / sqrt(x'Cx), so w is the
     maximum-decorrelation portfolio rescaled by 1 / sigma."""
     sigma, vols = stats.sigma_mat, stats.vols
-    decorrelated = solve_max_decorrelation(stats, cfg)
+    decorrelated = solve_max_decorrelation(stats)
     w = decorrelated.weights.w / vols
     w = w / w.sum()
     quad = float(w @ sigma @ w)
@@ -250,7 +241,6 @@ def solve_max_diversification(stats: CovarianceStats, cfg: SolverConfig = Solver
 
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
-                             cfg: SolverConfig = SolverConfig(),
                              minvar: SolveReport | None = None) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
@@ -261,6 +251,8 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     solve_min_variance(stats), which is then not solved again.
     """
     mu, sigma = stats.mu, stats.sigma_mat
+    if np.isnan(r_min):
+        raise DataError(f"r_min must be a number, got {r_min}")
     if r_min > float(np.max(mu)) + 1e-12:
         raise InfeasibleError(
             f"infeasible return target: r_min={r_min} exceeds max mean {np.max(mu):.6g}"
@@ -283,7 +275,6 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
 
 
 def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
-                               cfg: SolverConfig = SolverConfig(),
                                minvar: SolveReport | None = None) -> SolveReport:
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
@@ -309,8 +300,9 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
 
     def variance_root(y, d, lam, flat):
         # the variance y'Qy + 2 s t + d'Qd t^2 at lam + t meets the cap;
-        # along a flat step the return rises at constant variance
-        if flat:
+        # along a flat step the return rises at constant variance, and an
+        # infinite cap is never met
+        if flat or np.isinf(cap_q):
             return np.inf
         # a gap within the rounding of y'Qy (entries of Q and y at most 1) is
         # met: at the min-variance point s is about 0, and the root would
@@ -335,22 +327,25 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     return _finish(y, float(mu @ y), iters, conv, ("risk_cap",), non_unique)
 
 
-def _erc_coordinate_descent(sigma: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, int]:
-    """Minimize 1/2 x'Sx - (1/l) sum ln x_i over x > 0 by cyclic coordinate
-    descent; each coordinate update is the positive root of a quadratic."""
+def _erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimize the self-concordant F(x) = l/2 x'Sx - sum ln x_i over x > 0,
+    whose minimizer is that of the risk-parity barrier program, by damped
+    Newton (Spinu 2013). In the variables scaled by x, the residual is
+    r = l x * (Sx) - 1, the Newton step u solves (l xx' * S + I) u = r, and
+    delta = sqrt(r'u) is the Newton decrement; |u_i| <= delta, so the damped
+    step x * (1 - u / (1 + delta)) stays positive. Stops after the step with
+    delta <= 1e-8, or after _NEWTON_STEPS steps."""
     l = sigma.shape[0]
     x = 1.0 / np.sqrt(np.diag(sigma) * l)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        max_rel = 0.0
-        for i in range(l):
-            cross = float(sigma[i] @ x) - sigma[i, i] * x[i]
-            new = (-cross + np.sqrt(cross * cross + 4.0 * sigma[i, i] / l)) / (2.0 * sigma[i, i])
-            max_rel = max(max_rel, abs(new - x[i]) / max(x[i], 1e-300))
-            x[i] = new
-        if max_rel < 1e-14:
+    eye = np.eye(l)
+    for steps in range(1, _NEWTON_STEPS + 1):
+        r = l * x * (sigma @ x) - 1.0
+        u = np.linalg.solve(l * np.outer(x, x) * sigma + eye, r)
+        delta = np.sqrt(float(r @ u))
+        x = x * (1.0 - u / (1.0 + delta))
+        if delta <= 1e-8:
             break
-    return x, sweeps
+    return x, steps
 
 
 def risk_contributions(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -359,7 +354,7 @@ def risk_contributions(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return w * (sigma @ w)
 
 
-def solve_risk_parity(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
     """Equal-risk-contribution portfolio via the log-barrier program.
 
     Minimizes 1/2 x'Sx - (1/l) sum ln x_i over x > 0, then renormalizes to
@@ -373,12 +368,12 @@ def solve_risk_parity(stats: CovarianceStats, cfg: SolverConfig = SolverConfig()
         raise DataError(
             "singular covariance matrix: apply shrink_covariance before solving risk parity"
         )
-    x, sweeps = _erc_coordinate_descent(sigma, cfg.max_iters)
+    x, steps = _erc_newton(sigma)
     w = x / x.sum()
     contrib = risk_contributions(w, sigma)
     converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6
     objective = 0.5 + 0.5 * np.log(float(w @ sigma @ w)) - float(np.log(w).sum()) / len(w)
-    return _finish(w, objective, sweeps, converged)
+    return _finish(w, objective, steps, converged)
 
 
 _METHODS = {
@@ -395,9 +390,8 @@ def method_names() -> tuple[str, ...]:
     return tuple(_METHODS)
 
 
-def solve(method: str, stats: CovarianceStats, cfg: SolverConfig = SolverConfig(),
-          r_min: float | None = None, sigma_max: float | None = None,
-          minvar: SolveReport | None = None) -> SolveReport:
+def solve(method: str, stats: CovarianceStats, r_min: float | None = None,
+          sigma_max: float | None = None, minvar: SolveReport | None = None) -> SolveReport:
     """Dispatch over the named programs. markowitz requires r_min and
     maxreturn requires sigma_max. minvar, if given, is
     solve_min_variance(stats): minvariance returns it, and markowitz and
@@ -407,11 +401,11 @@ def solve(method: str, stats: CovarianceStats, cfg: SolverConfig = SolverConfig(
     if method == "markowitz":
         if r_min is None:
             raise DataError("method 'markowitz' requires r_min")
-        return solve_markowitz_min_risk(stats, r_min, cfg, minvar)
+        return solve_markowitz_min_risk(stats, r_min, minvar)
     if method == "maxreturn":
         if sigma_max is None:
             raise DataError("method 'maxreturn' requires sigma_max")
-        return solve_markowitz_max_return(stats, sigma_max, cfg, minvar)
+        return solve_markowitz_max_return(stats, sigma_max, minvar)
     if method == "minvariance" and minvar is not None:
         return minvar
-    return _METHODS[method](stats, cfg)
+    return _METHODS[method](stats)

@@ -273,13 +273,16 @@ class CompareConfig:
             raise DataError(f"rebalance must be >= 1, got {self.rebalance!r}")
         if self.est_window is not None and self.est_window < 1:
             raise DataError(f"est_window must be >= 1, got {self.est_window!r}")
+        for label, steps in self.horizons.items():
+            if steps < 1:
+                raise DataError(f"horizons: {label} must be >= 1 step, got {steps!r}")
 
 
 _FROM_MIN_VARIANCE = ("minvariance", "markowitz", "maxreturn")
 
 
 def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
-                         cfg: CompareConfig, solver_cfg, leverage: float,
+                         cfg: CompareConfig, leverage: float,
                          moments: dict[int, tuple]) -> DecideFn:
     """Re-solve `method` every cfg.rebalance steps. moments, shared by every
     convex model of one comparison, maps a decision index t to (the moments
@@ -297,9 +300,9 @@ def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
                 sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
                 stats = estimate_stats(sub, cfg.est_window)
             if minvar is None and method in _FROM_MIN_VARIANCE:
-                minvar = solve_min_variance(stats, solver_cfg)
+                minvar = solve_min_variance(stats)
             moments[t] = stats, minvar
-            state["w"] = solve(method, stats, solver_cfg, r_min=cfg.r_min,
+            state["w"] = solve(method, stats, r_min=cfg.r_min,
                                sigma_max=cfg.sigma_max, minvar=minvar).weights.w
         return state["w"], leverage
 
@@ -355,7 +358,7 @@ class DataBundle:
 
 
 def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardSchedule,
-                   cfg: CompareConfig, solver_cfg=None, arch=None, train_cfg=None,
+                   cfg: CompareConfig, arch=None, train_cfg=None,
                    trained_params: dict[int, object] | None = None
                    ) -> list[PerformanceReport]:
     """Walk-forward every model over the schedule and report the metric table.
@@ -369,7 +372,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     with zero leverage and weights, on every later test date, and the later
     splits are not traded.
     """
-    from .allocators import SolverConfig, method_names
+    from .allocators import method_names
     from .features import min_valid_index
     from .policy import NetworkArch
     from .trainer import TrainConfig, train_split
@@ -380,7 +383,6 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     for name in models:
         if name not in valid:
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
-    solver_cfg = solver_cfg or SolverConfig()
     arch = arch or NetworkArch()
     train_cfg = train_cfg or TrainConfig()
     rf = bundle.rf
@@ -413,7 +415,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                 decide = lambda t, ew=ew: (ew, cfg.ew_leverage)  # noqa: E731
             else:
                 decide = _traditional_decider(model, rf, first_decision, cfg,
-                                              solver_cfg, cfg.trad_leverage, moments)
+                                              cfg.trad_leverage, moments)
             seg = run_strategy(decide, rf, first_decision, t_end,
                                cfg.cost_rate, prev_position=position)
             if seg.bankrupt:

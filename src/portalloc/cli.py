@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .allocators import SolverConfig, method_names, solve
+from .allocators import method_names, solve
 from .backtest import (CompareConfig, DataBundle, compare_models, curves_csv,
                        make_schedule, report_table_csv, report_table_text,
                        weights_csv)
@@ -55,7 +55,6 @@ class RunConfig:
     max_iterations: int = 500
     patience: int = 50
     policy_prob: float = 0.9
-    solver_max_iters: int = 3000
     est_window: int = 0
     initial_train_end: str = "2006-12-31"
     test_span: int = 252
@@ -93,9 +92,6 @@ class RunConfig:
         """The r_min or sigma_max constraint level, None when unset."""
         raw = getattr(self, key)
         return _convert(key, float, raw) if raw else None
-
-    def solver_cfg(self) -> SolverConfig:
-        return SolverConfig(self.solver_max_iters)
 
     def train_cfg(self) -> TrainConfig:
         return TrainConfig(self.learning_rate, self.noise_std, self.max_iterations,
@@ -283,7 +279,7 @@ def cmd_allocate(cfg: RunConfig) -> int:
         raise UsageError("missing --prices")
     rf = compute_returns(load_price_csv(cfg.prices))
     stats = estimate_stats(rf, cfg.est_window or None)
-    report = solve(cfg.method, stats, cfg.solver_cfg(), r_min=cfg.level("r_min"),
+    report = solve(cfg.method, stats, r_min=cfg.level("r_min"),
                    sigma_max=cfg.level("sigma_max"))
     print(f"method = {cfg.method}")
     for asset, w in zip(rf.assets, report.weights.w):
@@ -331,8 +327,7 @@ def _run_comparison(cfg: RunConfig, models: list[str], command: str) -> int:
     bundle = _bundle(cfg)
     schedule = _schedule(cfg, bundle)
     trained = _load_checkpoints(cfg, len(schedule.splits)) if "drl" in models else None
-    reports = compare_models(models, bundle, schedule, cfg.compare_cfg(),
-                             solver_cfg=cfg.solver_cfg(), arch=cfg.arch(),
+    reports = compare_models(models, bundle, schedule, cfg.compare_cfg(), arch=cfg.arch(),
                              train_cfg=cfg.train_cfg(), trained_params=trained)
     table_text = report_table_text(reports)
     atomic_write_text(os.path.join(cfg.outdir, "metrics.csv"), report_table_csv(reports))

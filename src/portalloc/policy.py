@@ -10,6 +10,7 @@ leverage scalar scaled to [0, max_leverage].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class NetworkArch:
         for f, k in self.asset_conv + self.context_conv:
             if f < 1 or k < 1:
                 raise DataError("conv filters and kernels must be >= 1")
-        if self.max_leverage <= 0:
-            raise DataError("max_leverage must be > 0")
-        if self.l2_coeff < 0:
-            raise DataError("l2_coeff must be >= 0")
+        if not (math.isfinite(self.max_leverage) and self.max_leverage > 0):
+            raise DataError(f"max_leverage must be finite and > 0, got {self.max_leverage!r}")
+        if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0):
+            raise DataError(f"l2_coeff must be finite and >= 0, got {self.l2_coeff!r}")
 
     def to_json(self, m: int, lags: int, ctx_series: int, ctx_lags: int) -> str:
         payload = {

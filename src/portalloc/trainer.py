@@ -15,6 +15,7 @@ stops improving.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,10 +43,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be > 0")
-        if self.noise_std < 0:
-            raise DataError("noise_std must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise DataError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
         if not 0.0 <= self.policy_prob <= 1.0:
             raise DataError("policy_prob must lie in [0, 1]")
         if self.max_iterations < 1:

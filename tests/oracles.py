@@ -120,23 +120,22 @@ def best_zero_variance_return(rows: np.ndarray) -> float:
     return float(np.max(returns[feasible], initial=-np.inf))
 
 
-def convex_decisions(method, rf, schedule, cfg, solver_cfg=None):
+def convex_decisions(method, rf, schedule, cfg):
     """The weights a convex model holds on each test day of the schedule,
     one model at a time: on every rebalance date t its own estimate_stats of
     the window ending at t and its own solve, with no shared minimum-variance
     report. Returns (weights (days, l), rebalance dates)."""
-    from portalloc.allocators import SolverConfig, solve
+    from portalloc.allocators import solve
     from portalloc.market_data import ReturnFrame
     from portalloc.risk_models import estimate_stats
 
-    solver_cfg = solver_cfg or SolverConfig()
     rows, dates = [], []
     for split in schedule.splits:
         first = split.test_start - 1
         for t in range(first, split.test_end - 1):
             if (t - first) % cfg.rebalance == 0:
                 window = ReturnFrame(rf.dates[:t + 1], rf.assets, rf.returns[:t + 1])
-                w = solve(method, estimate_stats(window, cfg.est_window), solver_cfg,
+                w = solve(method, estimate_stats(window, cfg.est_window),
                           r_min=cfg.r_min, sigma_max=cfg.sigma_max).weights.w
                 dates.append(t)
             rows.append(w)

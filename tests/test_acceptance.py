@@ -12,7 +12,7 @@ import pytest
 import oracles
 from conftest import weekday_dates
 from portalloc import autodiff as ad
-from portalloc.allocators import (SolverConfig, risk_contributions,
+from portalloc.allocators import (risk_contributions,
                                   solve_markowitz_max_return,
                                   solve_markowitz_min_risk,
                                   solve_max_decorrelation,
@@ -30,8 +30,6 @@ from portalloc.market_data import (PriceFrame, RegimeSpec, SyntheticSpec,
 from portalloc.policy import NetworkArch, forward, init_network
 from portalloc.risk_models import stats_from_covariance
 from portalloc.trainer import TrainConfig, episode_objective, make_window, train
-
-CFG = SolverConfig()
 
 
 @contextlib.contextmanager
@@ -64,29 +62,29 @@ def test_criterion_solver_oracle_equivalence():
             stats = solver_instance(rng, l)
             sigma, mu = stats.sigma_mat, stats.mu
 
-            r3 = solve_min_variance(stats, CFG)
+            r3 = solve_min_variance(stats)
             w_g, f_g = oracles.grid_min_quadratic(sigma)
             assert np.max(np.abs(r3.weights.w - w_g)) <= 0.01
             assert r3.objective_value <= f_g + 1e-4 * abs(f_g)
 
-            r4 = solve_max_diversification(stats, CFG)
+            r4 = solve_max_diversification(stats)
             w_g, d_g = oracles.grid_max_diversification(sigma, stats.vols)
             assert np.max(np.abs(r4.weights.w - w_g)) <= 0.01
             assert r4.objective_value >= d_g - 1e-4 * abs(d_g)
 
-            r5 = solve_max_decorrelation(stats, CFG)
+            r5 = solve_max_decorrelation(stats)
             w_g, f_g = oracles.grid_min_quadratic(stats.corr)
             assert np.max(np.abs(r5.weights.w - w_g)) <= 0.01
             assert r5.objective_value <= f_g + 1e-4 * abs(f_g)
 
-            r6 = solve_risk_parity(stats, CFG)
+            r6 = solve_risk_parity(stats)
             w_g, g_g = oracles.grid_equal_risk_contribution(sigma)
             assert np.max(np.abs(r6.weights.w - w_g)) <= 0.01
             assert r6.objective_value <= g_g + 1e-4 * max(abs(g_g), 1.0)
 
             base = float(mu @ r3.weights.w)
             r_min = base + rng.uniform(0.3, 0.7) * (mu.max() - base)
-            r1 = solve_markowitz_min_risk(stats, r_min, CFG)
+            r1 = solve_markowitz_min_risk(stats, r_min)
             assert float(mu @ r1.weights.w) >= r_min - 1e-8
             w_g, f_g = oracles.grid_min_risk_with_floor(sigma, mu, r_min)
             assert r1.objective_value <= f_g + 1e-4 * abs(f_g)
@@ -95,7 +93,7 @@ def test_criterion_solver_oracle_equivalence():
                 # see the expected-failure test below for l in {3, 4}
                 assert np.max(np.abs(r1.weights.w - w_g)) <= 0.01
 
-            r2 = solve_markowitz_max_return(stats, float(np.sqrt(r1.objective_value)), CFG)
+            r2 = solve_markowitz_max_return(stats, float(np.sqrt(r1.objective_value)))
             assert float(r2.weights.w @ sigma @ r2.weights.w) <= r1.objective_value + 1e-8
             _, ret_g = oracles.grid_max_return_with_cap(sigma, mu, r1.objective_value)
             assert r2.objective_value >= ret_g - 1e-4 * abs(ret_g)
@@ -116,10 +114,10 @@ def test_criterion_return_floor_grid_location_all_sizes():
     for trial in range(50):
         l = int(rng.integers(2, 5))
         stats = solver_instance(rng, l)
-        base_report = solve_min_variance(stats, CFG)
+        base_report = solve_min_variance(stats)
         base = float(stats.mu @ base_report.weights.w)
         r_min = base + rng.uniform(0.3, 0.7) * (stats.mu.max() - base)
-        report = solve_markowitz_min_risk(stats, r_min, CFG)
+        report = solve_markowitz_min_risk(stats, r_min)
         w_g, _ = oracles.grid_min_risk_with_floor(stats.sigma_mat, stats.mu, r_min)
         assert np.max(np.abs(report.weights.w - w_g)) <= 0.01
 
@@ -134,18 +132,18 @@ def test_criterion_closed_forms():
             vols = rng.uniform(0.05, 0.4, l)
             stats = stats_from_covariance(np.zeros(l), np.diag(vols ** 2))
 
-            w = solve_min_variance(stats, CFG).weights.w
+            w = solve_min_variance(stats).weights.w
             want = (1.0 / vols ** 2) / (1.0 / vols ** 2).sum()
             assert np.max(np.abs(w - want)) <= 1e-3
 
             want_inv_vol = (1.0 / vols) / (1.0 / vols).sum()
-            w = solve_max_diversification(stats, CFG).weights.w
+            w = solve_max_diversification(stats).weights.w
             assert np.max(np.abs(w - want_inv_vol)) <= 1e-3
-            w = solve_risk_parity(stats, CFG).weights.w
+            w = solve_risk_parity(stats).weights.w
             assert np.max(np.abs(w - want_inv_vol)) <= 1e-3
 
             # identity correlation: equal weights regardless of variances
-            w = solve_max_decorrelation(stats, CFG).weights.w
+            w = solve_max_decorrelation(stats).weights.w
             assert np.max(np.abs(w - 1.0 / l)) <= 1e-3
 
 
@@ -158,7 +156,7 @@ def test_criterion_risk_parity_contributions():
             a = rng.normal(size=(2 * l, l))
             sigma = a.T @ a / (2 * l) + np.diag(rng.uniform(0.01, 0.05, l))
             stats = stats_from_covariance(np.zeros(l), sigma)
-            report = solve_risk_parity(stats, CFG)
+            report = solve_risk_parity(stats)
             contrib = risk_contributions(report.weights.w, sigma)
             assert contrib.max() / contrib.min() <= 1.001
 
@@ -171,12 +169,12 @@ def test_criterion_markowitz_duality():
         for _ in range(20):
             l = int(rng.integers(2, 5))
             stats = solver_instance(rng, l)
-            minvar = solve_min_variance(stats, CFG)
+            minvar = solve_min_variance(stats)
             base = float(stats.mu @ minvar.weights.w)
             r_min = base + rng.uniform(0.2, 0.8) * (stats.mu.max() - base)
-            first = solve_markowitz_min_risk(stats, r_min, CFG)
+            first = solve_markowitz_min_risk(stats, r_min)
             second = solve_markowitz_max_return(
-                stats, float(np.sqrt(first.objective_value)), CFG)
+                stats, float(np.sqrt(first.objective_value)))
             assert np.max(np.abs(first.weights.w - second.weights.w)) <= 0.01
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from portalloc import allocators
-from portalloc.allocators import (SolveReport, SolverConfig, Weights,
+from portalloc.allocators import (SolveReport, Weights,
                                   risk_contributions, solve,
                                   solve_markowitz_max_return,
                                   solve_markowitz_min_risk,
@@ -14,8 +14,6 @@ from portalloc.allocators import (SolveReport, SolverConfig, Weights,
                                   solve_risk_parity)
 from portalloc.errors import DataError, InfeasibleError, NumericError
 from portalloc.risk_models import stats_from_covariance
-
-CFG = SolverConfig()
 
 
 def random_stats(rng, l, corr_mix=0.5):
@@ -30,17 +28,17 @@ def random_stats(rng, l, corr_mix=0.5):
 class TestMinVariance:
     def test_diagonal_closed_form(self):
         stats = stats_from_covariance(np.zeros(2), np.diag([0.01, 0.04]))
-        report = solve_min_variance(stats, CFG)
+        report = solve_min_variance(stats)
         np.testing.assert_allclose(report.weights.w, [0.8, 0.2], atol=1e-6)
 
     def test_isotropic_gives_equal_weights(self):
         stats = stats_from_covariance(np.zeros(3), 0.02 * np.eye(3))
-        report = solve_min_variance(stats, CFG)
+        report = solve_min_variance(stats)
         np.testing.assert_allclose(report.weights.w, np.full(3, 1 / 3), atol=1e-8)
 
     def test_four_asset_grid_agreement(self, rng):
         stats = random_stats(rng, 4)
-        report = solve_min_variance(stats, CFG)
+        report = solve_min_variance(stats)
         w_grid, f_grid = oracles.grid_min_quadratic(stats.sigma_mat)
         assert np.max(np.abs(report.weights.w - w_grid)) < 0.01
         assert report.objective_value <= f_grid * (1 + 1e-4)
@@ -48,41 +46,41 @@ class TestMinVariance:
     def test_scale_invariance(self, rng):
         stats = random_stats(rng, 3)
         scaled = stats_from_covariance(stats.mu, 7.5 * stats.sigma_mat)
-        a = solve_min_variance(stats, CFG).weights.w
-        b = solve_min_variance(scaled, CFG).weights.w
+        a = solve_min_variance(stats).weights.w
+        b = solve_min_variance(scaled).weights.w
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_permutation_equivariance(self, rng):
         stats = random_stats(rng, 4)
         perm = [3, 1, 0, 2]
         permuted = stats_from_covariance(stats.mu[perm], stats.sigma_mat[np.ix_(perm, perm)])
-        a = solve_min_variance(stats, CFG).weights.w
-        b = solve_min_variance(permuted, CFG).weights.w
+        a = solve_min_variance(stats).weights.w
+        b = solve_min_variance(permuted).weights.w
         np.testing.assert_allclose(b, a[perm], atol=1e-6)
 
 
 class TestMaxDiversification:
     def test_single_asset_ratio_one(self):
         stats = stats_from_covariance(np.zeros(1), np.array([[0.04]]))
-        report = solve_max_diversification(stats, CFG)
+        report = solve_max_diversification(stats)
         np.testing.assert_allclose(report.weights.w, [1.0])
         np.testing.assert_allclose(report.objective_value, 1.0, atol=1e-12)
 
     def test_diagonal_closed_form(self):
         stats = stats_from_covariance(np.zeros(2), np.diag([0.01, 0.04]))
-        report = solve_max_diversification(stats, CFG)
+        report = solve_max_diversification(stats)
         np.testing.assert_allclose(report.weights.w, [2 / 3, 1 / 3], atol=1e-6)
 
     def test_ratio_at_least_one(self, rng):
         # weighted average of vols dominates portfolio vol when correlations <= 1
         for _ in range(10):
             stats = random_stats(rng, int(rng.integers(2, 5)))
-            report = solve_max_diversification(stats, CFG)
+            report = solve_max_diversification(stats)
             assert report.objective_value >= 1.0 - 1e-9
 
     def test_grid_agreement(self, rng):
         stats = random_stats(rng, 3)
-        report = solve_max_diversification(stats, CFG)
+        report = solve_max_diversification(stats)
         w_grid, d_grid = oracles.grid_max_diversification(stats.sigma_mat, stats.vols)
         assert np.max(np.abs(report.weights.w - w_grid)) < 0.01
         assert report.objective_value >= d_grid * (1 - 1e-4)
@@ -93,26 +91,26 @@ class TestMaxDiversification:
         stats = stats_from_covariance(np.zeros(2), sigma)
         from portalloc.errors import NumericError
         with pytest.raises(NumericError, match="degenerate risk"):
-            solve_max_diversification(stats, CFG)
+            solve_max_diversification(stats)
 
 
 class TestMaxDecorrelation:
     def test_identity_gives_equal_weights(self):
         stats = stats_from_covariance(np.zeros(4), 0.04 * np.eye(4))
-        report = solve_max_decorrelation(stats, CFG)
+        report = solve_max_decorrelation(stats)
         np.testing.assert_allclose(report.weights.w, np.full(4, 0.25), atol=1e-8)
 
     def test_perfect_correlation_flags_non_unique(self):
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]])  # corr == 1 everywhere
         stats = stats_from_covariance(np.zeros(2), sigma + 1e-12 * np.eye(2))
-        report = solve_max_decorrelation(stats, CFG)
+        report = solve_max_decorrelation(stats)
         assert abs(report.weights.w.sum() - 1.0) < 1e-8
         assert report.non_unique
         np.testing.assert_allclose(report.objective_value, 1.0, atol=1e-6)
 
     def test_grid_agreement(self, rng):
         stats = random_stats(rng, 3)
-        report = solve_max_decorrelation(stats, CFG)
+        report = solve_max_decorrelation(stats)
         w_grid, f_grid = oracles.grid_min_quadratic(stats.corr)
         assert np.max(np.abs(report.weights.w - w_grid)) < 0.01
         assert report.objective_value <= f_grid * (1 + 1e-4)
@@ -121,68 +119,79 @@ class TestMaxDecorrelation:
 class TestMarkowitz:
     def test_symmetric_instance_splits_evenly(self):
         stats = stats_from_covariance(np.array([0.1, 0.1]), 0.04 * np.eye(2))
-        report = solve_markowitz_min_risk(stats, 0.1, CFG)
+        report = solve_markowitz_min_risk(stats, 0.1)
         np.testing.assert_allclose(report.weights.w, [0.5, 0.5], atol=1e-6)
 
     def test_infeasible_target_rejected(self):
         stats = stats_from_covariance(np.array([0.05, 0.10]), 0.04 * np.eye(2))
         with pytest.raises(InfeasibleError, match="infeasible return target"):
-            solve_markowitz_min_risk(stats, 0.12, CFG)
+            solve_markowitz_min_risk(stats, 0.12)
+
+    def test_nan_floor_rejected(self):
+        stats = stats_from_covariance(np.array([0.05, 0.10]), 0.04 * np.eye(2))
+        with pytest.raises(DataError, match="r_min"):
+            solve_markowitz_min_risk(stats, float("nan"))
 
     def test_floor_holds_and_beats_grid(self, rng):
         for _ in range(5):
             stats = random_stats(rng, 3)
-            minvar = solve_min_variance(stats, CFG)
+            minvar = solve_min_variance(stats)
             base = float(stats.mu @ minvar.weights.w)
             r_min = base + 0.5 * (stats.mu.max() - base)
-            report = solve_markowitz_min_risk(stats, r_min, CFG)
+            report = solve_markowitz_min_risk(stats, r_min)
             assert float(stats.mu @ report.weights.w) >= r_min - 1e-8
             _, f_grid = oracles.grid_min_risk_with_floor(stats.sigma_mat, stats.mu, r_min)
             assert report.objective_value <= f_grid * (1 + 1e-4)
 
     def test_huge_cap_picks_best_mean(self):
         stats = stats_from_covariance(np.array([0.05, 0.11, 0.08]), 0.04 * np.eye(3))
-        report = solve_markowitz_max_return(stats, sigma_max=10.0, cfg=CFG)
+        report = solve_markowitz_max_return(stats, sigma_max=10.0)
         np.testing.assert_allclose(report.weights.w, [0.0, 1.0, 0.0], atol=1e-8)
+
+    def test_infinite_cap_picks_best_mean(self):
+        stats = stats_from_covariance(np.array([0.05, 0.11, 0.08]), 0.04 * np.eye(3))
+        report = solve_markowitz_max_return(stats, np.inf)
+        np.testing.assert_allclose(report.weights.w, [0.0, 1.0, 0.0], atol=1e-8)
+        assert report.converged and report.active_constraints == ("w[0]=0", "w[2]=0")
 
     def test_cap_at_minvar_vol_returns_minvar(self, rng):
         stats = random_stats(rng, 3)
-        minvar = solve_min_variance(stats, CFG)
-        report = solve_markowitz_max_return(stats, np.sqrt(minvar.objective_value), CFG)
+        minvar = solve_min_variance(stats)
+        report = solve_markowitz_max_return(stats, np.sqrt(minvar.objective_value))
         np.testing.assert_allclose(report.weights.w, minvar.weights.w, atol=5e-4)
 
     def test_infeasible_cap_rejected(self, rng):
         stats = random_stats(rng, 3)
-        minvar = solve_min_variance(stats, CFG)
+        minvar = solve_min_variance(stats)
         with pytest.raises(InfeasibleError, match="infeasible risk cap"):
-            solve_markowitz_max_return(stats, np.sqrt(minvar.objective_value) * 0.9, CFG)
+            solve_markowitz_max_return(stats, np.sqrt(minvar.objective_value) * 0.9)
 
     def test_duality_round_trip(self, rng):
         for _ in range(5):
             stats = random_stats(rng, int(rng.integers(2, 5)))
-            minvar = solve_min_variance(stats, CFG)
+            minvar = solve_min_variance(stats)
             base = float(stats.mu @ minvar.weights.w)
             r_min = base + rng.uniform(0.2, 0.8) * (stats.mu.max() - base)
-            first = solve_markowitz_min_risk(stats, r_min, CFG)
-            second = solve_markowitz_max_return(stats, np.sqrt(first.objective_value), CFG)
+            first = solve_markowitz_min_risk(stats, r_min)
+            second = solve_markowitz_max_return(stats, np.sqrt(first.objective_value))
             assert np.max(np.abs(first.weights.w - second.weights.w)) < 0.01
 
 
 class TestRiskParity:
     def test_diagonal_closed_form(self):
         stats = stats_from_covariance(np.zeros(2), np.diag([0.01, 0.04]))
-        report = solve_risk_parity(stats, CFG)
+        report = solve_risk_parity(stats)
         np.testing.assert_allclose(report.weights.w, [2 / 3, 1 / 3], atol=1e-9)
 
     def test_isotropic_gives_equal_weights(self):
         stats = stats_from_covariance(np.zeros(3), 0.05 * np.eye(3))
-        report = solve_risk_parity(stats, CFG)
+        report = solve_risk_parity(stats)
         np.testing.assert_allclose(report.weights.w, np.full(3, 1 / 3), atol=1e-10)
 
     def test_contribution_spread(self, rng):
         for _ in range(10):
             stats = random_stats(rng, int(rng.integers(2, 5)))
-            report = solve_risk_parity(stats, CFG)
+            report = solve_risk_parity(stats)
             contrib = risk_contributions(report.weights.w, stats.sigma_mat)
             assert contrib.max() / contrib.min() <= 1.001
 
@@ -194,18 +203,32 @@ class TestRiskParity:
         for _ in range(10000):
             w = np.sqrt(w / (sigma @ w))
             w /= w.sum()
-        report = solve_risk_parity(stats, CFG)
+        report = solve_risk_parity(stats)
         np.testing.assert_allclose(report.weights.w, w, atol=1e-6)
 
     def test_singular_covariance_directs_to_shrinkage(self):
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]]) + 0.0
         stats = stats_from_covariance(np.zeros(2), sigma + 1e-13 * np.eye(2))
         with pytest.raises(DataError, match="shrink_covariance"):
-            solve_risk_parity(stats, CFG)
+            solve_risk_parity(stats)
+
+    def test_ill_conditioned_covariances_converge(self):
+        # condition numbers 1e4-1e8 on 8-24 assets, all within the singularity check
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            l, cond = int(rng.integers(8, 25)), 10 ** rng.uniform(4, 8)
+            q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+            sigma = (q * np.logspace(-4, -4 - np.log10(cond), l)) @ q.T
+            stats = stats_from_covariance(np.zeros(l), 0.5 * (sigma + sigma.T))
+            report = solve_risk_parity(stats)
+            contrib = risk_contributions(report.weights.w, stats.sigma_mat)
+            assert report.converged
+            assert contrib.max() / contrib.min() - 1.0 <= 1e-6
+            assert report.iterations < allocators._NEWTON_STEPS
 
     def test_grid_agreement_on_scale_free_objective(self, rng):
         stats = random_stats(rng, 3)
-        report = solve_risk_parity(stats, CFG)
+        report = solve_risk_parity(stats)
         w_grid, _ = oracles.grid_equal_risk_contribution(stats.sigma_mat)
         assert np.max(np.abs(report.weights.w - w_grid)) < 0.01
 
@@ -225,7 +248,7 @@ class TestDispatchAndReports:
             stats = random_stats(rng, l)
             for method in ("minvariance", "maxdiversification", "maxdecorrelation",
                            "riskparity"):
-                report = solve(method, stats, CFG)
+                report = solve(method, stats)
                 assert isinstance(report, SolveReport)
                 Weights(report.weights.w)  # re-validates invariants
                 assert abs(report.weights.w.sum() - 1.0) <= 1e-8
@@ -255,24 +278,24 @@ class TestExactCore:
             ones = np.ones((1, l))
             zero = np.zeros(l)
             for q, method in ((sigma, "minvariance"), (stats.corr, "maxdecorrelation")):
-                report = solve(method, stats, CFG)
+                report = solve(method, stats)
                 assert report.converged and not report.non_unique
                 assert kkt_residual(q, zero, ones, np.ones(1), report.weights.w)[0] <= 1e-10
 
-            w = solve("maxdiversification", stats, CFG).weights.w
+            w = solve("maxdiversification", stats).weights.w
             y = w / float(vols @ w)
             assert kkt_residual(sigma, zero, vols[None], np.ones(1), y)[0] <= 1e-10
 
-            base = float(mu @ solve("minvariance", stats, CFG).weights.w)
+            base = float(mu @ solve("minvariance", stats).weights.w)
             r_min = base + rng.uniform(0.2, 0.8) * (mu.max() - base)
-            floor = solve("markowitz", stats, CFG, r_min=r_min)
+            floor = solve("markowitz", stats, r_min=r_min)
             assert floor.converged and "return_target" in floor.active_constraints
             res, nu = kkt_residual(sigma, zero, np.vstack([ones, mu]), np.array([1.0, r_min]),
                                    floor.weights.w)
             assert res <= 1e-10 and nu[1] >= 0
 
             cap = floor.objective_value
-            capped = solve("maxreturn", stats, CFG, sigma_max=float(np.sqrt(cap)))
+            capped = solve("maxreturn", stats, sigma_max=float(np.sqrt(cap)))
             w = capped.weights.w
             assert capped.converged and "risk_cap" in capped.active_constraints
             assert abs(float(w @ sigma @ w) - cap) <= 1e-10 * np.abs(sigma).max()
@@ -288,18 +311,18 @@ class TestExactCore:
         keep = [0, 1, 2, 0]
         doubled = stats_from_covariance(stats.mu[keep], stats.sigma_mat[np.ix_(keep, keep)])
         for method in ("minvariance", "maxdiversification", "maxdecorrelation"):
-            report = solve(method, doubled, CFG)
+            report = solve(method, doubled)
             assert report.converged and report.non_unique
             np.testing.assert_allclose(report.objective_value,
-                                       solve(method, stats, CFG).objective_value, rtol=1e-12)
+                                       solve(method, stats).objective_value, rtol=1e-12)
 
     def test_well_conditioned_never_non_unique(self, rng):
         for _ in range(10):
             stats = random_stats(rng, int(rng.integers(2, 9)))
-            base = float(stats.mu @ solve_min_variance(stats, CFG).weights.w)
+            base = float(stats.mu @ solve_min_variance(stats).weights.w)
             r_min = 0.5 * (base + float(stats.mu.max()))
-            floor = solve_markowitz_min_risk(stats, r_min, CFG)
-            reports = [solve(method, stats, CFG, r_min=r_min,
+            floor = solve_markowitz_min_risk(stats, r_min)
+            reports = [solve(method, stats, r_min=r_min,
                              sigma_max=float(np.sqrt(floor.objective_value)))
                        for method in ("minvariance", "maxdiversification", "maxdecorrelation",
                                       "markowitz", "maxreturn", "riskparity")]
@@ -308,11 +331,11 @@ class TestExactCore:
 
     def test_tied_best_means_at_the_top(self):
         stats = stats_from_covariance(np.array([0.1, 0.1, 0.05]), np.diag([0.04, 0.01, 0.02]))
-        floor = solve_markowitz_min_risk(stats, 0.1, CFG)
+        floor = solve_markowitz_min_risk(stats, 0.1)
         np.testing.assert_allclose(floor.weights.w, [0.2, 0.8, 0.0], atol=1e-12)
         assert floor.converged and "return_target" in floor.active_constraints
         # a slack cap leaves every best-mean mix inside it optimal
-        capped = solve_markowitz_max_return(stats, 1.0, CFG)
+        capped = solve_markowitz_max_return(stats, 1.0)
         np.testing.assert_allclose(capped.weights.w, [0.2, 0.8, 0.0], atol=1e-12)
         assert capped.non_unique and capped.converged
         np.testing.assert_allclose(capped.objective_value, 0.1, rtol=1e-12)
@@ -320,8 +343,8 @@ class TestExactCore:
     @pytest.mark.parametrize("l", [2, 5, 24])
     def test_cap_exactly_at_min_variance_vol(self, rng, l):
         stats = random_stats(rng, l)
-        minvar = solve_min_variance(stats, CFG)
-        report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)), CFG)
+        minvar = solve_min_variance(stats)
+        report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)))
         np.testing.assert_allclose(report.weights.w, minvar.weights.w, atol=1e-7)
         assert report.converged and "risk_cap" in report.active_constraints
 
@@ -333,9 +356,9 @@ class TestExactCore:
             rows = rng.normal(scale=0.01, size=(4, 24))
             sigma = np.cov(rows, rowvar=False)
             stats = stats_from_covariance(rows.mean(axis=0), 0.5 * (sigma + sigma.T))
-            minvar = solve_min_variance(stats, CFG)
+            minvar = solve_min_variance(stats)
             base = float(stats.mu @ minvar.weights.w)
-            floor = solve_markowitz_min_risk(stats, 0.5 * (base + stats.mu.max()), CFG)
+            floor = solve_markowitz_min_risk(stats, 0.5 * (base + stats.mu.max()))
             for report in (minvar, floor):
                 assert report.objective_value >= 0.0
                 assert np.isfinite(np.sqrt(report.objective_value))
@@ -350,9 +373,9 @@ class TestExactCore:
             sigma = np.cov(rows, rowvar=False)
             stats = stats_from_covariance(rows.mean(axis=0), 0.5 * (sigma + sigma.T))
             best = oracles.best_zero_variance_return(rows)
-            minvar = solve_min_variance(stats, CFG)
+            minvar = solve_min_variance(stats)
             for sigma_max in (float(np.sqrt(minvar.objective_value)), 1e-12):
-                report = solve_markowitz_max_return(stats, sigma_max, CFG)
+                report = solve_markowitz_max_return(stats, sigma_max)
                 assert report.converged
                 assert abs(float(stats.mu @ report.weights.w) - best) <= 1e-6 * abs(best)
 
@@ -417,9 +440,8 @@ def test_cap_at_min_variance_vol_returns_its_weights_to_rounding():
     for m in (2, 3, 5, 8, 24):
         for seed in range(40):
             stats = random_stats(np.random.default_rng(seed), m)
-            minvar = solve_min_variance(stats, CFG)
-            report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)),
-                                                CFG)
+            minvar = solve_min_variance(stats)
+            report = solve_markowitz_max_return(stats, float(np.sqrt(minvar.objective_value)))
             assert np.abs(report.weights.w - minvar.weights.w).max() <= 1e-12
             assert report.converged and "risk_cap" in report.active_constraints
 
@@ -442,11 +464,11 @@ def test_every_exact_program_is_certified(m, extra, seed, fraction):
     sigma, mu, vols = stats.sigma_mat, stats.mu, stats.vols
     ones, zero = np.ones((1, m)), np.zeros(m)
     for q, method in ((sigma, "minvariance"), (stats.corr, "maxdecorrelation")):
-        report = solve(method, stats, CFG)
+        report = solve(method, stats)
         if report.converged:
             assert kkt_residual(q, zero, ones, np.ones(1), report.weights.w)[0] <= 1e-10
     try:
-        report = solve("maxdiversification", stats, CFG)
+        report = solve("maxdiversification", stats)
     except NumericError:  # a zero-variance portfolio on a singular covariance
         assert np.linalg.matrix_rank(sigma) < m
     else:
@@ -454,16 +476,16 @@ def test_every_exact_program_is_certified(m, extra, seed, fraction):
         if report.converged:
             assert kkt_residual(sigma, zero, vols[None], np.ones(1), y)[0] <= 1e-10
 
-    base = float(mu @ solve("minvariance", stats, CFG).weights.w)
+    base = float(mu @ solve("minvariance", stats).weights.w)
     r_min = base + fraction * (mu.max() - base)
-    floor = solve("markowitz", stats, CFG, r_min=r_min)
+    floor = solve("markowitz", stats, r_min=r_min)
     # multiplier signs hold to the residual's tolerance, in the residual's
     # scale (|S| scaled to 1): a floor met at zero variance has multiplier 0
     if floor.converged and "return_target" in floor.active_constraints:
         res, nu = kkt_residual(sigma, zero, np.vstack([ones, mu]), np.array([1.0, r_min]),
                                floor.weights.w)
         assert res <= 1e-10 and nu[1] * np.abs(mu).max() >= -1e-10
-    capped = solve("maxreturn", stats, CFG, sigma_max=float(np.sqrt(floor.objective_value)))
+    capped = solve("maxreturn", stats, sigma_max=float(np.sqrt(floor.objective_value)))
     w = capped.weights.w
     if capped.converged and "risk_cap" in capped.active_constraints:
         assert abs(float(w @ sigma @ w) - floor.objective_value) <= 1e-10 * np.abs(sigma).max()

@@ -156,6 +156,19 @@ class TestTrainCommand:
                      "--outdir", str(tmp_path / "o")] + FAST)
         assert code == 2
 
+    @pytest.mark.parametrize("setting", [
+        "--max-leverage=nan", "--max-leverage=inf", "--l2-coeff=nan",
+        "--learning-rate=nan", "--noise-std=nan", "--noise-std=inf",
+    ])
+    def test_non_finite_settings_exit_2(self, tmp_path, capsys, setting):
+        src = tmp_path / "data"
+        main(synth_args(src))
+        frame = load_price_csv(str(src / "prices.csv"))
+        capsys.readouterr()
+        argv = train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+        assert main(argv + [setting]) == 2
+        assert setting[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def setup_data(self, tmp_path):
@@ -346,6 +359,7 @@ class TestConfigFile:
     (["allocate", "--method", "markowitz", "--r-min", "nope"], 1, "r_min"),
     (["compare", "--models", "equalweight", "--horizons", "2y:abc"], 1, "horizons"),
     (["plot", "--curves", "BAD_CSV"], 2, "malformed row"),
+    (["allocate", "--method", "markowitz", "--r-min", "nan"], 2, "r_min"),
 ])
 def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle):
     src = tmp_path / "data"
@@ -364,7 +378,7 @@ def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle
 
 @pytest.mark.parametrize("setting", [
     "--cost-rate=-0.001", "--trad-leverage=-1", "--trad-leverage=inf",
-    "--ew-leverage=-0.5", "--ew-leverage=nan", "--rebalance=0",
+    "--ew-leverage=-0.5", "--ew-leverage=nan", "--rebalance=0", "--horizons=2y:-5",
 ])
 def test_bad_compare_settings_exit_2(tmp_path, capsys, setting):
     src = tmp_path / "data"
@@ -372,8 +386,8 @@ def test_bad_compare_settings_exit_2(tmp_path, capsys, setting):
     frame = load_price_csv(str(src / "prices.csv"))
     capsys.readouterr()
     code = main(["compare", "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
-                 "--initial-train-end", str(frame.dates[280]), "--models", "equalweight",
-                 setting] + FAST)
+                 "--initial-train-end", str(frame.dates[280]), "--models", "equalweight"]
+                + FAST + [setting])
     assert code == 2
     key = setting[2:].split("=")[0].replace("-", "_")
     assert key in capsys.readouterr().err
