@@ -21,10 +21,17 @@ walked up from the minimum-variance portfolio until mu'w meets a return
 floor or w'Sw a risk cap, at an exact root; a caller that already holds the
 minimum-variance report of the same moments (the walk-forward comparison
 solves it once per rebalance date) passes it in as minvar. On a face whose
-Q_FF is positive definite beyond the certificate tolerance, a step is one
-solve of the bordered KKT system [Q_FF 1; 1' 0]; otherwise the reduced
-Hessian is eigen-decomposed to find the flat directions. iterations counts
-the faces walked, plus those of the minimum-variance walk for markowitz and
+Q_FF is positive definite beyond the certificate tolerance, one
+factorization of the bordered KKT system [Q_FF 1; 1' 0] gives the face's
+critical line y0 + lam d; otherwise the reduced Hessian is eigen-decomposed
+to find the flat directions. Minimum variance, markowitz and maxreturn take
+the previous rebalance date's report as start and guess its support as the
+optimal face (a parametric warm start, Best & Ritter 1985): the point where
+that face's line meets lam = 0, the floor or the cap is kept if the KKT
+certificate passes, and the walk runs only if it fails. Every walk ends
+with the same solve on its final face, so a guess and a walk that end on
+one face return the same bits. iterations counts the faces walked (a kept
+guess is one), plus those of the minimum-variance solve for markowitz and
 maxreturn; maxdiversification reports its maximum-decorrelation solve's
 count and flags. converged means a KKT residual <= 1e-10 with Q scaled to a
 largest entry of 1; non_unique means a zero eigenvalue of the reduced
@@ -96,6 +103,26 @@ def _multipliers(q, c, y, free):
     return g - g[free].mean()
 
 
+def _on_face(q, v, face):
+    """(y0, d): the critical line y(lam) = y0 + lam d of argmin
+    1/2 y'Qy - lam v'y with the assets off the face at zero and no bounds on
+    the face, from one factorization of the bordered KKT system
+    [Q_FF 1; 1' 0] solved for [0; 1] (y0) and [v_F; 0] (d). None if
+    Q_FF - _TOL I has no Cholesky factor, so that the system may be singular."""
+    qff = q[np.ix_(face, face)]
+    k = qff.shape[0]
+    try:
+        np.linalg.cholesky(qff - _TOL * np.eye(k))
+    except np.linalg.LinAlgError:
+        return None
+    bordered, rhs = np.ones((k + 1, k + 1)), np.zeros((k + 1, 2))
+    bordered[:k, :k], bordered[k, k] = qff, 0.0
+    rhs[k, 0], rhs[:k, 1] = 1.0, v[face]
+    line = np.zeros((len(v), 2))
+    line[face] = np.linalg.solve(bordered, rhs)[:k]
+    return line[:, 0], line[:, 1]
+
+
 def _face_direction(q, free, g):
     """(p, flat): for the gradient g, the Newton step p within the face of the
     free assets at constant sum, or descent along a flat direction of a
@@ -104,22 +131,16 @@ def _face_direction(q, free, g):
 
     If Q_FF - _TOL I has a Cholesky factor, every eigenvalue of Q_FF, and so
     (by Cauchy interlacing) of the reduced Hessian, exceeds _TOL: no
-    direction is flat, and p solves the bordered KKT system
-    [Q_FF 1; 1' 0] [p; nu] = [-g_F; 0]. Otherwise the reduced Hessian is
-    eigen-decomposed (_eigen_face_direction)."""
-    qff, gf = q[np.ix_(free, free)], g[free]
-    k = gf.size
-    try:
-        np.linalg.cholesky(qff - _TOL * np.eye(k))
-    except np.linalg.LinAlgError:
+    direction is flat, and p is the direction d of _on_face(q, -g, free).
+    Otherwise the reduced Hessian is eigen-decomposed
+    (_eigen_face_direction)."""
+    line = _on_face(q, -g, free)
+    if line is None:
         return _eigen_face_direction(q, free, g)
-    p = np.zeros(g.size)
+    gf = g[free]
     if np.abs(gf - gf.mean()).max() <= _EPS:
-        return p, False
-    bordered = np.ones((k + 1, k + 1))
-    bordered[:k, :k], bordered[k, k] = qff, 0.0
-    p[free] = np.linalg.solve(bordered, np.append(-gf, 0.0))[:k]
-    return p, False
+        return np.zeros(g.size), False
+    return line[1], False
 
 
 def _eigen_face_direction(q, free, g):
@@ -191,32 +212,71 @@ def _certify(q, c, y, free):
     return kkt, non_unique
 
 
+def _warm_or_walk(q, v, stop, gap, start, walk):
+    """(y, lam, kkt, non_unique, faces, stopped) at the caller's stop. A face
+    is settled where its critical line (_on_face) meets stop(y0, d, 0, False)
+    if that point is certified: lam finite and positive (or v = 0; on the
+    frontier lam = 0 is the minimum-variance report, kept as it is), y > 0 on
+    the face, and the KKT residual of min 1/2 y'Qy - lam v'y and gap(y), the
+    floor or cap residual, within _TOL. The support of start, an earlier
+    report on the same assets, is tried first and counts as one face.
+    Otherwise walk() returns (y, lam, free, faces, stopped), and a stopped
+    walk is settled on its final support, so that a guessed and a walked
+    solve that end on one face return the same bits."""
+    def settle(face):
+        line = _on_face(q, v, face)
+        lam = -1.0 if line is None else stop(*line, 0.0, False)
+        if not (0.0 < lam < np.inf or (lam == 0.0 and not v.any())):
+            return None
+        y = line[0] + lam * line[1]
+        if y[face].min() <= 0.0:
+            return None
+        kkt, non_unique = _certify(q, -lam * v, y, face)
+        return (y, lam, kkt, non_unique) if max(kkt, gap(y)) <= _TOL else None
+
+    if start is not None and start.weights.w.size == v.size:
+        point = settle(start.weights.w > 0)
+        if point is not None:
+            return (*point, 1, True)
+    y, lam, free, faces, stopped = walk()
+    point = settle(y > 0) if stopped else None
+    if point is None:
+        point = (y, lam, *_certify(q, -lam * v, y, free))
+    return (*point, faces, stopped)
+
+
 def _variance(w: np.ndarray, q: np.ndarray) -> float:
     """w'Qw for a PSD Q, clamped at 0: on a singular Q rounding can leave it
     slightly negative, and its square root is reported as a volatility."""
     return max(float(w @ q @ w), 0.0)
 
 
-def _min_quadratic(q: np.ndarray) -> SolveReport:
-    """min y'Qy on the simplex, walked with Q scaled to a largest entry of 1
-    so that the tolerances are relative. The vertex k with the least q_kk
-    minimizes 1/2 y'Qy + lam y_k for every lam up to min_i (q_ik - q_kk),
-    where the first bound multiplier reaches zero; the walk goes from there
-    to lam = 0."""
+def _min_quadratic(q: np.ndarray, start: SolveReport | None = None) -> SolveReport:
+    """min y'Qy on the simplex, with Q scaled to a largest entry of 1 so that
+    the tolerances are relative: on start's support if that certifies, else
+    walked. The vertex k with the least q_kk minimizes 1/2 y'Qy + lam y_k for
+    every lam up to min_i (q_ik - q_kk), where the first bound multiplier
+    reaches zero; the walk goes from there to lam = 0."""
     scaled = q / np.abs(q).max()
     k = int(np.argmin(np.diag(scaled)))
     vertex = np.eye(len(q))[k]
-    lam = float(np.min(scaled[:, k] - scaled[k, k]))
-    # stop at lam = 0; a flat step before it runs to its turning point
-    y, _, free, faces, _ = _walk(scaled, -vertex, vertex, lam,
-                                 lambda y, d, lam, flat: np.inf if flat and lam < 0 else -lam)
-    kkt, non_unique = _certify(scaled, np.zeros(len(q)), y, free)
+
+    def walk():
+        lam = float(np.min(scaled[:, k] - scaled[k, k]))
+        # stop at lam = 0; a flat step before it runs to its turning point
+        y, _, free, faces, _ = _walk(scaled, -vertex, vertex, lam, lambda y, d, lam, flat: (
+            np.inf if flat and lam < 0 else -lam))
+        return y, 0.0, free, faces, True
+
+    y, _, kkt, non_unique, faces, _ = _warm_or_walk(
+        scaled, np.zeros(len(q)), lambda *_: 0.0, lambda y: 0.0, start, walk)
     return _finish(y, _variance(y, q), faces, kkt <= _TOL, non_unique=non_unique)
 
 
-def solve_min_variance(stats: CovarianceStats) -> SolveReport:
-    """Minimize portfolio variance w'Sw on the simplex."""
-    return _min_quadratic(stats.sigma_mat)
+def solve_min_variance(stats: CovarianceStats, start: SolveReport | None = None) -> SolveReport:
+    """Minimize portfolio variance w'Sw on the simplex. start, if given, is
+    an earlier report on the same assets whose support is tried first."""
+    return _min_quadratic(stats.sigma_mat, start)
 
 
 def solve_max_decorrelation(stats: CovarianceStats) -> SolveReport:
@@ -241,14 +301,17 @@ def solve_max_diversification(stats: CovarianceStats) -> SolveReport:
 
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
-                             minvar: SolveReport | None = None) -> SolveReport:
+                             minvar: SolveReport | None = None,
+                             start: SolveReport | None = None) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
     If the minimum-variance portfolio misses the floor, the floor binds: the
     frontier is walked up from it until mu'w = r_min, where the frontier
     multiplier lam >= 0 is the floor's. Infeasible targets (r_min above every
     asset mean) are rejected, never clamped. minvar, if given, is
-    solve_min_variance(stats), which is then not solved again.
+    solve_min_variance(stats), which is then not solved again. start, if
+    given, is an earlier report on the same assets whose support is tried
+    first as the face of the floor.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if np.isnan(r_min):
@@ -266,16 +329,21 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     # S and mu scaled to a largest entry of 1, and the floor with mu
     scale = np.abs(mu).max() or 1.0
     q, v, r = sigma / np.abs(sigma).max(), mu / scale, min(r_min, float(np.max(mu))) / scale
-    y, lam, free, faces, _ = _walk(q, v, w0, 0.0, lambda y, d, lam, flat: (
-        (r - v @ y) / (v @ d) if v @ d > 0 else np.inf))
-    kkt, non_unique = _certify(q, -lam * v, y, free)
+
+    def floor_root(y, d, lam, flat):
+        return (r - v @ y) / (v @ d) if v @ d > 0 else np.inf
+
+    y, _, kkt, non_unique, faces, _ = _warm_or_walk(
+        q, v, floor_root, lambda y: abs(r - float(v @ y)), start,
+        lambda: _walk(q, v, w0, 0.0, floor_root))
     conv = max(kkt, abs(r - float(v @ y))) <= _TOL
     return _finish(y, _variance(y, sigma), minvar.iterations + faces, conv,
                    ("return_target",), non_unique)
 
 
 def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
-                               minvar: SolveReport | None = None) -> SolveReport:
+                               minvar: SolveReport | None = None,
+                               start: SolveReport | None = None) -> SolveReport:
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
     sigma_max is a volatility; the cap applies to portfolio variance
@@ -283,6 +351,8 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     portfolio until its variance meets the cap, or to the frontier top (least
     variance among the best-mean assets) if that is within the cap. minvar,
     if given, is solve_min_variance(stats), which is then not solved again.
+    start, if given, is an earlier report on the same assets; if the cap
+    bound it, its support is tried first as the face of the cap.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
@@ -312,8 +382,10 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
             return (np.float64(gap) / (s + np.sqrt(s * s + dqd * gap))
                     if gap > rounding else 0.0)
 
-    y, lam, free, faces, stopped = _walk(q, v, minvar.weights.w, 0.0, variance_root)
-    kkt, non_unique = _certify(q, -lam * v, y, free)
+    capped = start is not None and "risk_cap" in start.active_constraints
+    y, lam, kkt, non_unique, faces, stopped = _warm_or_walk(
+        q, v, variance_root, lambda y: abs(cap_q - float(y @ q @ y)), start if capped else None,
+        lambda: _walk(q, v, minvar.weights.w, 0.0, variance_root))
     iters = minvar.iterations + faces
     if not stopped:
         # the frontier top meets the cap; the linear objective is flat on the
@@ -391,21 +463,24 @@ def method_names() -> tuple[str, ...]:
 
 
 def solve(method: str, stats: CovarianceStats, r_min: float | None = None,
-          sigma_max: float | None = None, minvar: SolveReport | None = None) -> SolveReport:
+          sigma_max: float | None = None, minvar: SolveReport | None = None,
+          start: SolveReport | None = None) -> SolveReport:
     """Dispatch over the named programs. markowitz requires r_min and
     maxreturn requires sigma_max. minvar, if given, is
     solve_min_variance(stats): minvariance returns it, and markowitz and
-    maxreturn start from it; the other programs do not use it."""
+    maxreturn start from it. start, if given, is the method's report on
+    earlier moments of the same assets, whose support minvariance, markowitz
+    and maxreturn try as their optimal face. The other programs use neither."""
     if method not in _METHODS:
         raise DataError(f"unknown method {method!r}; valid: {', '.join(_METHODS)}")
     if method == "markowitz":
         if r_min is None:
             raise DataError("method 'markowitz' requires r_min")
-        return solve_markowitz_min_risk(stats, r_min, minvar)
+        return solve_markowitz_min_risk(stats, r_min, minvar, start)
     if method == "maxreturn":
         if sigma_max is None:
             raise DataError("method 'maxreturn' requires sigma_max")
-        return solve_markowitz_max_return(stats, sigma_max, minvar)
-    if method == "minvariance" and minvar is not None:
-        return minvar
+        return solve_markowitz_max_return(stats, sigma_max, minvar, start)
+    if method == "minvariance":
+        return solve_min_variance(stats, start) if minvar is None else minvar
     return _METHODS[method](stats)

@@ -283,11 +283,13 @@ _FROM_MIN_VARIANCE = ("minvariance", "markowitz", "maxreturn")
 
 def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
                          cfg: CompareConfig, leverage: float,
-                         moments: dict[int, tuple]) -> DecideFn:
+                         moments: dict) -> DecideFn:
     """Re-solve `method` every cfg.rebalance steps. moments, shared by every
-    convex model of one comparison, maps a decision index t to (the moments
-    of the window ending at t, their minimum-variance report or None): each
-    is computed once, by the first model that needs it."""
+    convex model of one comparison and all its splits, maps a decision index
+    t to (the moments of the window ending at t, their minimum-variance
+    report or None): each is computed once, by the first model that needs
+    it. Under a method's name it holds that method's latest report, which
+    warm-starts its solve on the next rebalance date."""
     from .allocators import solve, solve_min_variance
     from .risk_models import estimate_stats
 
@@ -300,10 +302,13 @@ def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
                 sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
                 stats = estimate_stats(sub, cfg.est_window)
             if minvar is None and method in _FROM_MIN_VARIANCE:
-                minvar = solve_min_variance(stats)
+                minvar = moments["minvariance"] = solve_min_variance(
+                    stats, moments.get("minvariance"))
             moments[t] = stats, minvar
-            state["w"] = solve(method, stats, r_min=cfg.r_min,
-                               sigma_max=cfg.sigma_max, minvar=minvar).weights.w
+            report = solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max,
+                           minvar=minvar, start=moments.get(method))
+            moments[method] = report
+            state["w"] = report.weights.w
         return state["w"], leverage
 
     return decide
@@ -367,7 +372,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     per-split parameters are supplied in trained_params (split index -> params).
     Traditional models re-solve every cfg.rebalance steps on trailing stats;
     they share each rebalance date's moment estimate and minimum-variance
-    solve.
+    solve, and each solve is warm-started from the previous date's report.
     A model that loses 100% on a step is ruined: its curve stays at value 0,
     with zero leverage and weights, on every later test date, and the later
     splits are not traded.
@@ -388,7 +393,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     rf = bundle.rf
     m = rf.num_assets
     lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
-    moments: dict[int, tuple] = {}
+    moments: dict = {}
     reports = []
     for model in models:
         segments = []

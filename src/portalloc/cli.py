@@ -157,11 +157,14 @@ class _Parser(argparse.ArgumentParser):
 _COMMANDS = ("ingest", "synth", "allocate", "train", "backtest", "compare", "plot")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """Every subcommand, with the config flags on `command`'s alone."""
     parser = _Parser(prog="portalloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        if name != command:
+            continue
         p.add_argument("--config", default=None, help="flat key = value config file")
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
@@ -240,8 +243,14 @@ def _bundle(cfg: RunConfig) -> DataBundle:
 
 
 def _schedule(cfg: RunConfig, bundle: DataBundle):
-    return make_schedule(bundle.rf.dates, np.datetime64(cfg.initial_train_end, "D"),
-                         cfg.test_span)
+    try:
+        train_end = np.datetime64(cfg.initial_train_end, "D")
+    except ValueError:
+        train_end = np.datetime64("NaT")
+    if np.isnat(train_end):
+        raise UsageError(f"bad value for initial_train_end: "
+                         f"{cfg.initial_train_end!r} is not a date")
+    return make_schedule(bundle.rf.dates, train_end, cfg.test_span)
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -404,7 +413,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    # the subcommand is the first non-option: no top-level option takes a value
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)

@@ -191,6 +191,8 @@ class SyntheticSpec:
                 raise DataError(f"regime {i}: mean/vol length must equal num_assets")
             if reg.duration < 1:
                 raise DataError(f"regime {i}: duration must be >= 1")
+            if not (np.all(np.isfinite(reg.mean)) and np.all(np.isfinite(reg.vol))):
+                raise DataError(f"regime {i}: means and volatilities must be finite")
             if np.any(np.asarray(reg.vol) < 0):
                 raise DataError(f"regime {i}: volatilities must be >= 0")
             if not -1.0 <= reg.corr <= 1.0:

@@ -39,6 +39,8 @@ class NetworkArch:
         for f, k in self.asset_conv + self.context_conv:
             if f < 1 or k < 1:
                 raise DataError("conv filters and kernels must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise DataError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
         if not (math.isfinite(self.max_leverage) and self.max_leverage > 0):
             raise DataError(f"max_leverage must be finite and > 0, got {self.max_leverage!r}")
         if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0):

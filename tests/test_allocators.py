@@ -496,3 +496,120 @@ def test_every_exact_program_is_certified(m, extra, seed, fraction):
         assert kkt_residual(sigma, -lam * mu, ones, np.ones(1), w)[0] <= 1e-10
     if not (floor.non_unique or capped.non_unique):
         assert np.abs(w - floor.weights.w).max() <= 1e-10
+
+
+def rolling_windows(m=8, rows=900, window=120, stride=15, seed=11):
+    """Moments of the windows of a walk-forward over return rows whose drift
+    and factor loading change every 150 rows, so that the optimal free sets
+    of the three programs change along the walk."""
+    rng = np.random.default_rng(seed)
+    drift = np.repeat(rng.uniform(-0.002, 0.003, size=(rows // 150 + 1, m)), 150, axis=0)[:rows]
+    load = np.repeat(rng.uniform(0.2, 1.5, size=(rows // 150 + 1, m)), 150, axis=0)[:rows]
+    data = (drift + rng.normal(scale=0.01, size=(rows, m))
+            + load * rng.normal(scale=0.006, size=(rows, 1)))
+    out = []
+    for end in range(window, rows + 1, stride):
+        sigma = np.cov(data[end - window:end], rowvar=False)
+        out.append(stats_from_covariance(data[end - window:end].mean(axis=0),
+                                         0.5 * (sigma + sigma.T)))
+    return out
+
+
+def levels(stats):
+    """A floor and a cap that bind: the floor between the minimum-variance
+    return and the best mean, the cap at 1.3 times the minimum volatility."""
+    minvar = solve_min_variance(stats)
+    base = float(stats.mu @ minvar.weights.w)
+    return base + 0.4 * (float(stats.mu.max()) - base), 1.3 * float(np.sqrt(minvar.objective_value))
+
+
+def certificate(stats, report):
+    """_certify's KKT residual of the report's weights for min 1/2 w'Qw -
+    lam v'w, with Q and v scaled to a largest entry of 1: lam = 0 unless a
+    floor or cap binds, else lam recovered from the held assets'
+    stationarity, which needs two of them."""
+    q = stats.sigma_mat / np.abs(stats.sigma_mat).max()
+    v = stats.mu / np.abs(stats.mu).max()
+    w = report.weights.w
+    held = w > 0
+    lam = 0.0
+    if {"return_target", "risk_cap"} & set(report.active_constraints):
+        if held.sum() < 2:
+            return 0.0
+        lam = np.linalg.lstsq(np.column_stack([v, np.ones(len(w))])[held], (q @ w)[held],
+                              rcond=None)[0][0]
+    return allocators._certify(q, -lam * v, w, held)[0]
+
+
+class TestWarmStart:
+    """A solve given the previous rebalance date's report tries its support
+    as the optimal face; it must return what the cold walk returns."""
+
+    @pytest.mark.parametrize("method", ["minvariance", "markowitz", "maxreturn"])
+    def test_walk_forward_equals_cold_solves_bit_for_bit(self, monkeypatch, method):
+        walks = []
+        real_walk = allocators._walk
+
+        def counting_walk(*args):
+            walks.append(1)
+            return real_walk(*args)
+
+        monkeypatch.setattr(allocators, "_walk", counting_walk)
+        prev_minvar = prev = None
+        faces, accepted, walked = set(), 0, 0
+        for stats in rolling_windows():
+            r_min, sigma_max = levels(stats)
+            cold = solve(method, stats, r_min=r_min, sigma_max=sigma_max)
+            cold_base = 0 if method == "minvariance" else solve_min_variance(stats).iterations
+            before = len(walks)
+            minvar = solve_min_variance(stats, start=prev_minvar)
+            minvar_walked = len(walks) > before
+            before = len(walks)
+            warm = solve(method, stats, r_min=r_min, sigma_max=sigma_max, minvar=minvar,
+                         start=prev)
+            assert np.array_equal(warm.weights.w, cold.weights.w)
+            assert warm.converged and cold.converged
+            guessed = len(walks) == before and not (method == "minvariance" and minvar_walked)
+            base = 0 if method == "minvariance" else minvar.iterations
+            # an accepted guess counts as one face, on top of the min-variance
+            # solve; a walk from the same start counts the cold walk's faces
+            if guessed:
+                accepted += 1
+                assert warm.iterations == base + 1
+            else:
+                walked += 1
+                assert warm.iterations - base == cold.iterations - cold_base
+            faces.add(tuple(np.nonzero(warm.weights.w > 0)[0]))
+            prev_minvar, prev = minvar, warm
+        assert len(faces) > 2 and accepted > 0 and walked > 1
+
+    def test_start_on_other_assets_is_ignored(self):
+        stats = rolling_windows()[0]
+        start = solve_min_variance(stats_from_covariance(np.zeros(2), np.eye(2)))
+        assert np.array_equal(solve_min_variance(stats, start=start).weights.w,
+                              solve_min_variance(stats).weights.w)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(m=st.sampled_from([2, 3, 5, 8, 24]), extra=st.integers(-3, 40),
+       seed=st.integers(0, 2 ** 32 - 1), noise=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]))
+def test_warm_start_from_other_moments_equals_the_cold_solve(m, extra, seed, noise):
+    """start is the report on other moments of the same assets: the same
+    rows perturbed by noise, so its face is right for small noise and wrong
+    for large. The warm solve must equal the cold one and be certified."""
+    rows = max(2, m + extra)
+    stats = return_rows(rows, m, seed)
+    other = return_rows(rows, m, seed + 1)
+    other = stats_from_covariance(stats.mu + noise * (other.mu - stats.mu),
+                                  stats.sigma_mat + noise * (other.sigma_mat - stats.sigma_mat))
+    for method in ("minvariance", "markowitz", "maxreturn"):
+        r_min, sigma_max = levels(stats)
+        start = solve(method, other, *levels(other))
+        cold = solve(method, stats, r_min=r_min, sigma_max=sigma_max)
+        warm = solve(method, stats, r_min=r_min, sigma_max=sigma_max, start=start)
+        assert warm.converged == cold.converged
+        if not (warm.non_unique or cold.non_unique):
+            assert np.abs(warm.weights.w - cold.weights.w).max() <= 1e-12
+        if warm.converged and not warm.non_unique and (
+                method != "maxreturn" or "risk_cap" in warm.active_constraints):
+            assert certificate(stats, warm) <= 1e-10

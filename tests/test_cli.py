@@ -441,3 +441,58 @@ def test_zero_est_window_means_full_history(tmp_path):
                      "--outdir", str(out)] + flags) == 0
         weights.append(read(out / "weights.csv"))
     assert weights[0] == weights[1]
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("hidden", ["0", "-4", "8,0"])
+def test_hidden_sizes_below_one_exit_2(tmp_path, capsys, command, hidden):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+    argv[0] = command
+    if command == "compare":
+        argv += ["--models", "drl"]
+    assert main(argv + [f"--hidden={hidden}"]) == 2
+    assert "hidden sizes must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("train_end", ["notadate", "2001-02-30", ""])
+def test_initial_train_end_not_a_date_exits_1(tmp_path, capsys, command, train_end):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    capsys.readouterr()
+    argv = train_args(str(src / "prices.csv"), tmp_path / "o", train_end)
+    argv[0] = command
+    if command == "compare":
+        argv += ["--models", "equalweight"]
+    assert main(argv) == 1
+    assert f"initial_train_end: {train_end!r} is not a date" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("regimes, bad", [
+    ("nan,0.0|0.01,0.01|0.3|250", 0),
+    ("0.0,0.0|inf,0.01|0.3|250", 0),
+    ("0.0,0.0|0.01,0.01|0.3|250;0.0,-inf|0.01,0.01|0.3|250", 1),
+    ("0.0,0.0|0.01,0.01|0.3|250;0.0,0.0|0.01,nan|0.3|250", 1),
+])
+def test_non_finite_regimes_exit_2(tmp_path, capsys, regimes, bad):
+    assert main(synth_args(tmp_path / "o", regimes=regimes)) == 2
+    assert f"regime {bad}: means and volatilities must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth", "allocate", "train", "backtest",
+                                     "compare", "plot"])
+def test_every_subcommand_takes_every_config_flag(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--config", "--prices", "--initial-train-end", "--hidden", "--weights"):
+        assert flag in text
+    assert main(["frobnicate"]) == 1
+    assert ("invalid choice: 'frobnicate' (choose from 'ingest', 'synth', 'allocate', "
+            "'train', 'backtest', 'compare', 'plot')") in capsys.readouterr().err
