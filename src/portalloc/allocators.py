@@ -214,15 +214,13 @@ def _certify(q, c, y, free):
 
 def _warm_or_walk(q, v, stop, gap, start, walk):
     """(y, lam, kkt, non_unique, faces, stopped) at the caller's stop. A face
-    is settled where its critical line (_on_face) meets stop(y0, d, 0, False)
-    if that point is certified: lam finite and positive (or v = 0; on the
-    frontier lam = 0 is the minimum-variance report, kept as it is), y > 0 on
-    the face, and the KKT residual of min 1/2 y'Qy - lam v'y and gap(y), the
-    floor or cap residual, within _TOL. The support of start, an earlier
-    report on the same assets, is tried first and counts as one face.
-    Otherwise walk() returns (y, lam, free, faces, stopped), and a stopped
-    walk is settled on its final support, so that a guessed and a walked
-    solve that end on one face return the same bits."""
+    settles at the point where its critical line (_on_face) meets stop, if
+    lam > 0 (or v = 0: on the frontier lam = 0 is the minimum-variance
+    report, kept as it is), y_F > 0, and the KKT residual and gap(y), the
+    floor or cap residual, are within _TOL. start's support is tried first,
+    as one face; otherwise walk() -> (y, lam, free, faces, stopped) runs and
+    a stopped walk settles on its final support, so that a guess and a walk
+    that end on one face return the same bits."""
     def settle(face):
         line = _on_face(q, v, face)
         lam = -1.0 if line is None else stop(*line, 0.0, False)
@@ -253,10 +251,9 @@ def _variance(w: np.ndarray, q: np.ndarray) -> float:
 
 def _min_quadratic(q: np.ndarray, start: SolveReport | None = None) -> SolveReport:
     """min y'Qy on the simplex, with Q scaled to a largest entry of 1 so that
-    the tolerances are relative: on start's support if that certifies, else
-    walked. The vertex k with the least q_kk minimizes 1/2 y'Qy + lam y_k for
-    every lam up to min_i (q_ik - q_kk), where the first bound multiplier
-    reaches zero; the walk goes from there to lam = 0."""
+    the tolerances are relative. The vertex k with the least q_kk minimizes
+    1/2 y'Qy + lam y_k for every lam up to min_i (q_ik - q_kk), where the
+    first bound multiplier reaches zero; the walk goes from there to lam = 0."""
     scaled = q / np.abs(q).max()
     k = int(np.argmin(np.diag(scaled)))
     vertex = np.eye(len(q))[k]
@@ -274,8 +271,7 @@ def _min_quadratic(q: np.ndarray, start: SolveReport | None = None) -> SolveRepo
 
 
 def solve_min_variance(stats: CovarianceStats, start: SolveReport | None = None) -> SolveReport:
-    """Minimize portfolio variance w'Sw on the simplex. start, if given, is
-    an earlier report on the same assets whose support is tried first."""
+    """Minimize portfolio variance w'Sw on the simplex, warm-started from start."""
     return _min_quadratic(stats.sigma_mat, start)
 
 
@@ -309,9 +305,8 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     frontier is walked up from it until mu'w = r_min, where the frontier
     multiplier lam >= 0 is the floor's. Infeasible targets (r_min above every
     asset mean) are rejected, never clamped. minvar, if given, is
-    solve_min_variance(stats), which is then not solved again. start, if
-    given, is an earlier report on the same assets whose support is tried
-    first as the face of the floor.
+    solve_min_variance(stats), which is then not solved again. start
+    warm-starts the solve (see solve).
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if np.isnan(r_min):
@@ -351,8 +346,7 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     portfolio until its variance meets the cap, or to the frontier top (least
     variance among the best-mean assets) if that is within the cap. minvar,
     if given, is solve_min_variance(stats), which is then not solved again.
-    start, if given, is an earlier report on the same assets; if the cap
-    bound it, its support is tried first as the face of the cap.
+    start warm-starts the solve (see solve) if the cap bound it.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
