@@ -60,9 +60,6 @@ def make_schedule(dates: np.ndarray, initial_train_end: np.datetime64,
     return WalkForwardSchedule(tuple(splits))
 
 
-DecideFn = Callable[[int], tuple[np.ndarray, float]]
-
-
 @dataclass
 class EquityCurve:
     """Portfolio value path (P starts at 1.0) plus the decision paths."""
@@ -82,16 +79,20 @@ class EquityCurve:
         return growth - 1.0
 
 
-def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
-                 cost_rate: float, prev_position: np.ndarray | None = None) -> EquityCurve:
+def run_strategy(decide: Callable[[int], tuple[np.ndarray, float]], rf: ReturnFrame,
+                 t_start: int, t_end: int, cost_rate: float,
+                 prev_position: np.ndarray | None = None) -> EquityCurve:
     """Replay decisions over steps t in [t_start, t_end).
 
     decide(t) must use information up to t only; its action earns the asset
-    returns at t + 1. Step return = lvg_t * <w_t, r_{t+1}> minus
-    cost_rate * sum |lvg_t w_t - lvg_{t-1} w_{t-1}|. The initial previous
-    position defaults to flat (all zeros), so entering the market is charged.
-    A step loss of 100% or worse terminates the curve with bankrupt=True.
-    Non-finite weights or leverage raise NumericError.
+    returns at t + 1. It is called exactly once for each t, in order, before
+    any step is replayed, so also for the steps after a ruin. Step return =
+    lvg_t * <w_t, r_{t+1}> minus cost_rate * sum |lvg_t w_t - lvg_{t-1} w_{t-1}|.
+    The initial previous position defaults to flat (all zeros), so entering
+    the market is charged. A step return of -100% or worse (an overflow to
+    -inf included) terminates the curve at value 0 with bankrupt=True.
+    Non-finite weights or leverage, a NaN step return or a value that
+    overflows raise NumericError.
     """
     if not cost_rate >= 0:
         raise DataError("cost_rate must be >= 0")
@@ -101,34 +102,32 @@ def run_strategy(decide: DecideFn, rf: ReturnFrame, t_start: int, t_end: int,
         raise DataError("empty or invalid strategy range")
     m = rf.num_assets
     steps = t_end - t_start
-    values = np.empty(steps + 1)
-    values[0] = 1.0
     weights = np.empty((steps, m))
     leverage = np.empty(steps)
-    turnover = np.empty(steps)
-    position = np.zeros(m) if prev_position is None else np.asarray(prev_position, dtype=float)
-    bankrupt = False
-    taken = 0
     for i, t in enumerate(range(t_start, t_end)):
-        w, lvg = decide(t)
-        w = np.asarray(w, dtype=float)
-        if not (np.isfinite(w).all() and math.isfinite(lvg)):
-            raise NumericError("decision rule returned non-finite weights or leverage")
-        target = lvg * w
-        weights[i] = w
-        leverage[i] = lvg
-        turnover[i] = float(np.abs(target - position).sum())
-        step_ret = lvg * float(w @ rf.returns[t + 1]) - cost_rate * turnover[i]
-        values[i + 1] = values[i] * (1.0 + step_ret)
-        position = target
-        taken = i + 1
-        if step_ret <= -1.0:
-            values[i + 1] = max(values[i + 1], 0.0)
-            bankrupt = True
-            break
+        weights[i], leverage[i] = decide(t)
+    if not (np.isfinite(weights).all() and np.isfinite(leverage).all()):
+        raise NumericError("decision rule returned non-finite weights or leverage")
+    position = np.zeros(m) if prev_position is None else np.asarray(prev_position, dtype=float)
+    returns = rf.returns[t_start + 1:t_end + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = leverage[:, None] * weights
+        turnover = np.abs(np.diff(targets, axis=0, prepend=position[None])).sum(axis=1)
+        # row-wise BLAS dot: the same bits as w @ r one step at a time
+        gross = np.matmul(weights[:, None, :], returns[:, :, None])[:, 0, 0]
+        step_ret = leverage * gross - cost_rate * turnover
+        ruin = np.flatnonzero(step_ret <= -1.0)
+        taken = int(ruin[0]) + 1 if len(ruin) else steps
+        values = np.empty(taken + 1)
+        values[0] = 1.0
+        np.cumprod(1.0 + step_ret[:taken], out=values[1:])
+    if len(ruin):
+        values[taken] = 0.0
+    if not np.isfinite(values).all():
+        raise NumericError("replay produced a NaN step return or an overflowing value")
     dates = rf.dates[t_start:t_start + taken + 1].copy()
-    return EquityCurve(dates, values[:taken + 1], weights[:taken], leverage[:taken],
-                       turnover[:taken], bankrupt)
+    return EquityCurve(dates, values, weights[:taken], leverage[:taken], turnover[:taken],
+                       len(ruin) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +188,14 @@ class MetricSet:
 
     @staticmethod
     def of(curve: EquityCurve) -> "MetricSet":
-        return MetricSet(annualized_return(curve), sortino(curve), sharpe(curve),
-                         max_drawdown(curve))
+        """A metric that overflows raises NumericError; an intermediate that
+        overflows on the way to a finite metric takes its limit."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ms = MetricSet(annualized_return(curve), sortino(curve), sharpe(curve),
+                           max_drawdown(curve))
+        if not all(x is None or math.isfinite(x) for x in vars(ms).values()):
+            raise NumericError("a performance metric overflowed")
+        return ms
 
 
 @dataclass
@@ -281,54 +286,46 @@ class CompareConfig:
 _FROM_MIN_VARIANCE = ("minvariance", "markowitz", "maxreturn")
 
 
-def _traditional_decider(method: str, rf: ReturnFrame, first_decision: int,
-                         cfg: CompareConfig, leverage: float,
-                         moments: dict) -> DecideFn:
-    """Re-solve `method` every cfg.rebalance steps. moments, shared by every
-    convex model of one comparison and all its splits, maps a decision index
-    t to (the moments of the window ending at t, their minimum-variance
-    report or None): each is computed once, by the first model that needs
-    it. Under a method's name it holds that method's latest report, which
-    warm-starts its solve on the next rebalance date."""
+def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
+                         cfg: CompareConfig, moments: dict) -> np.ndarray:
+    """Weights (steps, m) for decision steps [t_start, t_end): `method`
+    solved every cfg.rebalance steps from t_start and held in between.
+    moments, shared by every convex model of one comparison and all its
+    splits, maps a decision index t to (the moments of the window ending at
+    t, their minimum-variance report or None): each is computed once, by the
+    first model that needs it. Under a method's name it holds that method's
+    latest report, which warm-starts its solve on the next rebalance date."""
     from .allocators import solve, solve_min_variance
     from .risk_models import estimate_stats
 
-    state: dict = {"w": None}
-
-    def decide(t: int) -> tuple[np.ndarray, float]:
-        if state["w"] is None or (t - first_decision) % cfg.rebalance == 0:
-            stats, minvar = moments.get(t, (None, None))
-            if stats is None:
-                sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
-                stats = estimate_stats(sub, cfg.est_window)
-            if minvar is None and method in _FROM_MIN_VARIANCE:
-                minvar = moments["minvariance"] = solve_min_variance(
-                    stats, moments.get("minvariance"))
-            moments[t] = stats, minvar
-            report = solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max,
-                           minvar=minvar, start=moments.get(method))
-            moments[method] = report
-            state["w"] = report.weights.w
-        return state["w"], leverage
-
-    return decide
+    weights = np.empty((t_end - t_start, rf.num_assets))
+    for t in range(t_start, t_end, cfg.rebalance):
+        stats, minvar = moments.get(t, (None, None))
+        if stats is None:
+            sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
+            stats = estimate_stats(sub, cfg.est_window)
+        if minvar is None and method in _FROM_MIN_VARIANCE:
+            minvar = moments["minvariance"] = solve_min_variance(
+                stats, moments.get("minvariance"))
+        moments[t] = stats, minvar
+        report = solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max,
+                       minvar=minvar, start=moments.get(method))
+        moments[method] = report
+        weights[t - t_start:t - t_start + cfg.rebalance] = report.weights.w
+    return weights
 
 
-def _policy_decider(params, bundle, t_start: int, t_end: int) -> DecideFn:
-    """Decisions for steps [t_start, t_end), made up front by one batched
-    forward: an observation depends on the data up to its step only, never on
-    earlier actions, so the whole test span is known before replay."""
+def _policy_decisions(params, bundle, t_start: int, t_end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and leverage for steps [t_start, t_end), made up front by one
+    batched forward: an observation depends on the data up to its step only,
+    never on earlier actions, so the whole test span is known before replay."""
     from .features import build_observations
     from .policy import forward
 
     obs = build_observations(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
                              bundle.ctx_lags, t_start, t_end)
     action = forward(params, obs)
-
-    def decide(t: int) -> tuple[np.ndarray, float]:
-        return action.weights[t - t_start], action.leverage[t - t_start]
-
-    return decide
+    return action.weights, action.leverage
 
 
 def _ruined(rf: ReturnFrame, t_start: int, t_end: int,
@@ -409,20 +406,21 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
             if segments and segments[-1].bankrupt:
                 segments.append(_ruined(rf, first_decision, t_end))
                 continue
+            steps = t_end - first_decision
             if model == "drl":
                 if trained_params is not None and k in trained_params:
                     params = trained_params[k]
                 else:
                     params = train_split(bundle, k, split, arch, train_cfg).params
-                decide = _policy_decider(params, bundle, first_decision, t_end)
+                weights, leverage = _policy_decisions(params, bundle, first_decision, t_end)
             elif model == "equalweight":
-                ew = np.full(m, 1.0 / m)
-                decide = lambda t, ew=ew: (ew, cfg.ew_leverage)  # noqa: E731
+                weights, leverage = np.full((steps, m), 1.0 / m), np.full(steps, cfg.ew_leverage)
             else:
-                decide = _traditional_decider(model, rf, first_decision, cfg,
-                                              cfg.trad_leverage, moments)
-            seg = run_strategy(decide, rf, first_decision, t_end,
-                               cfg.cost_rate, prev_position=position)
+                weights = _traditional_weights(model, rf, first_decision, t_end, cfg, moments)
+                leverage = np.full(steps, cfg.trad_leverage)
+            seg = run_strategy(lambda t: (weights[t - first_decision],
+                                          leverage[t - first_decision]),
+                               rf, first_decision, t_end, cfg.cost_rate, prev_position=position)
             if seg.bankrupt:
                 seg = _ruined(rf, first_decision, t_end, seg)
             position = seg.leverage[-1] * seg.weights[-1]

@@ -172,6 +172,49 @@ def metrics_bruteforce(values) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# walk-forward replay: one step at a time
+# ---------------------------------------------------------------------------
+
+def per_day_replay(decide, rf, t_start, t_end, cost_rate, prev_position=None):
+    """run_strategy as a plain loop over the steps: each decision is asked
+    for, checked and replayed in turn, and the loop stops asking at the
+    first step return of -100% or worse."""
+    from portalloc.backtest import EquityCurve
+    from portalloc.errors import NumericError
+
+    m = rf.num_assets
+    steps = t_end - t_start
+    values = np.empty(steps + 1)
+    values[0] = 1.0
+    weights = np.empty((steps, m))
+    leverage = np.empty(steps)
+    turnover = np.empty(steps)
+    position = np.zeros(m) if prev_position is None else np.asarray(prev_position, dtype=float)
+    bankrupt = False
+    taken = 0
+    for i, t in enumerate(range(t_start, t_end)):
+        w, lvg = decide(t)
+        w = np.asarray(w, dtype=float)
+        if not (np.isfinite(w).all() and math.isfinite(lvg)):
+            raise NumericError("decision rule returned non-finite weights or leverage")
+        target = lvg * w
+        weights[i] = w
+        leverage[i] = lvg
+        turnover[i] = float(np.abs(target - position).sum())
+        step_ret = lvg * float(w @ rf.returns[t + 1]) - cost_rate * turnover[i]
+        values[i + 1] = values[i] * (1.0 + step_ret)
+        position = target
+        taken = i + 1
+        if step_ret <= -1.0:
+            values[i + 1] = max(values[i + 1], 0.0)
+            bankrupt = True
+            break
+    dates = rf.dates[t_start:t_start + taken + 1].copy()
+    return EquityCurve(dates, values[:taken + 1], weights[:taken], leverage[:taken],
+                       turnover[:taken], bankrupt)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 

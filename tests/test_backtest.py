@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_price_frame, weekday_dates
@@ -10,7 +12,7 @@ from portalloc.backtest import (CompareConfig, DataBundle, EquityCurve, MetricSe
                                 weights_csv)
 from portalloc.errors import DataError, NumericError
 from portalloc.features import LagSet, build_context_series
-from portalloc.market_data import compute_returns, rolling_volatility
+from portalloc.market_data import ReturnFrame, compute_returns, rolling_volatility
 
 
 def curve_from_values(values):
@@ -126,6 +128,37 @@ class TestRunStrategy:
         assert curve.values[-1] == 0.0
         assert len(curve.values) == 3  # terminates at the wipeout step
 
+    def test_every_decision_asked_once_in_order_also_after_ruin(self):
+        rets = np.zeros((12, 1))
+        rets[5, 0] = -0.5
+        rf = returns_frame(rets)
+        hits = []
+
+        def decide(t):
+            hits.append(t)
+            return np.array([1.0]), 3.0
+
+        curve = run_strategy(decide, rf, 3, 9, 0.0)
+        assert curve.bankrupt and len(curve.weights) == 2
+        assert hits == [3, 4, 5, 6, 7, 8]
+        # every decision is checked before the replay, also those after the ruin
+        with pytest.raises(NumericError, match="non-finite"):
+            run_strategy(lambda t: (np.array([1.0]), 3.0 if t < 7 else float("nan")),
+                         rf, 3, 9, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_ends_by_contract(self):
+        rf = returns_frame(np.full((6, 1), 0.5))
+        # entering at an infinite cost is a step return of -inf: a ruin
+        curve = run_strategy(lambda t: (np.array([1.0]), 1.0), rf, 0, 4, 1e308)
+        assert curve.bankrupt and np.array_equal(curve.values, [1.0, 0.0])
+        # a value that overflows to +inf
+        with pytest.raises(NumericError, match="overflow"):
+            run_strategy(lambda t: (np.array([1.0]), 1e308), rf, 0, 4, 0.0)
+        # inf - inf: an infinite gain minus an infinite cost is a NaN step return
+        with pytest.raises(NumericError, match="NaN"):
+            run_strategy(lambda t: (np.array([1e308]), 10.0), rf, 0, 4, 0.001)
+
     def test_causality_of_engine(self, rng):
         # mutating data after date X leaves decisions and equity up to X intact
         rets = 0.01 * rng.standard_normal((60, 2))
@@ -145,6 +178,43 @@ class TestRunStrategy:
         b = run_strategy(make_decider(rf_b), rf_b, 10, 39, 0.0005)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.weights, b.weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.sampled_from([1, 2, 4, 24]), steps=st.integers(1, 40), t_start=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1), cost_rate=st.sampled_from([0.0, 0.0005, 0.02]),
+       zero_share=st.sampled_from([0.0, 0.3, 1.0]), carried=st.booleans(),
+       ruin=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+@example(m=24, steps=30, t_start=2, seed=7, cost_rate=0.0005, zero_share=0.3, carried=True,
+         ruin=0.5)
+@example(m=1, steps=9, t_start=0, seed=8, cost_rate=0.02, zero_share=0.3, carried=True,
+         ruin=0.5)
+def test_run_strategy_equals_the_per_day_loop_bit_for_bit(m, steps, t_start, seed, cost_rate,
+                                                          zero_share, carried, ruin):
+    """The vectorised replay does the loop's arithmetic in the loop's order,
+    so every output equals the loop's exactly; ruin (a row of -90% returns
+    under leverage >= 3) falls at the given fraction of the span."""
+    rng = np.random.default_rng(seed)
+    returns = 0.02 * rng.standard_normal((t_start + steps + 1, m))
+    weights = rng.dirichlet(np.ones(m), steps) * rng.uniform(0.5, 1.5, (steps, 1))
+    leverage = rng.uniform(0.0, 3.0, steps)
+    leverage[rng.random(steps) < zero_share] = 0.0
+    if ruin is not None:
+        at = int(ruin * steps)
+        returns[t_start + at + 1] = -0.9
+        leverage[at] += 3.0
+    rf = ReturnFrame(weekday_dates("2020-01-06", len(returns)),
+                     tuple(f"A{i}" for i in range(m)), returns)
+    position = rng.uniform(0.0, 2.0) * rng.dirichlet(np.ones(m)) if carried else None
+
+    def decide(t):
+        return weights[t - t_start], leverage[t - t_start]
+
+    got = run_strategy(decide, rf, t_start, t_start + steps, cost_rate, position)
+    want = oracles.per_day_replay(decide, rf, t_start, t_start + steps, cost_rate, position)
+    assert got.bankrupt == want.bankrupt == (ruin is not None)
+    for name in ("dates", "values", "weights", "leverage", "turnover"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestMetrics:

@@ -496,3 +496,30 @@ def test_every_subcommand_takes_every_config_flag(capsys, command):
     assert main(["frobnicate"]) == 1
     assert ("invalid choice: 'frobnicate' (choose from 'ingest', 'synth', 'allocate', "
             "'train', 'backtest', 'compare', 'plot')") in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, setting, code", [
+    (1, "--cost-rate=1e308", 0),      # entering costs -inf: ruin on the first step
+    (1, "--trad-leverage=1e308", 3),  # the value overflows to +inf
+    (2, "--trad-leverage=1e308", 0),  # ruin after step returns whose squares overflow
+])
+def test_replay_overflow_exits_by_contract(tmp_path, capsys, seed, setting, code):
+    src, out = tmp_path / "data", tmp_path / "o"
+    assert main(["synth", "--outdir", str(src), "--synth-steps", "600", "--seed", str(seed)]) == 0
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = train_args(str(src / "prices.csv"), out, str(frame.dates[300]))
+    argv[0] = "compare"
+    assert main(argv + ["--models", "drl,minvariance", setting]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert "numeric failure: replay produced a NaN step return or an overflowing value" in err
+        return
+    rows = (out / "curves.csv").read_text().splitlines()[1:]
+    values = [float(row.split(",")[2]) for row in rows]
+    assert values[-1] == 0.0 and all(np.isfinite(values))
+    if setting.startswith("--cost-rate"):
+        assert values[0] == 1.0 and set(values[1:]) == {0.0}
+    metrics = (out / "metrics.csv").read_text()
+    assert "nan" not in metrics and "inf" not in metrics
