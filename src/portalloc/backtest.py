@@ -370,9 +370,10 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     Traditional models re-solve every cfg.rebalance steps on trailing stats;
     they share each rebalance date's moment estimate and minimum-variance
     solve, and each solve is warm-started from the previous date's report.
-    A model that loses 100% on a step is ruined: its curve stays at value 0,
-    with zero leverage and weights, on every later test date, and the later
-    splits are not traded.
+    No decision depends on the replayed path, so each split is decided whole
+    and then replayed by run_strategy. A model that loses 100% on a step is
+    ruined: its curve stays at value 0, with zero leverage and weights, on
+    every later test date, and the later splits are not traded.
     """
     from .allocators import method_names
     from .features import min_valid_index

@@ -149,8 +149,8 @@ class TestRunStrategy:
     @pytest.mark.filterwarnings("error")
     def test_overflow_ends_by_contract(self):
         rf = returns_frame(np.full((6, 1), 0.5))
-        # entering at an infinite cost is a step return of -inf: a ruin
-        curve = run_strategy(lambda t: (np.array([1.0]), 1.0), rf, 0, 4, 1e308)
+        # entering costs 1e308 * 3 = inf, so the step return is -inf: a ruin
+        curve = run_strategy(lambda t: (np.array([1.0]), 3.0), rf, 0, 4, 1e308)
         assert curve.bankrupt and np.array_equal(curve.values, [1.0, 0.0])
         # a value that overflows to +inf
         with pytest.raises(NumericError, match="overflow"):
