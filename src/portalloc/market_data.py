@@ -41,7 +41,10 @@ def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], n
     Raises DataError with a distinct message for: missing or unreadable file,
     bad header, no data rows, ragged rows, malformed, duplicate or unordered
     dates, non-numeric cells and non-finite cells. ``kind`` only names the
-    file in messages; the header is row 1.
+    file in messages; the header is row 1. A row's cells parse in one pass;
+    only a row that fails is walked to name its first non-numeric cell.
+    ``date.fromisoformat`` validates each date; the date axis is built from
+    the dates' ordinals.
     """
     if not os.path.exists(path):
         raise DataError(f"{kind} file not found: {path}")
@@ -72,26 +75,41 @@ def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], n
         if days and day < days[-1]:
             raise malformed(f"unordered dates at row {i}: {row[0]} after {days[-1]}")
         days.append(day)
-        values = []
-        for name, cell in zip(names, row[1:]):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise malformed(f"non-numeric cell at (row {i}, column {name}): {cell!r}") from None
-        rows.append(values)
+        try:
+            rows.append(list(map(float, row[1:])))
+        except ValueError:
+            # the error path only: name the row's first cell that is no number
+            for name, cell in zip(names, row[1:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise malformed(f"non-numeric cell at (row {i}, column {name}): "
+                                    f"{cell!r}") from None
     matrix = np.array(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         raise malformed(f"non-finite cell at (row {bad[0, 0] + 2}, column {names[bad[0, 1]]})")
-    return np.array(days, dtype="datetime64[D]"), names, matrix
+    ordinals = np.array([day.toordinal() for day in days])
+    dates = (ordinals - datetime.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return dates, names, matrix
 
 
 def dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:
-    """The dated-CSV text of a (rows, names) matrix; floats print with repr,
-    which round-trips exactly through read_dated_csv."""
+    """The dated-CSV text of a (rows, names) float matrix; floats print with
+    repr, which round-trips exactly through read_dated_csv.
+
+    Only rows that differ bit for bit from the row before (so -0.0 after 0.0
+    counts) are formatted; a held row, such as a weight path between two
+    rebalances, repeats the last formatted cells.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits = matrix.view(np.uint64)
+    changed = np.ones(len(matrix), dtype=bool)
+    changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    cells = [",".join(map(repr, row)) for row in matrix[changed].tolist()]
+    held = (np.cumsum(changed) - 1).tolist()
     lines = ["date," + ",".join(names)]
-    for day, row in zip(dates.astype(str).tolist(), matrix.tolist()):
-        lines.append(day + "," + ",".join(map(repr, row)))
+    lines += [day + "," + cells[k] for day, k in zip(dates.astype(str).tolist(), held)]
     return "\n".join(lines) + "\n"
 
 

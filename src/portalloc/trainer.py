@@ -237,11 +237,15 @@ def training_log_csv(log: list[IterationLog]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# a huge but finite noise_std or learning rate overflows in numpy; the stage
+# it overflows in (episode, gradient or update) then fails as a NumericError
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> TrainedPolicy:
     """Iterate episodes with Adam ascent on the terminal reward.
 
     Tracks the best reward seen; stops after early_stop_patience iterations
     without improvement and returns the best-seen parameters, not the last.
+    An episode, gradient or update that is not finite raises NumericError.
     """
     _, _, m, lags = window.observations.asset_tensor.shape
     ctx_series, ctx_lags = window.observations.context_matrix.shape[1:]
@@ -253,8 +257,11 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
     best_iter = 0
     best_snap = params.snapshot()
     for iteration in range(1, cfg.max_iterations + 1):
-        buffer = run_episode(params, window, cfg.noise_std, cfg.policy_prob, rng)
-        reward = buffer.terminal_reward
+        try:
+            buffer = run_episode(params, window, cfg.noise_std, cfg.policy_prob, rng)
+            reward = buffer.terminal_reward
+        except FloatingPointError:
+            reward = math.nan
         if not np.isfinite(reward):
             raise NumericError(
                 f"non-finite episode reward at iteration {iteration}; "
@@ -266,13 +273,19 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
             best_snap = params.snapshot()
         params.zero_grads()
         tape = Tape()
-        objective = buffer_objective(tape, params, buffer)
-        ad.backward(tape, objective)
-        grads = {n: t.grad for n, t in params.tensors.items() if t.grad is not None}
-        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        try:
+            ad.backward(tape, buffer_objective(tape, params, buffer))
+            grads = {n: t.grad for n, t in params.tensors.items() if t.grad is not None}
+            norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        except FloatingPointError:
+            norm = math.nan
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient at iteration {iteration}")
-        adam_step(adam, params, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        try:
+            adam_step(adam, params, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        except FloatingPointError:
+            raise NumericError(f"parameter update overflowed at iteration {iteration}; "
+                               "lower the learning rate") from None
         log.append(IterationLog(iteration, reward, best, norm))
         if iteration - best_iter >= cfg.early_stop_patience:
             break

@@ -7,10 +7,15 @@ for gradients.
 """
 from __future__ import annotations
 
+import csv
+import datetime
 import itertools
 import math
+import os
 
 import numpy as np
+
+from portalloc.errors import DataError
 
 GRID_STEP = 0.005
 
@@ -306,3 +311,57 @@ def cell_by_cell_weights_csv(report) -> str:
 def scalar_svg_points(xs, ys) -> list[str]:
     """SVG 'x,y' point strings from numpy scalars, two f-string formats each."""
     return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+
+
+def row_by_row_dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:
+    """dated_csv formatting every row with repr, held rows included."""
+    lines = ["date," + ",".join(names)]
+    for day, row in zip(dates.astype(str).tolist(), matrix.tolist()):
+        lines.append(day + "," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def cell_by_cell_read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """read_dated_csv parsing one cell at a time and converting date objects
+    to datetime64 through numpy."""
+    if not os.path.exists(path):
+        raise DataError(f"{kind} file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh)) or [[]]
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"unreadable {kind} file ({exc}): {path}") from None
+    if len(header) < 2 or header[0] != "date":
+        raise DataError(f"{kind} header must be 'date,<name1>,...': {path}")
+    if not body:
+        raise DataError(f"{kind} file has no data rows: {path}")
+    names = tuple(header[1:])
+
+    def malformed(detail: str) -> DataError:
+        return DataError(f"malformed row in {kind} file {path}: {detail}")
+
+    days, rows = [], []
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(names) + 1:
+            raise malformed(f"row {i} has {len(row)} cells, expected {len(names) + 1}")
+        try:
+            day = datetime.date.fromisoformat(row[0])
+        except ValueError:
+            raise malformed(f"malformed date at row {i}: {row[0]!r}") from None
+        if days and day == days[-1]:
+            raise malformed(f"duplicate date at row {i}: {row[0]}")
+        if days and day < days[-1]:
+            raise malformed(f"unordered dates at row {i}: {row[0]} after {days[-1]}")
+        days.append(day)
+        values = []
+        for name, cell in zip(names, row[1:]):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise malformed(f"non-numeric cell at (row {i}, column {name}): {cell!r}") from None
+        rows.append(values)
+    matrix = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        raise malformed(f"non-finite cell at (row {bad[0, 0] + 2}, column {names[bad[0, 1]]})")
+    return np.array(days, dtype="datetime64[D]"), names, matrix

@@ -299,6 +299,47 @@ class TestStitch:
         np.testing.assert_allclose(stitched.values, [1.0, 1.1, 1.2, 1.2 * 0.9], rtol=1e-12)
         assert len(stitched.dates) == 4
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_stitching_keeps_every_step_return(self, data):
+        # split k + 1 starts on the date split k ends on; after a ruin every
+        # later split reads 0 throughout and is bankrupt, as compare_models pads it
+        segments, start, ruined = [], np.datetime64("2021-01-04"), False
+        for _ in range(data.draw(st.integers(1, 4))):
+            steps = data.draw(st.integers(1, 6))
+            if ruined:
+                values = np.zeros(steps + 1)
+            else:
+                # returns bounded away from 0, so 1e-12 relative survives g - 1
+                moves = data.draw(st.lists(st.floats(0.01, 0.5), min_size=steps, max_size=steps))
+                signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=steps,
+                                           max_size=steps))
+                growth = 1.0 + np.array(signs) * np.array(moves)
+                ruin = data.draw(st.one_of(st.none(), st.integers(0, steps - 1)))
+                if ruin is not None:
+                    growth[ruin] = 0.0
+                ruined = ruin is not None
+                start_value = data.draw(st.floats(0.5, 2.0))
+                values = start_value * np.concatenate([[1.0], np.cumprod(growth)])
+            rng = np.random.default_rng(len(segments))
+            segments.append(EquityCurve(start + np.arange(steps + 1), values,
+                                        rng.random((steps, 2)), rng.random(steps),
+                                        rng.random(steps), ruined))
+            start = segments[-1].dates[-1]
+        stitched = stitch_curves(segments)
+        np.testing.assert_allclose(stitched.step_returns(),
+                                   np.concatenate([s.step_returns() for s in segments]),
+                                   rtol=1e-12, atol=0.0)
+        assert len(stitched.dates) == sum(len(s.dates) for s in segments) - (len(segments) - 1)
+        assert np.all(np.diff(stitched.dates) > np.timedelta64(0, "D"))
+        for k, seg in enumerate(segments):
+            if seg.values[0] == 0.0:
+                first = sum(len(s.dates) - 1 for s in segments[:k])
+                assert not stitched.values[first:first + len(seg.dates)].any()
+        assert stitched.bankrupt == any(s.bankrupt for s in segments)
+        assert np.array_equal(stitched.weights, np.vstack([s.weights for s in segments]))
+        assert np.array_equal(stitched.leverage, np.concatenate([s.leverage for s in segments]))
+
 
 def small_bundle(rng, steps=420, assets=2):
     prices = 100 * np.cumprod(1 + 0.006 * rng.standard_normal((steps, assets))

@@ -523,3 +523,21 @@ def test_replay_overflow_exits_by_contract(tmp_path, capsys, seed, setting, code
         assert values[0] == 1.0 and set(values[1:]) == {0.0}
     metrics = (out / "metrics.csv").read_text()
     assert "nan" not in metrics and "inf" not in metrics
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("settings, needle", [
+    (["--noise-std=1e308"], "non-finite episode reward at iteration 1"),
+    (["--learning-rate=1e308"], "non-finite episode reward at iteration 2"),
+    (["--noise-std=1e200"], "non-finite gradient at iteration 1"),
+    (["--learning-rate=1e308", "--l2-coeff=1000"], "parameter update overflowed at iteration 1"),
+])
+def test_huge_training_settings_exit_3(tmp_path, capsys, settings, needle):
+    src, out = tmp_path / "data", tmp_path / "o"
+    assert main(["synth", "--outdir", str(src), "--synth-steps", "600", "--seed", "1"]) == 0
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = train_args(str(src / "prices.csv"), out, str(frame.dates[300]))
+    argv[0] = "compare"
+    assert main(argv + ["--models", "drl,minvariance"] + settings) == 3
+    assert f"numeric failure: {needle}" in capsys.readouterr().err

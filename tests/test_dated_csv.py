@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from portalloc.cli import main
 from portalloc.errors import DataError
 from portalloc.features import load_context_csv
@@ -76,6 +77,59 @@ def test_write_then_read_is_exact(fuzz_file, frame):
     assert got_names == names
     # bit-identical, so -0.0 and 0.0 differ
     assert np.array_equal(got_matrix.view(np.int64), matrix.view(np.int64))
+
+
+@st.composite
+def held_matrices(draw):
+    """Weight-path-like matrices: each drawn row is held for a run of dates,
+    optionally followed by its copy with every zero's sign flipped."""
+    cols = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), FLOATS)
+    rows = []
+    for row in draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1,
+                             max_size=5)):
+        rows += [row] * draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            rows += [[-x if x == 0.0 else x for x in row]] * draw(st.integers(1, 3))
+    dates = np.datetime64("2020-01-02") + np.arange(len(rows))
+    return dates, tuple(f"c{i}" for i in range(cols)), np.array(rows, dtype=float)
+
+
+@PROPERTY
+@given(frame=held_matrices())
+@example(frame=(np.array(["2020-01-02"], dtype="datetime64[D]"), ("a", "b"),
+                np.array([[0.0, -0.0]])))
+@example(frame=(np.array(["2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07"],
+                         dtype="datetime64[D]"), ("a",),
+                np.array([[0.0], [-0.0], [-0.0], [0.0]])))
+def test_writer_equals_the_row_by_row_loop(frame):
+    assert dated_csv(*frame) == oracles.row_by_row_dated_csv(*frame)
+
+
+def read_or_error(reader, path):
+    try:
+        return reader(path, "plot")
+    except DataError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(content=st.one_of(CONTENT, dated_frames().map(lambda f: dated_csv(*f).encode())))
+@example(content=b"date,A,B,C\n2020-01-02,1,x,y\n")
+@example(content=b"date,A\n20200102,1\n2020-01-03,2\n")
+@example(content=b"date,A\n2020-W01-4,1\n2020-W02-1,2\n")
+@example(content=b"date,A\n0001-01-01,1\n9999-12-31,2\n")
+@example(content=b"date,A\n2020-01-02,1\n2020-01-03,nan\n2020-01-06,x\n")
+def test_reader_equals_the_cell_by_cell_reader(fuzz_file, content):
+    fuzz_file.write_bytes(content)
+    got = read_or_error(read_dated_csv, str(fuzz_file))
+    want = read_or_error(oracles.cell_by_cell_read_dated_csv, str(fuzz_file))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
 
 
 class TestMessages:
