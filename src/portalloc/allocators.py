@@ -28,17 +28,21 @@ to find the flat directions. Minimum variance, markowitz and maxreturn take
 the previous rebalance date's report as start and guess its support as the
 optimal face (a parametric warm start, Best & Ritter 1985): the point where
 that face's line meets lam = 0, the floor or the cap is kept if the KKT
-certificate passes, and the walk runs only if it fails. Every walk ends
-with the same solve on its final face, so a guess and a walk that end on
-one face return the same bits. iterations counts the faces walked (a kept
-guess is one), plus those of the minimum-variance solve for markowitz and
-maxreturn; maxdiversification reports its maximum-decorrelation solve's
-count and flags. converged means a KKT residual <= 1e-10 with Q scaled to a
-largest entry of 1; non_unique means a zero eigenvalue of the reduced
-Hessian: Q on the assets held or priced at zero, projected onto the sum-zero
-directions. Risk parity runs damped Newton on its barrier objective scaled
-to be self-concordant, which converges with no step-size rule to tune
-(Spinu 2013); iterations counts its Newton steps.
+certificate passes. A failed guess is usually one asset off, so up to
+_SWAP_ROUNDS primal-dual swaps repair it: the next face keeps the assets
+held above zero at the point and adds those whose bound multiplier there
+is below zero. The walk runs only if no face passes. Every walk ends with
+the same solve on its final face, so a guess and a walk that end on one
+face return the same bits. iterations counts the faces walked (a kept
+guess is one, repaired or not), plus those of the minimum-variance solve
+for markowitz and maxreturn; maxdiversification reports its
+maximum-decorrelation solve's count and flags. converged means a KKT
+residual <= 1e-10 with Q scaled to a largest entry of 1; non_unique means a
+zero eigenvalue of the reduced Hessian: Q on the assets held or priced at
+zero, projected onto the sum-zero directions. Risk parity runs damped
+Newton on its barrier objective scaled to be self-concordant, which
+converges with no step-size rule to tune (Spinu 2013); iterations counts
+its Newton steps.
 """
 from __future__ import annotations
 
@@ -53,6 +57,7 @@ _SUM_TOL = 1e-8
 _TOL = 1e-10  # certificate tolerance, relative to the largest entry of |Q|
 _EPS = 1e-12  # step and pricing tolerance inside the solver
 _NEWTON_STEPS = 100  # risk parity's damped Newton converges well within this
+_SWAP_ROUNDS = 2  # face swaps that repair a failed warm guess before the walk runs
 
 
 @dataclass(frozen=True)
@@ -197,47 +202,77 @@ def _walk(q, v, y, lam, stop):
     return y, lam, free, faces, False
 
 
+def _kkt(y, z):
+    """KKT residual of y for min 1/2 y'Qy + c'y on the simplex, given its
+    bound multipliers z (_multipliers)."""
+    return max(abs(float(y.sum()) - 1.0),                   # unit sum
+               float(np.abs(z[y > 0]).max(initial=0.0)),    # stationarity
+               max(-float(z.min()), 0.0),                   # dual feasibility
+               float(np.abs(y * z).max()))                  # complementary slackness
+
+
+def _non_unique(q, face):
+    """Whether the reduced Hessian on face, the assets held or priced at
+    zero, has a zero eigenvalue, so that the optimum is not unique."""
+    basis = _null_space(int(face.sum()))
+    reduced = basis.T @ q[np.ix_(face, face)] @ basis
+    return reduced.size > 0 and float(np.linalg.eigvalsh(reduced)[0]) <= _TOL
+
+
 def _certify(q, c, y, free):
     """(KKT residual, non-unique flag) of y for min 1/2 y'Qy + c'y on the
     simplex."""
     z = _multipliers(q, c, y, free)
-    kkt = max(abs(float(y.sum()) - 1.0),                    # unit sum
-              float(np.abs(z[y > 0]).max(initial=0.0)),     # stationarity
-              max(-float(z.min()), 0.0),                    # dual feasibility
-              float(np.abs(y * z).max()))                   # complementary slackness
-    face = free | (z <= _TOL)
-    basis = _null_space(int(face.sum()))
-    reduced = basis.T @ q[np.ix_(face, face)] @ basis
-    non_unique = reduced.size > 0 and float(np.linalg.eigvalsh(reduced)[0]) <= _TOL
-    return kkt, non_unique
+    return _kkt(y, z), _non_unique(q, free | (z <= _TOL))
 
 
 def _warm_or_walk(q, v, stop, gap, start, walk):
     """(y, lam, kkt, non_unique, faces, stopped) at the caller's stop. A face
-    settles at the point where its critical line (_on_face) meets stop, if
-    lam > 0 (or v = 0: on the frontier lam = 0 is the minimum-variance
+    F settles at the point y where its critical line (_on_face) meets stop,
+    if lam > 0 (or v = 0: on the frontier lam = 0 is the minimum-variance
     report, kept as it is), y_F > 0, and the KKT residual and gap(y), the
-    floor or cap residual, are within _TOL. start's support is tried first,
-    as one face; otherwise walk() -> (y, lam, free, faces, stopped) runs and
-    a stopped walk settles on its final support, so that a guess and a walk
-    that end on one face return the same bits."""
-    def settle(face):
+    floor or cap residual, are within _TOL. start's support is tried first;
+    if it fails, up to _SWAP_ROUNDS primal-dual swaps repair it, each trying
+    F' = {i in F : y_i > 0} + {i not in F : z_i < -_TOL}, z the bound
+    multipliers at y, until F' is empty or F, or its line has no stop. A
+    guess kept with or without swaps counts as one face. Otherwise walk() ->
+    (y, lam, free, faces, stopped) runs and a stopped walk settles on its
+    final support, so that a guess and a walk that end on one face return
+    the same bits. The non-unique check runs only on the point returned."""
+    def meet(face):
+        # (y, lam, z) on face's line at stop, or None if it has no valid stop
         line = _on_face(q, v, face)
         lam = -1.0 if line is None else stop(*line, 0.0, False)
         if not (0.0 < lam < np.inf or (lam == 0.0 and not v.any())):
             return None
         y = line[0] + lam * line[1]
+        return y, lam, _multipliers(q, -lam * v, y, face)
+
+    def settle(face, y, lam, z):
         if y[face].min() <= 0.0:
             return None
-        kkt, non_unique = _certify(q, -lam * v, y, face)
-        return (y, lam, kkt, non_unique) if max(kkt, gap(y)) <= _TOL else None
+        kkt = _kkt(y, z)
+        if max(kkt, gap(y)) > _TOL:
+            return None
+        return y, lam, kkt, _non_unique(q, face | (z <= _TOL))
 
     if start is not None and start.weights.w.size == v.size:
-        point = settle(start.weights.w > 0)
-        if point is not None:
-            return (*point, 1, True)
+        face = start.weights.w > 0
+        for _ in range(_SWAP_ROUNDS + 1):
+            met = meet(face)
+            if met is None:
+                break
+            point = settle(face, *met)
+            if point is not None:
+                return (*point, 1, True)
+            y, _, z = met
+            swapped = (face & (y > 0)) | (~face & (z < -_TOL))
+            if not swapped.any() or np.array_equal(swapped, face):
+                break
+            face = swapped
     y, lam, free, faces, stopped = walk()
-    point = settle(y > 0) if stopped else None
+    met = meet(y > 0) if stopped else None
+    point = None if met is None else settle(y > 0, *met)
     if point is None:
         point = (y, lam, *_certify(q, -lam * v, y, free))
     return (*point, faces, stopped)
@@ -351,7 +386,10 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
         raise DataError(f"sigma_max must be >= 0, got {sigma_max}")
-    cap = sigma_max ** 2
+    try:
+        cap = float(sigma_max) ** 2
+    except OverflowError:  # a finite volatility whose square exceeds the float range
+        cap = np.inf
     minvar = solve_min_variance(stats) if minvar is None else minvar
     scale = float(np.abs(sigma).max())
     if cap < minvar.objective_value - _TOL * scale:
@@ -464,7 +502,9 @@ def solve(method: str, stats: CovarianceStats, r_min: float | None = None,
     solve_min_variance(stats): minvariance returns it, and markowitz and
     maxreturn start from it. start, if given, is the method's report on
     earlier moments of the same assets, whose support minvariance, markowitz
-    and maxreturn try as their optimal face. The other programs use neither."""
+    and maxreturn try as their optimal face, repaired by up to _SWAP_ROUNDS
+    face swaps if it fails, before walking; a guess kept with or without
+    swaps counts as one iteration. The other programs use neither."""
     if method not in _METHODS:
         raise DataError(f"unknown method {method!r}; valid: {', '.join(_METHODS)}")
     if method == "markowitz":

@@ -23,8 +23,8 @@ from .backtest import (CompareConfig, DataBundle, compare_models, curves_csv,
                        make_schedule, report_table_csv, report_table_text,
                        weights_csv)
 from .errors import DataError, NumericError, PortallocError
-from .features import LagSet, build_context_series, load_context_csv
-from .market_data import (RegimeSpec, SyntheticSpec, atomic_write_text,
+from .features import LagSet, build_context_series, context_rows, load_context_csv
+from .market_data import (RegimeSpec, ReturnFrame, SyntheticSpec, atomic_write_text,
                           compute_returns, generate_synthetic, load_price_csv,
                           read_dated_csv, rolling_volatility, write_price_csv)
 from .policy import NetworkArch, load_params, save_params
@@ -231,14 +231,22 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
     atomic_write_text(os.path.join(cfg.outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
-def _bundle(cfg: RunConfig) -> DataBundle:
+def _bundle(cfg: RunConfig, features: bool = True) -> DataBundle:
+    """The returns, plus the volatilities and context series that the
+    learned model's observations read (features). Without features the
+    volatility frame covers no assets and the context is None: the window
+    and an external context are still checked, by the same functions, and
+    min_valid_index still reads the volatility dates."""
     if not cfg.prices:
         raise UsageError("missing --prices")
     pf = load_price_csv(cfg.prices)
     rf = compute_returns(pf)
-    vf = rolling_volatility(rf, cfg.vol_window)
+    vf = rolling_volatility(rf if features else ReturnFrame(rf.dates, (), rf.returns[:, :0]),
+                            cfg.vol_window)
     extra = load_context_csv(cfg.context) if cfg.context else None
-    ctx = build_context_series(rf, vf, extra)
+    ctx = build_context_series(rf, vf, extra) if features else None
+    if not features and extra is not None:
+        context_rows(extra, vf.dates)
     return DataBundle(rf, vf, ctx, cfg.lag_set(), cfg.ctx_lag_set())
 
 
@@ -333,7 +341,7 @@ def _load_checkpoints(cfg: RunConfig, count: int) -> dict[int, object] | None:
 
 
 def _run_comparison(cfg: RunConfig, models: list[str], command: str) -> int:
-    bundle = _bundle(cfg)
+    bundle = _bundle(cfg, "drl" in models)
     schedule = _schedule(cfg, bundle)
     trained = _load_checkpoints(cfg, len(schedule.splits)) if "drl" in models else None
     reports = compare_models(models, bundle, schedule, cfg.compare_cfg(), arch=cfg.arch(),

@@ -92,6 +92,14 @@ def load_context_csv(path: str) -> ContextFrame:
     return ContextFrame(*read_dated_csv(path, "context"))
 
 
+def context_rows(extra: ContextFrame, dates: np.ndarray) -> np.ndarray:
+    """The row of extra on each of dates; DataError unless extra has them all."""
+    idx = np.searchsorted(extra.dates, dates)
+    if np.any(idx >= len(extra.dates)) or not np.array_equal(extra.dates[idx], dates):
+        raise DataError("misaligned dates: external context does not cover the panel dates")
+    return idx
+
+
 def build_context_series(rf: ReturnFrame, vf: VolFrame,
                          extra: ContextFrame | None = None) -> ContextFrame:
     """Derive the default context series, aligned to the volatility dates:
@@ -104,9 +112,7 @@ def build_context_series(rf: ReturnFrame, vf: VolFrame,
     cols = [rows.max(axis=1), rows.min(axis=1), vf.vols.max(axis=1)]
     names = ["max_return", "min_return", "max_vol"]
     if extra is not None:
-        idx = np.searchsorted(extra.dates, vf.dates)
-        if np.any(idx >= len(extra.dates)) or not np.array_equal(extra.dates[idx], vf.dates):
-            raise DataError("misaligned dates: external context does not cover the panel dates")
+        idx = context_rows(extra, vf.dates)
         for j, name in enumerate(extra.names):
             cols.append(extra.values[idx, j])
             names.append(name)

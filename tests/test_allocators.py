@@ -154,6 +154,14 @@ class TestMarkowitz:
         np.testing.assert_allclose(report.weights.w, [0.0, 1.0, 0.0], atol=1e-8)
         assert report.converged and report.active_constraints == ("w[0]=0", "w[2]=0")
 
+    def test_cap_whose_square_overflows_is_infinite(self):
+        stats = stats_from_covariance(np.array([0.05, 0.11, 0.08]), 0.04 * np.eye(3))
+        infinite = solve_markowitz_max_return(stats, np.inf)
+        for sigma_max in (1e160, np.float64(1e160)):
+            report = solve_markowitz_max_return(stats, sigma_max)
+            assert np.array_equal(report.weights.w, infinite.weights.w)
+            assert report.active_constraints == infinite.active_constraints
+
     def test_cap_at_minvar_vol_returns_minvar(self, rng):
         stats = random_stats(rng, 3)
         minvar = solve_min_variance(stats)
@@ -541,6 +549,20 @@ def certificate(stats, report):
     return allocators._certify(q, -lam * v, w, held)[0]
 
 
+def counting_on_face(monkeypatch):
+    """Wrap allocators._on_face; the returned list grows by one per call,
+    one per critical line solved."""
+    calls = []
+    real = allocators._on_face
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(allocators, "_on_face", counting)
+    return calls
+
+
 class TestWarmStart:
     """A solve given the previous rebalance date's report tries its support
     as the optimal face; it must return what the cold walk returns."""
@@ -555,18 +577,24 @@ class TestWarmStart:
             return real_walk(*args)
 
         monkeypatch.setattr(allocators, "_walk", counting_walk)
+        lines = counting_on_face(monkeypatch)
         prev_minvar = prev = None
-        faces, accepted, walked = set(), 0, 0
+        faces, accepted, walked, repaired = set(), 0, 0, 0
         for stats in rolling_windows():
             r_min, sigma_max = levels(stats)
             cold = solve(method, stats, r_min=r_min, sigma_max=sigma_max)
             cold_base = 0 if method == "minvariance" else solve_min_variance(stats).iterations
-            before = len(walks)
+            before, tried = len(walks), len(lines)
             minvar = solve_min_variance(stats, start=prev_minvar)
             minvar_walked = len(walks) > before
             before = len(walks)
+            if method != "minvariance":  # count the lines of the method's own solve
+                tried = len(lines)
             warm = solve(method, stats, r_min=r_min, sigma_max=sigma_max, minvar=minvar,
                          start=prev)
+            # a guess kept on the start's own face solves one critical line;
+            # one kept after face swaps solves more
+            tried = len(lines) - tried
             assert np.array_equal(warm.weights.w, cold.weights.w)
             assert warm.converged and cold.converged
             guessed = len(walks) == before and not (method == "minvariance" and minvar_walked)
@@ -575,13 +603,50 @@ class TestWarmStart:
             # solve; a walk from the same start counts the cold walk's faces
             if guessed:
                 accepted += 1
+                repaired += tried > 1
                 assert warm.iterations == base + 1
             else:
                 walked += 1
                 assert warm.iterations - base == cold.iterations - cold_base
             faces.add(tuple(np.nonzero(warm.weights.w > 0)[0]))
             prev_minvar, prev = minvar, warm
-        assert len(faces) > 2 and accepted > 0 and walked > 1
+        # every outcome but the walk after failed swaps, which
+        # test_far_start_walks_after_the_swaps_run_out forces
+        assert len(faces) > 2 and accepted > repaired > 0 and walked > 0
+
+    @pytest.mark.parametrize("method", ["markowitz", "maxreturn"])
+    def test_far_start_walks_after_the_swaps_run_out(self, monkeypatch, method):
+        """A start whose support is the complement of the optimal one is
+        several swaps from it: where the swaps run out, the walk runs from
+        the minimum-variance report and returns the cold solve's bits."""
+        walks = []  # critical lines solved before each walk
+        real_walk = allocators._walk
+
+        def counting_walk(*args):
+            walks.append(len(lines))
+            return real_walk(*args)
+
+        monkeypatch.setattr(allocators, "_walk", counting_walk)
+        lines = counting_on_face(monkeypatch)
+        ran_out = 0
+        for stats in rolling_windows():
+            r_min, sigma_max = levels(stats)
+            cold = solve(method, stats, r_min=r_min, sigma_max=sigma_max)
+            far = cold.weights.w == 0
+            if not far.any():
+                continue
+            # maxreturn tries a start only if the cap bound it
+            start = SolveReport(Weights(far / far.sum()), 0.0, 1, True, ("risk_cap",))
+            minvar = solve_min_variance(stats)
+            del walks[:], lines[:]
+            warm = solve(method, stats, r_min=r_min, sigma_max=sigma_max, minvar=minvar,
+                         start=start)
+            assert np.array_equal(warm.weights.w, cold.weights.w)
+            assert warm.converged == cold.converged
+            if walks:
+                assert warm.iterations == cold.iterations
+                ran_out += walks[0] == 1 + allocators._SWAP_ROUNDS
+        assert ran_out > 0
 
     def test_start_on_other_assets_is_ignored(self):
         stats = rolling_windows()[0]

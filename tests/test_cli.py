@@ -333,6 +333,39 @@ class TestContextWiring:
         assert "misaligned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("models", ["equalweight,minvariance", "drl,minvariance"])
+@pytest.mark.parametrize("flags, message", [
+    (["--vol-window", "1"], "volatility window must be >= 2, got 1"),
+    (["--vol-window", "421"], "insufficient rows: need >= 421, got 420"),
+    (["--context", "MISALIGNED"],
+     "misaligned dates: external context does not cover the panel dates"),
+    (["--context", "MISALIGNED", "--vol-window", "1"], "volatility window must be >= 2, got 1"),
+    (["--context", "MALFORMED"], "malformed row in context file MALFORMED: "
+                                 "non-numeric cell at (row 3, column x): 'oops'"),
+    (["--vol-window", "300"], "split 0 starts testing at index 280, before the first "
+                              "index with full feature history (302)"),
+])
+def test_feature_input_errors_do_not_depend_on_the_models(tmp_path, capsys, models, flags,
+                                                          message):
+    """A compare without drl reads no volatilities or context series, but
+    their inputs are checked, with the same messages, all the same."""
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    files = {"MISALIGNED": "date,x\n1999-01-04,1.0\n1999-01-05,2.0\n",
+             "MALFORMED": f"date,x\n{frame.dates[0]},1.0\n{frame.dates[1]},oops\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        message = message.replace(name, str(tmp_path / name))
+    flags = [str(tmp_path / f) if f in files else f for f in flags]
+    capsys.readouterr()
+    code = main(["compare", "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
+                 "--initial-train-end", str(frame.dates[280]), "--models", models]
+                + FAST + flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
         src = tmp_path / "data"
@@ -541,3 +574,24 @@ def test_huge_training_settings_exit_3(tmp_path, capsys, settings, needle):
     argv[0] = "compare"
     assert main(argv + ["--models", "drl,minvariance"] + settings) == 3
     assert f"numeric failure: {needle}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["allocate", "compare"])
+def test_sigma_max_whose_square_overflows_is_an_infinite_cap(tmp_path, command):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    outputs = []
+    for level in ("inf", "1e160"):
+        out = tmp_path / level
+        argv = [command, "--prices", str(src / "prices.csv"), "--outdir", str(out),
+                f"--sigma-max={level}"]
+        if command == "allocate":
+            argv += ["--method", "maxreturn"]
+        else:
+            argv += ["--models", "maxreturn", "--initial-train-end", str(frame.dates[280])] + FAST
+        assert main(argv) == 0
+        outputs.append(read(out / ("weights.csv" if command == "allocate"
+                                   else "weights_maxreturn.csv")))
+    assert outputs[0] == outputs[1]
