@@ -469,9 +469,7 @@ def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
     sigma = stats.sigma_mat
     eig = np.linalg.eigvalsh(sigma)
     if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
-        raise DataError(
-            "singular covariance matrix: apply shrink_covariance before solving risk parity"
-        )
+        raise DataError("singular covariance matrix: risk parity needs a positive-definite one")
     x, steps = _erc_newton(sigma)
     w = x / x.sum()
     contrib = risk_contributions(w, sigma)

@@ -1,8 +1,10 @@
 """Minimal tape-based reverse-mode automatic differentiation over dense
-numpy tensors: just the operations the policy network and its episodic
-objective need. All data is float64; convolutions are valid (no padding),
-stride 1, cross-correlation orientation. The network primitives accept
-leading batch axes, so one taped pass covers a whole stack of observations.
+numpy tensors: just the layers of the policy network. All data is float64;
+convolutions are valid (no padding), stride 1, cross-correlation
+orientation. The primitives accept leading batch axes, so one taped pass
+covers a whole stack of observations. A caller with a closed-form gradient
+(the trainer's episodic objective) records its own backward closure with
+``Tape.record`` and feeds the network's outputs through ``accumulate``.
 """
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _acc(t: Tensor, g) -> None:
+def accumulate(t: Tensor, g) -> None:
+    """Add g to t's gradient slot, allocating it at zero on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     if np.shape(g) != t.grad.shape:
@@ -79,19 +82,23 @@ def backward(tape: Tape, out: Tensor) -> None:
 # primitives
 # ---------------------------------------------------------------------------
 
-def conv1d(tape: Tape, x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+def conv1d(tape: Tape, x: Tensor | np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid 1-D cross-correlation: x (..., c_in, L), kernels (c_out, c_in, k)
-    -> (..., c_out, L - k + 1)."""
-    length, k = x.data.shape[-1], kernels.data.shape[2]
+    -> (..., c_out, L - k + 1). A plain array x is a constant input, such as
+    the network's observations: its gradient is not formed."""
+    taped = isinstance(x, Tensor)
+    data = x.data if taped else x
+    length, k = data.shape[-1], kernels.data.shape[2]
     if k > length:
         raise ValueError(f"kernel length {k} exceeds input length {length}")
-    out = Tensor(_kernels.conv1d_fwd(x.data, kernels.data, bias.data))
+    out = Tensor(_kernels.conv1d_fwd(data, kernels.data, bias.data))
 
     def back():
-        gx, gk, gb = _kernels.conv1d_bwd(x.data, kernels.data, out.grad)
-        _acc(x, gx)
-        _acc(kernels, gk)
-        _acc(bias, gb)
+        gx, gk, gb = _kernels.conv1d_bwd(data, kernels.data, out.grad, taped)
+        if taped:
+            accumulate(x, gx)
+        accumulate(kernels, gk)
+        accumulate(bias, gb)
 
     tape.record(back)
     return out
@@ -104,9 +111,9 @@ def dense(tape: Tape, x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     def back():
         g = out.grad
         n, o = weights.data.shape
-        _acc(x, np.matmul(g, weights.data.T))
-        _acc(weights, x.data.reshape(-1, n).T @ g.reshape(-1, o))
-        _acc(bias, g.reshape(-1, o).sum(axis=0))
+        accumulate(x, np.matmul(g, weights.data.T))
+        accumulate(weights, x.data.reshape(-1, n).T @ g.reshape(-1, o))
+        accumulate(bias, g.reshape(-1, o).sum(axis=0))
 
     tape.record(back)
     return out
@@ -116,7 +123,7 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0))
 
     def back():
-        _acc(x, out.grad * (x.data > 0.0))
+        accumulate(x, out.grad * (x.data > 0.0))
 
     tape.record(back)
     return out
@@ -129,7 +136,7 @@ def sigmoid(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def back():
-        _acc(x, out.grad * out.data * (1.0 - out.data))
+        accumulate(x, out.grad * out.data * (1.0 - out.data))
 
     tape.record(back)
     return out
@@ -144,17 +151,7 @@ def softmax(tape: Tape, x: Tensor) -> Tensor:
 
     def back():
         g = out.grad
-        _acc(x, out.data * (g - np.einsum("...i,...i->...", g, out.data)[..., None]))
-
-    tape.record(back)
-    return out
-
-
-def flatten(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(x.data.reshape(-1).copy())
-
-    def back():
-        _acc(x, out.grad.reshape(x.data.shape))
+        accumulate(x, out.data * (g - np.einsum("...i,...i->...", g, out.data)[..., None]))
 
     tape.record(back)
     return out
@@ -168,51 +165,8 @@ def concat(tape: Tape, a: Tensor, b: Tensor, batch_dims: int = 0) -> Tensor:
     na = fa.shape[-1]
 
     def back():
-        _acc(a, out.grad[..., :na].reshape(a.data.shape))
-        _acc(b, out.grad[..., na:].reshape(b.data.shape))
-
-    tape.record(back)
-    return out
-
-
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def back():
-        _acc(a, out.grad)
-        _acc(b, out.grad)
-
-    tape.record(back)
-    return out
-
-
-def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def back():
-        _acc(a, out.grad)
-        _acc(b, -out.grad)
-
-    tape.record(back)
-    return out
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def back():
-        _acc(a, out.grad * b.data)
-        _acc(b, out.grad * a.data)
-
-    tape.record(back)
-    return out
-
-
-def add_const(tape: Tape, x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data + c)
-
-    def back():
-        _acc(x, out.grad)
+        accumulate(a, out.grad[..., :na].reshape(a.data.shape))
+        accumulate(b, out.grad[..., na:].reshape(b.data.shape))
 
     tape.record(back)
     return out
@@ -222,50 +176,7 @@ def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
     out = Tensor(x.data * c)
 
     def back():
-        _acc(x, out.grad * c)
-
-    tape.record(back)
-    return out
-
-
-def dot_const(tape: Tape, x: Tensor, c: np.ndarray) -> Tensor:
-    """Inner product with a constant over the last axis: x (..., n), c
-    broadcastable to it -> (...); a scalar tensor for a vector x."""
-    c = np.asarray(c, dtype=np.float64)
-    out = Tensor(np.einsum("...i,...i->...", x.data, c))
-
-    def back():
-        _acc(x, out.grad[..., None] * c)
-
-    tape.record(back)
-    return out
-
-
-def prod(tape: Tape, x: Tensor) -> Tensor:
-    """Product of all entries of x, multiplied in order; a scalar tensor.
-
-    The gradient of entry i is the product of every other entry, taken from
-    prefix and suffix products rather than by dividing the total by x_i, so
-    it stays exact when an entry is 0.
-    """
-    flat = x.data.reshape(-1)
-    prefix = np.cumprod(flat)
-    out = Tensor(prefix[-1])
-
-    def back():
-        before = np.concatenate(([1.0], prefix[:-1]))
-        after = np.concatenate((np.cumprod(flat[:0:-1])[::-1], [1.0]))
-        _acc(x, (out.grad * before * after).reshape(x.data.shape))
-
-    tape.record(back)
-    return out
-
-
-def sumsq(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(float((x.data * x.data).sum()))
-
-    def back():
-        _acc(x, 2.0 * out.grad * x.data)
+        accumulate(x, out.grad * c)
 
     tape.record(back)
     return out
@@ -299,8 +210,12 @@ def save_tensors(path: str, tensors: dict[str, Tensor], header: str = "") -> Non
 
 def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
     """Read a checkpoint container; returns (tensors, header line)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"tensor container is not text ({exc.reason} at byte {exc.start}): "
+                        f"{path}") from None
     if not lines or lines[0] != _MAGIC:
         raise DataError(f"not a tensor container (bad magic): {path}")
     header = lines[1] if len(lines) > 1 else ""

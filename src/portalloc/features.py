@@ -150,9 +150,3 @@ def build_observations(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
     context = ctx.values[ts - ctx_lags.offsets_oldest_first() - ctx_offset].transpose(0, 2, 1)
     return Observation(np.stack([rets, vols], axis=1), context, rf.dates[t_start:t_end])
 
-
-def build_observation(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
-                      lags: LagSet, ctx_lags: LagSet, t: int) -> Observation:
-    """Observation at return-frame index t, laid out as one step of
-    build_observations."""
-    return build_observations(rf, vf, ctx, lags, ctx_lags, t, t + 1)[0]

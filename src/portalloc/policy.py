@@ -115,39 +115,47 @@ def _conv_extents(length: int, convs: tuple[tuple[int, int], ...], axis_name: st
     return out
 
 
+def _network_shapes(arch: NetworkArch, m: int, lags: int, ctx_series: int,
+                    ctx_lags: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every network tensor, in initialization order, checked
+    before anything is allocated: input dimensions are integers >= 1 and
+    every kernel fits its axis."""
+    dims = (m, lags, ctx_series, ctx_lags)
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+               for d in dims):
+        raise DataError(f"network input dimensions must be integers >= 1, got {list(dims)}")
+    asset_out = _conv_extents(lags, arch.asset_conv, "lag")
+    ctx_out = _conv_extents(ctx_lags, arch.context_conv, "context lag")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, c_in, convs in (("asset_conv", 2 * m, arch.asset_conv),
+                                ("ctx_conv", ctx_series, arch.context_conv)):
+        for i, (filters, k) in enumerate(convs):
+            shapes[f"{prefix}{i}_w"], shapes[f"{prefix}{i}_b"] = (filters, c_in, k), (filters,)
+            c_in = filters
+    feat = arch.asset_conv[-1][0] * asset_out + arch.context_conv[-1][0] * ctx_out
+    for i, width in enumerate(arch.hidden):
+        shapes[f"hidden{i}_w"], shapes[f"hidden{i}_b"] = (feat, width), (width,)
+        feat = width
+    for head, width in (("weights_head", m), ("leverage_head", 1)):
+        shapes[f"{head}_w"], shapes[f"{head}_b"] = (feat, width), (width,)
+    return shapes
+
+
 def init_network(arch: NetworkArch, m: int, lags: int, ctx_series: int, ctx_lags: int,
                  seed: int = 0) -> PolicyParameters:
     """Deterministic initialization: fan-in-scaled uniform for trunk layers,
-    zeros for the two head layers (so the initial policy is the uniform
-    portfolio at mid leverage)."""
-    if m < 1 or lags < 1 or ctx_series < 1 or ctx_lags < 1:
-        raise DataError("network input dimensions must be >= 1")
-    asset_out = _conv_extents(lags, arch.asset_conv, "lag")
-    ctx_out = _conv_extents(ctx_lags, arch.context_conv, "context lag")
+    zeros for biases and the two head layers (so the initial policy is the
+    uniform portfolio at mid leverage)."""
+    shapes = _network_shapes(arch, m, lags, ctx_series, ctx_lags)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tensors: dict[str, Tensor] = {}
-
-    def uniform(name: str, shape: tuple[int, ...], fan_in: int) -> None:
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors[name + "_w"] = Tensor(rng.uniform(-bound, bound, size=shape))
-        tensors[name + "_b"] = Tensor(np.zeros(shape[0] if len(shape) == 3 else shape[-1]))
-
-    c_in = 2 * m
-    for i, (filters, k) in enumerate(arch.asset_conv):
-        uniform(f"asset_conv{i}", (filters, c_in, k), c_in * k)
-        c_in = filters
-    c_ctx = ctx_series
-    for i, (filters, k) in enumerate(arch.context_conv):
-        uniform(f"ctx_conv{i}", (filters, c_ctx, k), c_ctx * k)
-        c_ctx = filters
-    feat = arch.asset_conv[-1][0] * asset_out + arch.context_conv[-1][0] * ctx_out
-    for i, width in enumerate(arch.hidden):
-        uniform(f"hidden{i}", (feat, width), feat)
-        feat = width
-    tensors["weights_head_w"] = Tensor(np.zeros((feat, m)))
-    tensors["weights_head_b"] = Tensor(np.zeros(m))
-    tensors["leverage_head_w"] = Tensor(np.zeros((feat, 1)))
-    tensors["leverage_head_b"] = Tensor(np.zeros(1))
+    for name, shape in shapes.items():
+        if name.endswith("_b") or "_head_" in name:
+            tensors[name] = Tensor(np.zeros(shape))
+        else:
+            # a conv kernel (filters, c_in, k) or a dense matrix (fan_in, width)
+            bound = 1.0 / np.sqrt(shape[1] * shape[2] if len(shape) == 3 else shape[0])
+            tensors[name] = Tensor(rng.uniform(-bound, bound, size=shape))
     return PolicyParameters(tensors, arch, m, lags, ctx_series, ctx_lags)
 
 
@@ -165,10 +173,10 @@ def forward_tape(tape: Tape, params: PolicyParameters,
                         f"({params.ctx_series}, {params.ctx_lags})")
     t = params.tensors
     batch = a.ndim - 3
-    x = Tensor(a.reshape(a.shape[:batch] + (2 * params.m, params.lags)))
+    x = a.reshape(a.shape[:batch] + (2 * params.m, params.lags))
     for i in range(len(params.arch.asset_conv)):
         x = ad.relu(tape, ad.conv1d(tape, x, t[f"asset_conv{i}_w"], t[f"asset_conv{i}_b"]))
-    y = Tensor(c)
+    y = c
     for i in range(len(params.arch.context_conv)):
         y = ad.relu(tape, ad.conv1d(tape, y, t[f"ctx_conv{i}_w"], t[f"ctx_conv{i}_b"]))
     feat = ad.concat(tape, x, y, batch)
@@ -194,22 +202,14 @@ def l2_penalty(params: PolicyParameters) -> float:
     return params.arch.l2_coeff * total
 
 
-def l2_penalty_tape(tape: Tape, params: PolicyParameters) -> Tensor:
-    acc = None
-    for name in params.weight_names():
-        term = ad.sumsq(tape, params.tensors[name])
-        acc = term if acc is None else ad.add(tape, acc, term)
-    return ad.scale(tape, acc, params.arch.l2_coeff)
-
-
 def save_params(params: PolicyParameters, path: str) -> None:
     header = params.arch.to_json(params.m, params.lags, params.ctx_series, params.ctx_lags)
     ad.save_tensors(path, params.tensors, header=header)
 
 
 def load_params(path: str) -> PolicyParameters:
-    """Load a checkpoint; fails loudly if tensor shapes and the stored
-    architecture descriptor disagree."""
+    """Load a checkpoint; fails loudly if the stored architecture descriptor
+    is malformed or the tensor names and shapes disagree with it."""
     tensors, header = ad.load_tensors(path)
     try:
         meta = json.loads(header)
@@ -220,17 +220,16 @@ def load_params(path: str) -> PolicyParameters:
             max_leverage=meta["max_leverage"],
             l2_coeff=meta["l2_coeff"],
         )
-        params = PolicyParameters(tensors, arch, meta["assets"], meta["lags"],
-                                  meta["context_series"], meta["context_lags"])
-    except (ValueError, KeyError, TypeError) as exc:
+        dims = (meta["assets"], meta["lags"], meta["context_series"], meta["context_lags"])
+        shapes = _network_shapes(arch, *dims)
+    except (ValueError, KeyError, TypeError, OverflowError, DataError) as exc:
         raise DataError(f"bad checkpoint header ({type(exc).__name__}: {exc}): {path}") from None
-    reference = init_network(arch, params.m, params.lags, params.ctx_series, params.ctx_lags)
-    if set(reference.tensors) != set(tensors):
+    if set(shapes) != set(tensors):
         raise DataError(f"checkpoint tensor names do not match architecture: {path}")
-    for name, ref in reference.tensors.items():
-        if ref.data.shape != tensors[name].data.shape:
+    for name, shape in shapes.items():
+        if tensors[name].data.shape != shape:
             raise DataError(
                 f"checkpoint tensor {name} has shape {tensors[name].data.shape}, "
-                f"architecture requires {ref.data.shape}: {path}"
+                f"architecture requires {shape}: {path}"
             )
-    return params
+    return PolicyParameters(tensors, arch, *dims)

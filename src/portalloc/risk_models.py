@@ -77,15 +77,3 @@ def estimate_stats(rf: ReturnFrame, window: int | None = None) -> CovarianceStat
         raise DataError(f"degenerate asset {rf.assets[idx]}: zero variance, correlation undefined")
     return stats_from_covariance(mu, sigma_mat)
 
-
-def shrink_covariance(stats: CovarianceStats, shrink: float) -> CovarianceStats:
-    """Blend the covariance toward its own diagonal:
-    sigma' = (1 - shrink) * sigma + shrink * diag(sigma).
-
-    Leaves variances (and so volatilities) unchanged; off-diagonal entries
-    scale by (1 - shrink). shrink=0 is the identity, shrink=1 is diagonal.
-    """
-    if not 0.0 <= shrink <= 1.0:
-        raise DataError(f"shrinkage must lie in [0, 1], got {shrink}")
-    shrunk = (1.0 - shrink) * stats.sigma_mat + shrink * np.diag(np.diag(stats.sigma_mat))
-    return stats_from_covariance(stats.mu, shrunk)

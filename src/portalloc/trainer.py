@@ -4,13 +4,14 @@ Each iteration replays the window once: the policy acts on (noise-perturbed)
 observations, a random action replaces the policy's with probability
 1 - policy_prob, and the terminal reward is the net performance
 P_T / P_0 - 1 with a one-step action lag (the action decided at t earns the
-returns realized at t + 1). The gradient of the terminal reward (minus the
-L2 penalty) flows by exact backpropagation through every policy-chosen step;
-random-action steps contribute constant factors. Observations, realized
-returns and random draws do not depend on the actions, so an iteration is
-one batched inference forward and one batched taped forward over all steps.
-Parameters ascend with Adam; training stops early when the best seen reward
-stops improving.
+returns realized at t + 1). The terminal reward is a product of per-step
+growth factors, so its gradient (and the L2 penalty's) with respect to the
+network's outputs is exact and in closed form; only the network's layers
+are backpropagated on the tape. Random-action steps contribute constant
+factors. Observations, realized returns and random draws do not depend on
+the actions, so an iteration is one batched inference forward and one
+batched taped forward over all steps. Parameters ascend with Adam; training
+stops early when the best seen reward stops improving.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .features import (ContextFrame, LagSet, Observation, build_observations,
                        min_valid_index)
 from .market_data import ReturnFrame, VolFrame
 from .policy import (Action, NetworkArch, PolicyParameters, forward,
-                     forward_tape, init_network, l2_penalty_tape)
+                     forward_tape, init_network, l2_penalty)
 
 
 @dataclass(frozen=True)
@@ -158,18 +159,36 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
 def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer) -> Tensor:
     """Differentiable terminal reward minus L2 penalty, rebuilt from a stored
     episode. One taped forward re-runs the network on every policy step's
-    stored observation; random-action steps enter as constant growth factors."""
+    stored observation; random-action steps enter as constant growth factors.
+    One tape record holds the closed-form gradient: each policy step's factor
+    gets the product of all the others, from prefix and suffix products (exact
+    at a step that loses 100%), and every weight tensor w gets -2 l2_coeff w."""
     pick = buffer.is_policy
     constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
+    gross = constant
     if pick.any():
         weights, lev = forward_tape(tape, params, buffer.obs[pick])
-        step = ad.mul(tape, ad.flatten(tape, lev),
-                      ad.dot_const(tape, weights, buffer.next_returns[pick]))
-        gross = ad.scale(tape, ad.prod(tape, ad.add_const(tape, step, 1.0)), constant)
-    else:
-        gross = Tensor(np.array(constant))
-    reward = ad.add_const(tape, gross, -1.0)
-    return ad.sub(tape, reward, l2_penalty_tape(tape, params))
+        returns = buffer.next_returns[pick]
+        leverage = lev.data.reshape(-1)
+        dot = np.einsum("ij,ij->i", weights.data, returns)
+        factors = leverage * dot + 1.0
+        prefix = np.cumprod(factors)
+        gross = prefix[-1] * constant
+    out = Tensor(gross - 1.0 - l2_penalty(params))
+
+    def back():
+        if pick.any():
+            before = np.concatenate(([1.0], prefix[:-1]))
+            after = np.concatenate((np.cumprod(factors[:0:-1])[::-1], [1.0]))
+            seed = out.grad * constant * before * after
+            ad.accumulate(lev, (seed * dot)[:, None])
+            ad.accumulate(weights, (seed * leverage)[:, None] * returns)
+        for name in params.weight_names():
+            w = params.tensors[name]
+            ad.accumulate(w, 2.0 * (-out.grad * params.arch.l2_coeff) * w.data)
+
+    tape.record(back)
+    return out
 
 
 def episode_objective(params: PolicyParameters, window: TradingWindow,

@@ -15,7 +15,9 @@ import os
 
 import numpy as np
 
+from portalloc.autodiff import Tensor, accumulate, scale
 from portalloc.errors import DataError
+from portalloc.features import build_observations
 
 GRID_STEP = 0.005
 
@@ -239,27 +241,161 @@ def relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# episode references: one step at a time
+# tape primitives of the episodic objective, composed on the library's tape
 # ---------------------------------------------------------------------------
+
+def flatten(tape, x):
+    out = Tensor(x.data.reshape(-1).copy())
+
+    def back():
+        accumulate(x, out.grad.reshape(x.data.shape))
+
+    tape.record(back)
+    return out
+
+
+def add(tape, a, b):
+    out = Tensor(a.data + b.data)
+
+    def back():
+        accumulate(a, out.grad)
+        accumulate(b, out.grad)
+
+    tape.record(back)
+    return out
+
+
+def sub(tape, a, b):
+    out = Tensor(a.data - b.data)
+
+    def back():
+        accumulate(a, out.grad)
+        accumulate(b, -out.grad)
+
+    tape.record(back)
+    return out
+
+
+def mul(tape, a, b):
+    out = Tensor(a.data * b.data)
+
+    def back():
+        accumulate(a, out.grad * b.data)
+        accumulate(b, out.grad * a.data)
+
+    tape.record(back)
+    return out
+
+
+def add_const(tape, x, c: float):
+    out = Tensor(x.data + c)
+
+    def back():
+        accumulate(x, out.grad)
+
+    tape.record(back)
+    return out
+
+
+def dot_const(tape, x, c: np.ndarray):
+    """Inner product with a constant over the last axis: x (..., n), c
+    broadcastable to it -> (...); a scalar tensor for a vector x."""
+    c = np.asarray(c, dtype=np.float64)
+    out = Tensor(np.einsum("...i,...i->...", x.data, c))
+
+    def back():
+        accumulate(x, out.grad[..., None] * c)
+
+    tape.record(back)
+    return out
+
+
+def prod(tape, x):
+    """Product of all entries of x, multiplied in order; a scalar tensor.
+
+    The gradient of entry i is the product of every other entry, taken from
+    prefix and suffix products rather than by dividing the total by x_i, so
+    it stays exact when an entry is 0.
+    """
+    flat = x.data.reshape(-1)
+    prefix = np.cumprod(flat)
+    out = Tensor(prefix[-1])
+
+    def back():
+        before = np.concatenate(([1.0], prefix[:-1]))
+        after = np.concatenate((np.cumprod(flat[:0:-1])[::-1], [1.0]))
+        accumulate(x, (out.grad * before * after).reshape(x.data.shape))
+
+    tape.record(back)
+    return out
+
+
+def sumsq(tape, x):
+    out = Tensor(float((x.data * x.data).sum()))
+
+    def back():
+        accumulate(x, 2.0 * out.grad * x.data)
+
+    tape.record(back)
+    return out
+
+
+def l2_penalty_tape(tape, params):
+    """l2_coeff times the summed squares of every weight tensor, on the tape."""
+    acc = None
+    for name in params.weight_names():
+        term = sumsq(tape, params.tensors[name])
+        acc = term if acc is None else add(tape, acc, term)
+    return scale(tape, acc, params.arch.l2_coeff)
+
+
+# ---------------------------------------------------------------------------
+# episode references
+# ---------------------------------------------------------------------------
+
+def taped_buffer_objective(tape, params, buffer):
+    """Terminal reward minus L2 of a stored episode, composed from generic
+    tape primitives over one batched taped forward; random-action steps enter
+    as one constant factor. The closed-form trainer.buffer_objective must
+    equal it bit for bit."""
+    from portalloc.policy import forward_tape
+    from portalloc.trainer import _growth
+
+    pick = buffer.is_policy
+    constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
+    if pick.any():
+        weights, lev = forward_tape(tape, params, buffer.obs[pick])
+        step = mul(tape, flatten(tape, lev), dot_const(tape, weights, buffer.next_returns[pick]))
+        gross = scale(tape, prod(tape, add_const(tape, step, 1.0)), constant)
+    else:
+        gross = Tensor(np.array(constant))
+    reward = add_const(tape, gross, -1.0)
+    return sub(tape, reward, l2_penalty_tape(tape, params))
+
 
 def sequential_buffer_objective(tape, params, buffer):
     """Terminal reward minus L2 of a stored episode, compounded step by step
     with one taped forward per policy step (the unbatched tape path);
     random-action steps enter as constant factors."""
-    from portalloc import autodiff as ad
-    from portalloc.policy import forward_tape, l2_penalty_tape
+    from portalloc.policy import forward_tape
 
-    gross = ad.Tensor(np.array(1.0))
+    gross = Tensor(np.array(1.0))
     for i, r in enumerate(buffer.next_returns):
         if buffer.is_policy[i]:
             weights, lev = forward_tape(tape, params, buffer.obs[i])
-            step = ad.mul(tape, lev, ad.dot_const(tape, weights, r))
-            gross = ad.mul(tape, gross, ad.add_const(tape, step, 1.0))
+            step = mul(tape, lev, dot_const(tape, weights, r))
+            gross = mul(tape, gross, add_const(tape, step, 1.0))
         else:
             lev = float(buffer.actions.leverage[i])
-            gross = ad.scale(tape, gross, 1.0 + lev * float(buffer.actions.weights[i] @ r))
-    reward = ad.add_const(tape, gross, -1.0)
-    return ad.sub(tape, reward, l2_penalty_tape(tape, params))
+            gross = scale(tape, gross, 1.0 + lev * float(buffer.actions.weights[i] @ r))
+    reward = add_const(tape, gross, -1.0)
+    return sub(tape, reward, l2_penalty_tape(tape, params))
+
+
+def build_observation(rf, vf, ctx, lags, ctx_lags, t: int):
+    """Observation at return-frame index t, laid out as one step of
+    features.build_observations: the one-step reference."""
+    return build_observations(rf, vf, ctx, lags, ctx_lags, t, t + 1)[0]
 
 
 def episode_draws(rng, window, m, max_leverage, noise_std, policy_prob):

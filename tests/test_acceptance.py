@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from conftest import weekday_dates
+from oracles import build_observation
 from portalloc import autodiff as ad
 from portalloc.allocators import (risk_contributions,
                                   solve_markowitz_max_return,
@@ -22,8 +23,7 @@ from portalloc.autodiff import Tape
 from portalloc.backtest import (EquityCurve, annualized_return, make_schedule,
                                 max_drawdown, run_strategy, sharpe, sortino)
 from portalloc.cli import main
-from portalloc.features import (LagSet, build_context_series, build_observation,
-                                min_valid_index)
+from portalloc.features import LagSet, build_context_series, min_valid_index
 from portalloc.market_data import (PriceFrame, RegimeSpec, SyntheticSpec,
                                    compute_returns, generate_synthetic_with_regimes,
                                    rolling_volatility)

@@ -217,7 +217,7 @@ class TestRiskParity:
     def test_singular_covariance_directs_to_shrinkage(self):
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]]) + 0.0
         stats = stats_from_covariance(np.zeros(2), sigma + 1e-13 * np.eye(2))
-        with pytest.raises(DataError, match="shrink_covariance"):
+        with pytest.raises(DataError, match="needs a positive-definite one"):
             solve_risk_parity(stats)
 
     def test_ill_conditioned_covariances_converge(self):

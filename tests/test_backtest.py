@@ -503,7 +503,7 @@ class TestBatchedPolicyDecisions:
         return schedule
 
     def assert_matches_per_step(self, report, bundle, schedule, params_by_split):
-        from portalloc.features import build_observation
+        from oracles import build_observation
         from portalloc.policy import forward
 
         origin = schedule.splits[0].test_start - 1

@@ -257,6 +257,30 @@ class TestCompareCommand:
         assert main(args + ["--checkpoints", str(ckpt)]) == 2
         assert "no end line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: b"\xff" + text[1:],
+        lambda text: text.replace(b'"assets":2', b'"assets":2.5'),
+        lambda text: text.replace(b'"assets":2', b'"assets":"2"'),
+        lambda text: text.replace(b'"lags":3', b'"lags":1e400'),
+        lambda text: text.replace(b'"hidden":[]', b'"hidden":[1e400]'),
+        # must be rejected from the stored shapes, not by allocating 21.8 TiB
+        lambda text: text.replace(b'"assets":2', b'"assets":99999999999'),
+    ], ids=["not-utf8", "float-dim", "string-dim", "infinite-dim", "infinite-hidden",
+            "huge-dim"])
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
+        prices, train_end = self.setup_data(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", "--prices", prices, "--outdir", str(ckpt),
+                     "--initial-train-end", train_end] + FAST) == 0
+        path = ckpt / "checkpoint_w00.txt"
+        text = path.read_bytes()
+        path.write_bytes(corrupt(text))
+        assert path.read_bytes() != text
+        args = self.compare_args(prices, tmp_path / "o", train_end, models="drl")
+        capsys.readouterr()
+        assert main(args + ["--checkpoints", str(ckpt)]) == 2
+        assert "checkpoint_w00.txt" in capsys.readouterr().err
+
     def test_svg_output(self, tmp_path):
         prices, train_end = self.setup_data(tmp_path)
         out = tmp_path / "svg"

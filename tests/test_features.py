@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import make_price_frame
+from oracles import build_observation
 from portalloc.errors import DataError
 from portalloc.features import (ContextFrame, LagSet, build_context_series,
-                                build_observation, load_context_csv,
-                                min_valid_index)
+                                load_context_csv, min_valid_index)
 from portalloc.market_data import compute_returns, rolling_volatility
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError
@@ -174,3 +176,68 @@ class TestCheckpoint:
         (tmp_path / "bad.txt").write_text(text)
         with pytest.raises(DataError, match="checkpoint tensor"):
             load_params(str(tmp_path / "bad.txt"))
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def networks(draw):
+    """A small random architecture with random finite parameter bits."""
+    conv = st.tuples(st.integers(1, 4), st.integers(1, 3))
+    arch = NetworkArch(asset_conv=tuple(draw(st.lists(conv, min_size=1, max_size=2))),
+                       context_conv=tuple(draw(st.lists(conv, min_size=1, max_size=2))),
+                       hidden=tuple(draw(st.lists(st.integers(1, 4), max_size=2))),
+                       max_leverage=draw(st.floats(1e-3, 10.0)),
+                       l2_coeff=draw(st.floats(0.0, 1.0)))
+    m, ctx_series = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    params = init_network(arch, m, 6, ctx_series, 6, seed=0)
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    for t in params.tensors.values():
+        t.data = np.array(draw(st.lists(values, min_size=t.data.size, max_size=t.data.size)),
+                          dtype=np.float64).reshape(t.data.shape)
+    return params
+
+
+class TestCheckpointProperties:
+    @PROPERTY
+    @given(params=networks())
+    def test_round_trip_keeps_bits_and_header(self, tmp_path_factory, params):
+        path = str(tmp_path_factory.mktemp("ckpt") / "ckpt.txt")
+        save_params(params, path)
+        loaded = load_params(path)
+        assert loaded.arch == params.arch
+        dims = (params.m, params.lags, params.ctx_series, params.ctx_lags)
+        assert (loaded.m, loaded.lags, loaded.ctx_series, loaded.ctx_lags) == dims
+        assert set(loaded.tensors) == set(params.tensors)
+        for name, t in params.tensors.items():
+            assert loaded.tensors[name].data.shape == t.data.shape
+            assert np.array_equal(loaded.tensors[name].data.view(np.uint64),
+                                  t.data.view(np.uint64)), name
+        again = path + ".again"
+        save_params(loaded, again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_single_byte_replacement_is_rejected_or_loads_a_valid_network(
+            self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.txt"
+        save_params(init_network(NetworkArch(hidden=(3,)), 2, 7, 3, 7, seed=4), str(path))
+        text = path.read_bytes()
+        # the magic and header lines are short, so half the draws land there
+        header_end = text.index(b"\ntensor ")
+        at = data.draw(st.one_of(st.integers(0, header_end), st.integers(0, len(text) - 1)))
+        byte = data.draw(st.one_of(st.sampled_from(b'0123456789.-+e, :[]{}"\n\r'),
+                                   st.integers(0, 255)))
+        path.write_bytes(text[:at] + bytes([byte]) + text[at + 1:])
+        try:
+            loaded = load_params(str(path))
+        except DataError:
+            return
+        reference = init_network(loaded.arch, loaded.m, loaded.lags, loaded.ctx_series,
+                                 loaded.ctx_lags)
+        assert set(loaded.tensors) == set(reference.tensors)
+        for name, t in reference.tensors.items():
+            assert loaded.tensors[name].data.shape == t.data.shape
+            assert np.all(np.isfinite(loaded.tensors[name].data))

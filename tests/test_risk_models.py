@@ -4,7 +4,7 @@ import pytest
 from conftest import make_price_frame
 from portalloc.errors import DataError
 from portalloc.market_data import compute_returns
-from portalloc.risk_models import estimate_stats, shrink_covariance, stats_from_covariance
+from portalloc.risk_models import estimate_stats, stats_from_covariance
 
 
 def frame_from_returns(returns, assets=None):
@@ -79,38 +79,6 @@ def test_covariance_is_psd_for_any_frame(rng):
         assert eig[0] >= -1e-10 * max(eig[-1], 1e-300)
         assert np.all(np.abs(stats.corr) <= 1 + 1e-12)
         np.testing.assert_allclose(stats.vols ** 2, np.diag(stats.sigma_mat), rtol=1e-12)
-
-
-class TestShrinkage:
-    def stats(self):
-        sigma = np.array([[0.04, 0.02], [0.02, 0.09]])
-        return stats_from_covariance(np.array([0.05, 0.08]), sigma)
-
-    def test_identity_at_zero(self):
-        stats = self.stats()
-        out = shrink_covariance(stats, 0.0)
-        np.testing.assert_allclose(out.sigma_mat, stats.sigma_mat, rtol=0, atol=0)
-
-    def test_full_shrinkage_is_diagonal(self):
-        out = shrink_covariance(self.stats(), 1.0)
-        np.testing.assert_allclose(out.sigma_mat, np.diag([0.04, 0.09]), atol=0)
-
-    def test_halfway(self):
-        out = shrink_covariance(self.stats(), 0.5)
-        np.testing.assert_allclose(out.sigma_mat[0, 1], 0.01, atol=1e-15)
-        np.testing.assert_allclose(out.vols, self.stats().vols, atol=0)
-
-    def test_out_of_range_rejected(self):
-        for lam in (-0.1, 1.1):
-            with pytest.raises(DataError, match="shrinkage"):
-                shrink_covariance(self.stats(), lam)
-
-    def test_preserves_psd(self, rng):
-        a = rng.standard_normal((6, 4))
-        stats = stats_from_covariance(np.zeros(4), a.T @ a / 6 + 1e-6 * np.eye(4))
-        for lam in (0.25, 0.75):
-            out = shrink_covariance(stats, lam)
-            assert np.linalg.eigvalsh(out.sigma_mat)[0] >= -1e-12
 
 
 def test_window_below_one_rejected(rng):

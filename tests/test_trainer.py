@@ -3,10 +3,11 @@ import pytest
 
 import oracles
 from conftest import make_price_frame
+from oracles import build_observation
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError, NumericError
-from portalloc.features import LagSet, build_context_series, build_observation
+from portalloc.features import LagSet, build_context_series
 from portalloc.market_data import compute_returns, rolling_volatility
 from portalloc.policy import NetworkArch, init_network
 from portalloc.trainer import (TrainConfig, adam_step, buffer_objective,
@@ -217,6 +218,41 @@ class TestBatchedEpisode:
         for i, (weights, leverage) in random_actions.items():
             assert np.array_equal(buf.actions.weights[i], weights)
             assert buf.actions.leverage[i] == leverage
+
+
+class TestClosedFormObjective:
+    """buffer_objective equals today's composition of generic tape primitives
+    (oracles.taped_buffer_objective) bit for bit: value and every gradient."""
+
+    def assert_identical(self, params, buf):
+        value, got = objective_and_grads(buffer_objective, params, buf)
+        ref, want = objective_and_grads(oracles.taped_buffer_objective, params, buf)
+        assert value == ref
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_equals_the_taped_composition(self, policy_prob, noise_std):
+        for m in (1, 2, 3):
+            rng = np.random.default_rng(m)
+            window = window_from_returns(0.02 * rng.standard_normal((40, m)))
+            params = perturbed_params(window, seed=m, scale=0.4)
+            buf = run_episode(params, window, noise_std, policy_prob, np.random.default_rng(m))
+            self.assert_identical(params, buf)
+
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5])
+    def test_equals_the_taped_composition_at_a_minus_100_percent_step(self, policy_prob):
+        # leverage 2 on a -50% return: that step's growth factor is exactly 0
+        returns = np.full((40, 2), 0.01)
+        returns[25] = -0.5
+        window = window_from_returns(returns)
+        params = perturbed_params(window)
+        params.tensors["leverage_head_w"].data[:] = 0.0
+        params.tensors["leverage_head_b"].data[:] = np.log(2.0)
+        buf = run_episode(params, window, 0.0, policy_prob, np.random.default_rng(0))
+        assert buf.terminal_reward == -1.0
+        self.assert_identical(params, buf)
 
 
 class TestAdam:
