@@ -230,10 +230,13 @@ def load_tensors(path: str) -> tuple[dict[str, Tensor], str]:
             raise DataError(f"tensor {name} has no value line: {path}")
         try:
             ndim = int(parts[2])
-            shape = tuple(int(d) for d in parts[3:3 + ndim])
+            shape = tuple(int(d) for d in parts[3:])
             values = np.array(lines[i + 1].split(), dtype=float)
         except ValueError as exc:
             raise DataError(f"corrupt tensor {name} at line {i + 1} ({exc}): {path}") from None
+        if len(shape) != ndim or min(shape, default=0) < 0:
+            raise DataError(f"tensor {name} needs {ndim} non-negative dimensions, lists "
+                            f"{list(shape)}: {path}")
         expected = int(np.prod(shape)) if shape else 1
         if values.size != expected:
             raise DataError(f"tensor {name} has {values.size} values, shape {shape}: {path}")

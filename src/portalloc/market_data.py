@@ -5,7 +5,9 @@ This module owns the dated-CSV format shared by prices, context series,
 ``curves.csv``, ``weights_<model>.csv`` and the ``plot`` inputs: header row
 ``date,NAME1,...,NAMEm``, one row per date, strictly increasing ISO-8601
 dates, finite ``.``-decimal numbers without thousands separators.
-``read_dated_csv`` and ``dated_csv`` are its only reader and writer.
+``read_dated_csv`` and ``dated_csv`` are its only reader and writer. A file
+that tokenizes only one way is parsed in C by ``np.loadtxt``; the csv row
+walk reads every other file and reports every error.
 """
 from __future__ import annotations
 
@@ -37,6 +39,43 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Read a dated CSV into (dates, names, matrix of shape (rows, names)).
+
+    ``_read_one_way`` parses what it can in C; ``_walk_dated_csv`` reads the
+    rest and is the only code that raises DataError. Both parse cells with
+    CPython's string-to-double, so their values agree bit for bit."""
+    try:
+        parsed = _read_one_way(path)
+    except (OSError, ValueError):
+        parsed = None
+    return parsed or _walk_dated_csv(path, kind)
+
+
+def _read_one_way(path: str):
+    """The file's (dates, names, matrix) by np.loadtxt if csv can only split
+    it at its commas and newlines, its dates are ordered and its cells finite;
+    else None. numpy strips \\x1c-\\x1f as whitespace, float() rejects them."""
+    # line by line: freeing one large string raises glibc's mmap threshold,
+    # and the process's peak RSS with it
+    with open(path, newline="\n") as fh:
+        header, *lines = rows = [line.rstrip("\n") for line in fh]
+    commas = header.count(",")
+    if (not lines or not header.startswith("date,") or not all(map(str.isascii, rows))
+            or any(c in row for row in rows for c in '"\r\0\x1c\x1d\x1e\x1f')
+            or max(map(len, rows)) > csv.field_size_limit()
+            or any(line.count(",") != commas for line in lines)):
+        return None
+    matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                        usecols=range(1, commas + 1))
+    ordinals = np.array([datetime.date.fromisoformat(line.partition(",")[0]).toordinal()
+                         for line in lines])
+    if not (np.all(np.diff(ordinals) > 0) and np.isfinite(matrix).all()):
+        return None
+    dates = (ordinals - datetime.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return dates, tuple(header.split(",")[1:]), matrix
+
+
+def _walk_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """The csv row walk behind read_dated_csv.
 
     Raises DataError with a distinct message for: missing or unreadable file,
     bad header, no data rows, ragged rows, malformed, duplicate or unordered
@@ -201,6 +240,8 @@ class SyntheticSpec:
         object.__setattr__(self, "regimes", tuple(self.regimes))
         if self.num_assets < 1 or self.num_steps < 1:
             raise DataError("num_assets and num_steps must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not self.regimes:
             raise DataError("at least one regime is required")
         m = self.num_assets

@@ -33,9 +33,14 @@ class NetworkArch:
     l2_coeff: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "asset_conv", tuple((int(f), int(k)) for f, k in self.asset_conv))
-        object.__setattr__(self, "context_conv", tuple((int(f), int(k)) for f, k in self.context_conv))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        def size(value) -> int:
+            if isinstance(value, bool) or int(value) != value:
+                raise DataError(f"network sizes must be integers, got {value!r}")
+            return int(value)
+
+        object.__setattr__(self, "asset_conv", tuple((size(f), size(k)) for f, k in self.asset_conv))
+        object.__setattr__(self, "context_conv", tuple((size(f), size(k)) for f, k in self.context_conv))
+        object.__setattr__(self, "hidden", tuple(size(h) for h in self.hidden))
         for f, k in self.asset_conv + self.context_conv:
             if f < 1 or k < 1:
                 raise DataError("conv filters and kernels must be >= 1")

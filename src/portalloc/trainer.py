@@ -54,6 +54,8 @@ class TrainConfig:
             raise DataError("max_iterations must be >= 1")
         if self.early_stop_patience < 1:
             raise DataError("early_stop_patience must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,11 @@ def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray,
     hi = float(cum[:, -1].max()) if cum.size else 1.0
     parts = _frame(title, 0.0, hi, _x_tick_labels(dates))
     xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
-    base = np.zeros(len(dates))
+    # band j's lower edge is band j-1's upper edge, walked backwards
+    base = _points(xs, _scale(np.zeros(len(dates)), 0.0, hi, _H - _MB, _MT))
     for j, name in enumerate(names):
-        top = cum[:, j]
-        ys_top = _scale(top, 0.0, hi, _H - _MB, _MT)
-        ys_base = _scale(base, 0.0, hi, _H - _MB, _MT)
-        outline = _points(xs, ys_top) + _points(xs[::-1], ys_base[::-1])
+        top = _points(xs, _scale(cum[:, j], 0.0, hi, _H - _MB, _MT))
+        outline = top + base[::-1]
         color = _PALETTE[j % len(_PALETTE)]
         parts.append(f'<polygon points="{" ".join(outline)}" '
                      f'fill="{color}" fill-opacity="0.75" stroke="none"/>')

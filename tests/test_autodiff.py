@@ -262,6 +262,19 @@ class TestCorruptCheckpoint:
         with pytest.raises(DataError, match="corrupt tensor"):
             ad.load_tensors(bad)
 
+    @pytest.mark.parametrize("line", ["tensor asset_conv0_w 9 5 4 3",
+                                      "tensor asset_conv0_b 1 5 1",
+                                      "tensor asset_conv0_b 2 -1 -5"])
+    def test_dimension_count_must_equal_ndim(self, tmp_path, line):
+        name = line.split()[1]
+
+        def edit(lines):
+            at = next(i for i, text in enumerate(lines) if text.startswith(f"tensor {name} "))
+            lines[at] = line
+        bad = self.rewrite(self.checkpoint(tmp_path), edit)
+        with pytest.raises(DataError, match=f"tensor {name} needs"):
+            ad.load_tensors(bad)
+
     def test_tensor_header_without_value_line(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text('portalloc-tensors v1\n{}\ntensor a_w 1 2')

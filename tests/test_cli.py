@@ -265,8 +265,11 @@ class TestCompareCommand:
         lambda text: text.replace(b'"hidden":[]', b'"hidden":[1e400]'),
         # must be rejected from the stored shapes, not by allocating 21.8 TiB
         lambda text: text.replace(b'"assets":2', b'"assets":99999999999'),
+        # both load as the stored shapes if the header's values are truncated
+        lambda text: text.replace(b'"asset_conv":[[5,2]', b'"asset_conv":[[5.5,2]'),
+        lambda text: text.replace(b"tensor asset_conv0_w 3 ", b"tensor asset_conv0_w 9 "),
     ], ids=["not-utf8", "float-dim", "string-dim", "infinite-dim", "infinite-hidden",
-            "huge-dim"])
+            "huge-dim", "fractional-filter", "short-shape"])
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         prices, train_end = self.setup_data(tmp_path)
         ckpt = tmp_path / "ckpt"
@@ -513,6 +516,21 @@ def test_hidden_sizes_below_one_exit_2(tmp_path, capsys, command, hidden):
         argv += ["--models", "drl"]
     assert main(argv + [f"--hidden={hidden}"]) == 2
     assert "hidden sizes must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "compare"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = {"synth": synth_args(tmp_path / "o"),
+            "train": train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280])),
+            "compare": train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+            + ["--models", "drl"]}[command]
+    argv[0] = command
+    assert main(argv + ["--seed=-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])

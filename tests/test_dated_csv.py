@@ -1,21 +1,28 @@
 """The one dated-CSV reader and writer shared by prices, context series,
 curves, weight paths and plot inputs."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from portalloc import market_data
 from portalloc.cli import main
 from portalloc.errors import DataError
 from portalloc.features import load_context_csv
-from portalloc.market_data import dated_csv, load_price_csv, read_dated_csv
+from portalloc.market_data import (RegimeSpec, SyntheticSpec, dated_csv, generate_synthetic,
+                                   load_price_csv, read_dated_csv, write_price_csv)
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
-# lines that look like the format, so faults deep in a file are reached too
-CSV_LIKE = st.text(alphabet="date,AB0123456789-.eEinfa+ \"\r\n\x00", max_size=80)
+# lines that look like the format, so faults deep in a file are reached too;
+# "_", "#", the whitespace and the non-ASCII digit are cells that float() and
+# numpy's reader could parse differently
+CSV_LIKE = st.text(alphabet="date,AB0123456789-.eEinfa+ \"\r\n\x00_#\t\v\x1c\u0663",
+                   max_size=80)
 TEXT = st.one_of(st.text(max_size=80), CSV_LIKE,
                  CSV_LIKE.map(lambda body: "date,A,B\n2020-01-02,1,2\n" + body))
 CONTENT = st.one_of(TEXT.map(lambda text: text.encode("utf-8")), st.binary(max_size=80))
@@ -106,6 +113,21 @@ def test_writer_equals_the_row_by_row_loop(frame):
     assert dated_csv(*frame) == oracles.row_by_row_dated_csv(*frame)
 
 
+@st.composite
+def edited_frames(draw):
+    """A written frame with one data line edited: a blank line before it, or
+    one extra cell after it."""
+    lines = dated_csv(*draw(dated_frames())).split("\n")
+    i = draw(st.integers(1, len(lines) - 2))
+    lines[i] = draw(st.sampled_from(["\n" + lines[i], lines[i] + ",1.5"]))
+    return "\n".join(lines).encode()
+
+
+# a 300 x 24 price panel
+WIDE = generate_synthetic(SyntheticSpec(24, 299, (RegimeSpec(np.zeros(24), np.full(24, 0.01),
+                                                             0.2, 50),), seed=5))
+
+
 def read_or_error(reader, path):
     try:
         return reader(path, "plot")
@@ -114,8 +136,21 @@ def read_or_error(reader, path):
 
 
 @PROPERTY
-@given(content=st.one_of(CONTENT, dated_frames().map(lambda f: dated_csv(*f).encode())))
+@given(content=st.one_of(CONTENT, dated_frames().map(lambda f: dated_csv(*f).encode()),
+                         edited_frames()))
 @example(content=b"date,A,B,C\n2020-01-02,1,x,y\n")
+@example(content=b"date,A\n2020-01-02," + b"0" * csv.field_size_limit() + b"1\n")
+@example(content=dated_csv(WIDE.dates, WIDE.assets, WIDE.prices).encode())
+@example(content=b"date,A\n2020-01-02,1_0\n")
+@example(content=b"date,A\n2020-01-02,\x1c2\n")
+@example(content="date,A\n2020-01-02,\u0663\n".encode())
+@example(content=b"date,A\n2020-01-02,1#2\n")
+@example(content=b'date,"A"\n2020-01-02,1\n')
+@example(content=b"date,A\r\n2020-01-02,1\n")
+@example(content=b"date,A\n2020-01-02,1\n\n2020-01-03,2\n")
+@example(content=b"date,A\n2020-01-02,1,2\n2020-01-03,2\n")
+@example(content=b"date,A\n2020-01-03,1\n2020-01-02,2\n")
+@example(content=b"date,A\n2020-01-02,1\n2020-01-03,inf\n")
 @example(content=b"date,A\n20200102,1\n2020-01-03,2\n")
 @example(content=b"date,A\n2020-W01-4,1\n2020-W02-1,2\n")
 @example(content=b"date,A\n0001-01-01,1\n9999-12-31,2\n")
@@ -130,6 +165,15 @@ def test_reader_equals_the_cell_by_cell_reader(fuzz_file, content):
     assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
     assert got[1] == want[1]
     assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
+def test_written_panel_is_parsed_without_the_row_walk(tmp_path, monkeypatch):
+    path = str(tmp_path / "prices.csv")
+    write_price_csv(WIDE, path)
+    monkeypatch.setattr(market_data, "_walk_dated_csv", None)
+    frame = load_price_csv(path)
+    assert np.array_equal(frame.dates, WIDE.dates) and frame.assets == WIDE.assets
+    assert np.array_equal(frame.prices.view(np.int64), WIDE.prices.view(np.int64))
 
 
 class TestMessages:

@@ -177,6 +177,22 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="checkpoint tensor"):
             load_params(str(tmp_path / "bad.txt"))
 
+    @pytest.mark.parametrize("old, new", [
+        ('"hidden":[1]', '"hidden":[1.7]'),
+        ('"hidden":[1]', '"hidden":[true]'),
+        ('"asset_conv":[[5,3]', '"asset_conv":[[5.5,3]'),
+        ('"context_conv":[[3,3]]', '"context_conv":[[3,3.2]]'),
+    ], ids=["hidden", "boolean", "filter", "kernel"])
+    def test_non_integral_sizes_rejected(self, tmp_path, old, new):
+        # each size truncates to the stored one, so only the header check can fail
+        path = tmp_path / "ckpt.txt"
+        save_params(init_network(NetworkArch(hidden=(1,)), 2, 7, 3, 7, seed=0), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(DataError, match="network sizes must be integers"):
+            load_params(str(path))
+
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
