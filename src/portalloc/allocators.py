@@ -39,10 +39,14 @@ for markowitz and maxreturn; maxdiversification reports its
 maximum-decorrelation solve's count and flags. converged means a KKT
 residual <= 1e-10 with Q scaled to a largest entry of 1; non_unique means a
 zero eigenvalue of the reduced Hessian: Q on the assets held or priced at
-zero, projected onto the sum-zero directions. Risk parity runs damped
-Newton on its barrier objective scaled to be self-concordant, which
-converges with no step-size rule to tune (Spinu 2013); iterations counts
-its Newton steps.
+zero, projected onto the sum-zero directions. A face whose Q_FF - _TOL I
+has a Cholesky factor (_on_face) certifies that check itself when no asset
+off it is priced at zero: by Cauchy interlacing every eigenvalue of the
+reduced Hessian then exceeds _TOL, so the eigen check runs only for faces
+widened by such assets and after walks. Risk parity runs damped Newton on
+its barrier objective scaled to be self-concordant, which converges with no
+step-size rule to tune (Spinu 2013), from the minimizer of that objective
+on the inverse-volatility ray; iterations counts its Newton steps.
 """
 from __future__ import annotations
 
@@ -238,7 +242,10 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     guess kept with or without swaps counts as one face. Otherwise walk() ->
     (y, lam, free, faces, stopped) runs and a stopped walk settles on its
     final support, so that a guess and a walk that end on one face return
-    the same bits. The non-unique check runs only on the point returned."""
+    the same bits. The non-unique check runs only on the point returned, and
+    on a settled face only if an asset off it is priced at zero: meet has
+    factored Q_FF - _TOL I, so no eigenvalue of the face's reduced Hessian is
+    within _TOL of zero."""
     def meet(face):
         # (y, lam, z) on face's line at stop, or None if it has no valid stop
         line = _on_face(q, v, face)
@@ -254,7 +261,8 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
         kkt = _kkt(y, z)
         if max(kkt, gap(y)) > _TOL:
             return None
-        return y, lam, kkt, _non_unique(q, face | (z <= _TOL))
+        priced = face | (z <= _TOL)
+        return y, lam, kkt, bool((priced != face).any()) and _non_unique(q, priced)
 
     if start is not None and start.weights.w.size == v.size:
         face = start.weights.w > 0
@@ -431,16 +439,28 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     return _finish(y, float(mu @ y), iters, conv, ("risk_cap",), non_unique)
 
 
+def _erc_start(sigma: np.ndarray) -> np.ndarray:
+    """The minimizer of F(x) = l/2 x'Sx - sum ln x_i on the inverse-volatility
+    ray x = t s, s = 1 / sqrt(diag S): F' = l (t s'Ss - 1/t) is zero at
+    t = 1 / sqrt(s'Ss). On a diagonal S it is the minimizer of F."""
+    s = 1.0 / np.sqrt(np.diag(sigma))
+    return s / np.sqrt(float(s @ sigma @ s))
+
+
 def _erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, int]:
     """Minimize the self-concordant F(x) = l/2 x'Sx - sum ln x_i over x > 0,
     whose minimizer is that of the risk-parity barrier program, by damped
     Newton (Spinu 2013). In the variables scaled by x, the residual is
     r = l x * (Sx) - 1, the Newton step u solves (l xx' * S + I) u = r, and
     delta = sqrt(r'u) is the Newton decrement; |u_i| <= delta, so the damped
-    step x * (1 - u / (1 + delta)) stays positive. Stops after the step with
+    step x * (1 - u / (1 + delta)) stays positive. Starts at _erc_start, cold
+    and so the same for every caller: the damped steps are bounded by a
+    multiple of F(x0) - F* (Boyd & Vandenberghe 2004, 9.6.4), and the ray's
+    line minimum has F no higher than its point 1 / sqrt(l diag S), which is
+    the minimizer for uncorrelated assets. Stops after the step with
     delta <= 1e-8, or after _NEWTON_STEPS steps."""
     l = sigma.shape[0]
-    x = 1.0 / np.sqrt(np.diag(sigma) * l)
+    x = _erc_start(sigma)
     eye = np.eye(l)
     for steps in range(1, _NEWTON_STEPS + 1):
         r = l * x * (sigma @ x) - 1.0

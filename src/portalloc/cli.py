@@ -145,8 +145,18 @@ def _convert(key: str, kind, text: str):
         raise UsageError(f"bad value for {key}: {text!r} is not {noun}") from None
 
 
+_MAX_DIM = int(np.iinfo(np.intp).max)  # numpy's largest array dimension
+
+
+def _size(key: str, n: int) -> int:
+    """n, or a DataError naming the key if no array axis can be that long."""
+    if n > _MAX_DIM:
+        raise DataError(f"bad value for {key}: {n} exceeds numpy's maximum dimension {_MAX_DIM}")
+    return n
+
+
 def _ints(key: str, raw: str, sep: str = ",") -> tuple[int, ...]:
-    return tuple(_convert(key, int, x) for x in raw.split(sep) if x != "")
+    return tuple(_size(key, _convert(key, int, x)) for x in raw.split(sep) if x != "")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,8 +283,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    spec = SyntheticSpec(cfg.synth_assets, cfg.synth_steps,
-                         _parse_regimes(cfg.regimes), cfg.seed)
+    spec = SyntheticSpec(_size("synth_assets", cfg.synth_assets),
+                         _size("synth_steps", cfg.synth_steps), _parse_regimes(cfg.regimes),
+                         cfg.seed)
     frame = generate_synthetic(spec)
     write_price_csv(frame, os.path.join(cfg.outdir, "prices.csv"))
     write_manifest(cfg, "synth")

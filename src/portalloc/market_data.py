@@ -52,12 +52,13 @@ def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], n
 
 def _read_one_way(path: str):
     """The file's (dates, names, matrix) by np.loadtxt if csv can only split
-    it at its commas and newlines, its dates are ordered and its cells finite;
-    else None. numpy strips \\x1c-\\x1f as whitespace, float() rejects them."""
+    it at its commas and line ends (\\n, or one \\r before it), its dates are
+    ordered and its cells finite; else None. numpy strips \\x1c-\\x1f as
+    whitespace, float() rejects them."""
     # line by line: freeing one large string raises glibc's mmap threshold,
     # and the process's peak RSS with it
     with open(path, newline="\n") as fh:
-        header, *lines = rows = [line.rstrip("\n") for line in fh]
+        header, *lines = rows = [line.removesuffix("\r\n").rstrip("\n") for line in fh]
     commas = header.count(",")
     if (not lines or not header.startswith("date,") or not all(map(str.isascii, rows))
             or any(c in row for row in rows for c in '"\r\0\x1c\x1d\x1e\x1f')

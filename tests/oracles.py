@@ -106,6 +106,16 @@ def grid_equal_risk_contribution(sigma: np.ndarray):
     return W[i], float(obj[i])
 
 
+def erc_fixed_point(sigma: np.ndarray, sweeps: int = 10000) -> np.ndarray:
+    """Equal-risk-contribution weights by the fixed-point iteration
+    w_i <- sqrt(w_i / (Sw)_i), renormalized, from equal weights."""
+    w = np.full(len(sigma), 1.0 / len(sigma))
+    for _ in range(sweeps):
+        w = np.sqrt(w / (sigma @ w))
+        w /= w.sum()
+    return w
+
+
 def best_zero_variance_return(rows: np.ndarray) -> float:
     """max mu'w over the zero-variance portfolios of the sample covariance of
     return rows (n, l) with n <= l: w >= 0, sum w = 1 and R_c w = 0 for the

@@ -206,13 +206,55 @@ class TestRiskParity:
     def test_erc_fixed_point_oracle(self, rng):
         # independent oracle: iterate w_i <- sqrt(w_i / (Sigma w)_i), renormalize
         stats = random_stats(rng, 4)
-        sigma = stats.sigma_mat
-        w = np.full(4, 0.25)
-        for _ in range(10000):
-            w = np.sqrt(w / (sigma @ w))
-            w /= w.sum()
+        w = oracles.erc_fixed_point(stats.sigma_mat)
         report = solve_risk_parity(stats)
         np.testing.assert_allclose(report.weights.w, w, atol=1e-6)
+
+    def test_weights_equal_the_fixed_point_oracle_to_rounding(self):
+        rng = np.random.default_rng(0)
+        for l in (2, 3, 4, 5):
+            for _ in range(6):
+                stats = random_stats(rng, l)
+                w = oracles.erc_fixed_point(stats.sigma_mat)
+                assert np.all(np.isfinite(w))
+                assert np.abs(solve_risk_parity(stats).weights.w - w).max() <= 1e-12
+
+    @staticmethod
+    def barrier(sigma, x):
+        """F(x) = l/2 x'Sx - sum ln x_i, which _erc_newton minimizes."""
+        return 0.5 * len(x) * float(x @ sigma @ x) - float(np.log(x).sum())
+
+    def test_newton_starts_at_the_line_minimum_of_the_inverse_volatility_ray(self):
+        """The start's F is never above that of 1 / sqrt(l diag S), the old
+        start on the same ray, nor of its neighbours on the ray."""
+        rng = np.random.default_rng(0)
+        covariances = [random_stats(rng, int(rng.integers(2, 25)), mix).sigma_mat
+                       for mix in (0.0, 0.5, 0.9) for _ in range(20)]
+        for l, rho in ((5, 0.9), (12, 0.5), (24, -0.04)):  # constant correlation
+            vols = rng.uniform(0.1, 0.3, l)
+            corr = np.full((l, l), rho) + (1.0 - rho) * np.eye(l)
+            covariances.append(np.outer(vols, vols) * corr)
+        for _ in range(20):  # condition numbers up to 1e8
+            l = int(rng.integers(2, 25))
+            q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+            covariances.append((q * np.logspace(-4, -4 - rng.uniform(0, 8), l)) @ q.T)
+        for sigma in covariances:
+            x0 = allocators._erc_start(sigma)
+            f0 = self.barrier(sigma, x0)
+            slack = 1e-12 * max(abs(f0), 1.0)
+            old = 1.0 / np.sqrt(np.diag(sigma) * len(sigma))
+            assert f0 <= self.barrier(sigma, old) + slack
+            for t in (0.9, 0.999, 1.001, 1.1):
+                assert f0 <= self.barrier(sigma, t * x0) + slack
+
+    def test_diagonal_covariance_converges_at_the_first_step(self):
+        rng = np.random.default_rng(0)
+        for l in (1, 2, 5, 24):
+            var = rng.uniform(1e-4, 1e-1, l)
+            report = solve_risk_parity(stats_from_covariance(np.zeros(l), np.diag(var)))
+            assert report.iterations == 1 and report.converged
+            want = 1.0 / np.sqrt(var)
+            np.testing.assert_allclose(report.weights.w, want / want.sum(), rtol=1e-13)
 
     def test_singular_covariance_directs_to_shrinkage(self):
         sigma = np.array([[0.04, 0.04], [0.04, 0.04]]) + 0.0
@@ -441,6 +483,34 @@ class TestFaceStep:
         assert calls == [1] and flat
         # a flat step moves v'y up at constant y'Qy
         assert float(v @ p) > 0 and np.abs(q @ p).max() <= 1e-10 * np.abs(p).max()
+
+
+def test_a_face_with_a_line_is_unique():
+    """_on_face returns a line only if Q_FF - _TOL I has a Cholesky factor;
+    by Cauchy interlacing the reduced Hessian is then certified, as
+    _warm_or_walk assumes. Q is PSD with entries at most 1: full rank,
+    rank-deficient, or with its least eigenvalue near _TOL."""
+    rng = np.random.default_rng(0)
+    lines = refused = near = 0
+    for trial in range(600):
+        m = int(rng.integers(1, 25))
+        eig = 10.0 ** rng.uniform(-12, 0, m)
+        eig[:int(rng.integers(0, 3))] = 0.0
+        factor = (0.5, 0.99, 1.01, 1.1, 2.0, None)[trial % 6]
+        if factor is not None:
+            eig[-1] = factor * allocators._TOL
+        u, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        q = (u * eig) @ u.T
+        q = 0.5 * (q + q.T)
+        face = np.ones(m, dtype=bool) if trial % 2 else rng.random(m) < 0.7
+        face[rng.integers(m)] = True
+        if allocators._on_face(q, rng.normal(size=m), face) is None:
+            refused += 1
+            continue
+        lines += 1
+        near += factor is not None and factor > 1 and bool(face.all())
+        assert not allocators._non_unique(q, face)
+    assert lines > 100 and refused > 100 and near > 10
 
 
 def test_cap_at_min_variance_vol_returns_its_weights_to_rounding():

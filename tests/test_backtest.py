@@ -479,6 +479,52 @@ class TestSharedMoments:
         for model, report in zip(self.MODELS, reports):
             assert np.array_equal(report.curve.weights, want[model]), model
 
+    def test_settled_faces_need_no_eigen_check(self, monkeypatch):
+        """On a well-conditioned panel every warm or walked solve settles on a
+        face whose Cholesky factor certifies uniqueness, so a compare of the
+        three warm-started programs calls _non_unique not once."""
+        import portalloc.allocators as allocators
+        import portalloc.risk_models as risk_models
+
+        bundle = small_bundle(np.random.default_rng(3), steps=700, assets=6)
+        rf = bundle.rf
+        schedule = make_schedule(rf.dates, rf.dates[299], 100)
+        # a floor that binds on some dates, and a cap that binds on all: an
+        # unmet cap ends maxreturn's walk at the frontier top, which
+        # _certify checks by eigenvalues
+        minvars = [allocators.solve_min_variance(risk_models.estimate_stats(
+            ReturnFrame(rf.dates[:t + 1], rf.assets, rf.returns[:t + 1])))
+            for split in schedule.splits for t in range(split.test_start - 1,
+                                                        split.test_end - 1, 21)]
+        vols = [np.sqrt(r.objective_value) for r in minvars]
+        cfg = CompareConfig(horizons={}, rebalance=21, r_min=float(np.median(rf.returns)),
+                            sigma_max=1.1 * max(vols))
+        checks, lines, reports = [], [], []
+        real_non_unique, real_on_face, real_solve = (allocators._non_unique,
+                                                     allocators._on_face, allocators.solve)
+
+        def counting_non_unique(*args):
+            checks.append(1)
+            return real_non_unique(*args)
+
+        def counting_on_face(*args):
+            lines.append(1)
+            return real_on_face(*args)
+
+        def recording_solve(*args, **kwargs):
+            reports.append(real_solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(allocators, "_non_unique", counting_non_unique)
+        monkeypatch.setattr(allocators, "_on_face", counting_on_face)
+        monkeypatch.setattr(allocators, "solve", recording_solve)
+        compare_models(["minvariance", "markowitz", "maxreturn"], bundle, schedule, cfg)
+        assert checks == [] and len(lines) > 0
+        assert all(r.converged and not r.non_unique for r in reports)
+        floors = sum("return_target" in r.active_constraints for r in reports)
+        caps = sum("risk_cap" in r.active_constraints for r in reports)
+        assert 0 < floors < len(minvars) and caps == len(minvars)
+
 
 def perturbed_params(bundle, seed):
     """A policy whose heads are not zero, so decisions vary by day."""

@@ -533,6 +533,28 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, setting, key", [
+    ("synth", "--synth-steps=99999999999999999999", "synth_steps"),
+    ("compare", "--asset-conv=99999999999999999999:3", "asset_conv"),
+    ("compare", "--context-conv=3:3,99999999999999999999:1", "context_conv"),
+    ("train", "--hidden=4,99999999999999999999", "hidden"),
+])
+def test_size_beyond_numpy_maximum_dimension_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                                    setting, key):
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = synth_args(tmp_path / "o") if command == "synth" else train_args(
+        str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+    argv[0] = command
+    if command == "compare":
+        argv += ["--models", "drl"]
+    assert main(argv + [setting]) == 2
+    assert (f"bad value for {key}: 99999999999999999999 exceeds numpy's maximum dimension"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("train_end", ["notadate", "2001-02-30", ""])
 def test_initial_train_end_not_a_date_exits_1(tmp_path, capsys, command, train_end):

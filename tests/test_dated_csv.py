@@ -137,6 +137,8 @@ def read_or_error(reader, path):
 
 @PROPERTY
 @given(content=st.one_of(CONTENT, dated_frames().map(lambda f: dated_csv(*f).encode()),
+                         dated_frames().map(lambda f: dated_csv(*f).encode()
+                                            .replace(b"\n", b"\r\n")),
                          edited_frames()))
 @example(content=b"date,A,B,C\n2020-01-02,1,x,y\n")
 @example(content=b"date,A\n2020-01-02," + b"0" * csv.field_size_limit() + b"1\n")
@@ -147,6 +149,11 @@ def read_or_error(reader, path):
 @example(content=b"date,A\n2020-01-02,1#2\n")
 @example(content=b'date,"A"\n2020-01-02,1\n')
 @example(content=b"date,A\r\n2020-01-02,1\n")
+@example(content=b"date,A\r\n2020-01-02,1\r\n2020-01-03,2")
+@example(content=b"date,A\r\r\n2020-01-02,1\r\n")
+@example(content=b"date,A\r\n2020-01-02,1\r\r\n2020-01-03,2\r\n")
+@example(content=b"date,A\r\n2020-01-02,1\r")
+@example(content=b"date,A\r\n2020-01-02,1\r2020-01-03,2\r\n")
 @example(content=b"date,A\n2020-01-02,1\n\n2020-01-03,2\n")
 @example(content=b"date,A\n2020-01-02,1,2\n2020-01-03,2\n")
 @example(content=b"date,A\n2020-01-03,1\n2020-01-02,2\n")
@@ -172,6 +179,20 @@ def test_written_panel_is_parsed_without_the_row_walk(tmp_path, monkeypatch):
     write_price_csv(WIDE, path)
     monkeypatch.setattr(market_data, "_walk_dated_csv", None)
     frame = load_price_csv(path)
+    assert np.array_equal(frame.dates, WIDE.dates) and frame.assets == WIDE.assets
+    assert np.array_equal(frame.prices.view(np.int64), WIDE.prices.view(np.int64))
+
+
+def test_crlf_panel_is_parsed_without_the_row_walk(tmp_path, monkeypatch):
+    path = tmp_path / "prices.csv"
+    with open(path, "w", newline="") as fh:  # csv.writer ends lines with \r\n
+        writer = csv.writer(fh)
+        writer.writerow(("date",) + WIDE.assets)
+        writer.writerows([str(day)] + [repr(x) for x in row]
+                         for day, row in zip(WIDE.dates, WIDE.prices.tolist()))
+    assert path.read_bytes().count(b"\r\n") == len(WIDE.dates) + 1
+    monkeypatch.setattr(market_data, "_walk_dated_csv", None)
+    frame = load_price_csv(str(path))
     assert np.array_equal(frame.dates, WIDE.dates) and frame.assets == WIDE.assets
     assert np.array_equal(frame.prices.view(np.int64), WIDE.prices.view(np.int64))
 
