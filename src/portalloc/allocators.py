@@ -42,11 +42,12 @@ zero eigenvalue of the reduced Hessian: Q on the assets held or priced at
 zero, projected onto the sum-zero directions. A face whose Q_FF - _TOL I
 has a Cholesky factor (_on_face) certifies that check itself when no asset
 off it is priced at zero: by Cauchy interlacing every eigenvalue of the
-reduced Hessian then exceeds _TOL, so the eigen check runs only for faces
-widened by such assets and after walks. Risk parity runs damped Newton on
-its barrier objective scaled to be self-concordant, which converges with no
-step-size rule to tune (Spinu 2013), from the minimizer of that objective
-on the inverse-volatility ray; iterations counts its Newton steps.
+reduced Hessian then exceeds _TOL, so the eigen check runs only on faces
+widened by such assets and on walk ends that settle on no face. Risk
+parity runs damped Newton on its barrier objective scaled to be
+self-concordant, which converges with no step-size rule to tune (Spinu
+2013), from the minimizer of that objective on the inverse-volatility ray;
+iterations counts its Newton steps.
 """
 from __future__ import annotations
 
