@@ -1,16 +1,17 @@
-"""Minimal tape-based reverse-mode automatic differentiation over dense
-numpy tensors: just the layers of the policy network. All data is float64;
-convolutions are valid (no padding), stride 1, cross-correlation
-orientation. The primitives accept leading batch axes, so one taped pass
-covers a whole stack of observations. A caller with a closed-form gradient
-(the trainer's episodic objective) records its own backward closure with
-``Tape.record`` and feeds the network's outputs through ``accumulate``.
+"""Reverse-mode gradient bookkeeping over float64 numpy tensors, and the
+named-tensor checkpoint container.
+
+A ``Tape`` holds backward closures in the order of the forward pass and
+``backward`` runs them in reverse. The trainer's episodic objective records
+one closure: the closed-form gradient of its reward and L2 penalty, which
+hands the reward's gradient to the policy's own batched backward
+(``policy.differentiable_forward``). Closures add into ``Tensor.grad`` slots
+through ``accumulate``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError
 
 
@@ -76,110 +77,6 @@ def backward(tape: Tape, out: Tensor) -> None:
     out.grad = np.ones_like(out.data)
     for fn in reversed(tape._records):
         fn()
-
-
-# ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
-
-def conv1d(tape: Tape, x: Tensor | np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-D cross-correlation: x (..., c_in, L), kernels (c_out, c_in, k)
-    -> (..., c_out, L - k + 1). A plain array x is a constant input, such as
-    the network's observations: its gradient is not formed."""
-    taped = isinstance(x, Tensor)
-    data = x.data if taped else x
-    length, k = data.shape[-1], kernels.data.shape[2]
-    if k > length:
-        raise ValueError(f"kernel length {k} exceeds input length {length}")
-    out = Tensor(_kernels.conv1d_fwd(data, kernels.data, bias.data))
-
-    def back():
-        gx, gk, gb = _kernels.conv1d_bwd(data, kernels.data, out.grad, taped)
-        if taped:
-            accumulate(x, gx)
-        accumulate(kernels, gk)
-        accumulate(bias, gb)
-
-    tape.record(back)
-    return out
-
-
-def dense(tape: Tape, x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: x (..., n) @ weights (n, o) + bias (o,) -> (..., o)."""
-    out = Tensor(x.data @ weights.data + bias.data)
-
-    def back():
-        g = out.grad
-        n, o = weights.data.shape
-        accumulate(x, np.matmul(g, weights.data.T))
-        accumulate(weights, x.data.reshape(-1, n).T @ g.reshape(-1, o))
-        accumulate(bias, g.reshape(-1, o).sum(axis=0))
-
-    tape.record(back)
-    return out
-
-
-def relu(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def back():
-        accumulate(x, out.grad * (x.data > 0.0))
-
-    tape.record(back)
-    return out
-
-
-def sigmoid(tape: Tape, x: Tensor) -> Tensor:
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(y)
-
-    def back():
-        accumulate(x, out.grad * out.data * (1.0 - out.data))
-
-    tape.record(back)
-    return out
-
-
-def softmax(tape: Tape, x: Tensor) -> Tensor:
-    """Stable softmax over the last axis; output is strictly positive and
-    sums to 1 along it."""
-    e = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def back():
-        g = out.grad
-        accumulate(x, out.data * (g - np.einsum("...i,...i->...", g, out.data)[..., None]))
-
-    tape.record(back)
-    return out
-
-
-def concat(tape: Tape, a: Tensor, b: Tensor, batch_dims: int = 0) -> Tensor:
-    """Concatenate a and b, each flattened after the first batch_dims axes."""
-    batch = a.data.shape[:batch_dims]
-    fa = a.data.reshape(batch + (-1,))
-    out = Tensor(np.concatenate([fa, b.data.reshape(batch + (-1,))], axis=-1))
-    na = fa.shape[-1]
-
-    def back():
-        accumulate(a, out.grad[..., :na].reshape(a.data.shape))
-        accumulate(b, out.grad[..., na:].reshape(b.data.shape))
-
-    tape.record(back)
-    return out
-
-
-def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-
-    def back():
-        accumulate(x, out.grad * c)
-
-    tape.record(back)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def _convert(key: str, kind, text: str):
         raise UsageError(f"bad value for {key}: {text!r} is not {noun}") from None
 
 
-_MAX_DIM = int(np.iinfo(np.intp).max)  # numpy's largest array dimension
+_MAX_DIM = int(np.iinfo(np.intp).max)  # numpy's largest array dimension and byte size
 
 
 def _size(key: str, n: int) -> int:
@@ -283,9 +283,12 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    spec = SyntheticSpec(_size("synth_assets", cfg.synth_assets),
-                         _size("synth_steps", cfg.synth_steps), _parse_regimes(cfg.regimes),
-                         cfg.seed)
+    assets, steps = _size("synth_assets", cfg.synth_assets), _size("synth_steps", cfg.synth_steps)
+    if (steps + 1) * assets * 8 > _MAX_DIM:  # the float64 price panel, in bytes
+        raise DataError(f"bad value for synth_steps x synth_assets: a price panel of {steps + 1} "
+                        f"rows of {assets} assets exceeds numpy's maximum array size of "
+                        f"{_MAX_DIM} bytes")
+    spec = SyntheticSpec(assets, steps, _parse_regimes(cfg.regimes), cfg.seed)
     frame = generate_synthetic(spec)
     write_price_csv(frame, os.path.join(cfg.outdir, "prices.csv"))
     write_manifest(cfg, "synth")

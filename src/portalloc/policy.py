@@ -6,6 +6,11 @@ as input channels. The context branch runs one 1-D convolution (3 filters).
 Both are flattened, concatenated, optionally passed through dense hidden
 layers, and feed two heads: a softmax over asset weights and a sigmoid
 leverage scalar scaled to [0, max_leverage].
+
+The graph is fixed, so its backward is written by hand: one batched forward
+keeps every layer's input and pre-activation, and one batched backward walks
+the heads, the hidden layers and both convolution stacks in reverse, adding
+into the parameters' grad slots.
 """
 from __future__ import annotations
 
@@ -15,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import DataError
 from .features import Observation
 
@@ -120,11 +126,14 @@ def _conv_extents(length: int, convs: tuple[tuple[int, int], ...], axis_name: st
     return out
 
 
+_MAX_BYTES = int(np.iinfo(np.intp).max)  # numpy's largest array, in bytes
+
+
 def _network_shapes(arch: NetworkArch, m: int, lags: int, ctx_series: int,
                     ctx_lags: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every network tensor, in initialization order, checked
-    before anything is allocated: input dimensions are integers >= 1 and
-    every kernel fits its axis."""
+    before anything is allocated: input dimensions are integers >= 1, every
+    kernel fits its axis and every float64 tensor fits in a numpy array."""
     dims = (m, lags, ctx_series, ctx_lags)
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
                for d in dims):
@@ -143,6 +152,10 @@ def _network_shapes(arch: NetworkArch, m: int, lags: int, ctx_series: int,
         feat = width
     for head, width in (("weights_head", m), ("leverage_head", 1)):
         shapes[f"{head}_w"], shapes[f"{head}_b"] = (feat, width), (width,)
+    for name, shape in shapes.items():
+        if math.prod(shape) * 8 > _MAX_BYTES:
+            raise DataError(f"tensor {name} of shape {shape} exceeds numpy's maximum "
+                            f"array size of {_MAX_BYTES} bytes")
     return shapes
 
 
@@ -164,10 +177,11 @@ def init_network(arch: NetworkArch, m: int, lags: int, ctx_series: int, ctx_lags
     return PolicyParameters(tensors, arch, m, lags, ctx_series, ctx_lags)
 
 
-def forward_tape(tape: Tape, params: PolicyParameters,
-                 obs: Observation) -> tuple[Tensor, Tensor]:
-    """Differentiable forward pass; returns (weights (m,), leverage (1,)),
-    or (weights (steps, m), leverage (steps, 1)) for a stack of observations."""
+def differentiable_forward(params: PolicyParameters, obs: Observation):
+    """The network over one observation or a stack of them (leading axes):
+    (weights (..., m), leverage (...), backward). backward(g_weights,
+    g_leverage) takes a scalar's gradient with respect to both outputs and
+    adds the network's share of it to every parameter's grad slot."""
     a = obs.asset_tensor
     if a.shape[-2] != params.m or a.shape[-1] != params.lags:
         raise DataError(f"asset tensor shape {a.shape[-3:]} does not match network "
@@ -177,28 +191,65 @@ def forward_tape(tape: Tape, params: PolicyParameters,
         raise DataError(f"context matrix shape {c.shape[-2:]} does not match network "
                         f"({params.ctx_series}, {params.ctx_lags})")
     t = params.tensors
-    batch = a.ndim - 3
-    x = a.reshape(a.shape[:batch] + (2 * params.m, params.lags))
-    for i in range(len(params.arch.asset_conv)):
-        x = ad.relu(tape, ad.conv1d(tape, x, t[f"asset_conv{i}_w"], t[f"asset_conv{i}_b"]))
-    y = c
-    for i in range(len(params.arch.context_conv)):
-        y = ad.relu(tape, ad.conv1d(tape, y, t[f"ctx_conv{i}_w"], t[f"ctx_conv{i}_b"]))
-    feat = ad.concat(tape, x, y, batch)
-    for i in range(len(params.arch.hidden)):
-        feat = ad.relu(tape, ad.dense(tape, feat, t[f"hidden{i}_w"], t[f"hidden{i}_b"]))
-    weights = ad.softmax(tape, ad.dense(tape, feat, t["weights_head_w"], t["weights_head_b"]))
-    lev = ad.scale(tape, ad.sigmoid(
-        tape, ad.dense(tape, feat, t["leverage_head_w"], t["leverage_head_b"])),
-        params.arch.max_leverage)
-    return weights, lev
+    batch = a.shape[:a.ndim - 3]
+    convs = (len(params.arch.asset_conv), len(params.arch.context_conv))
+    trunk = []  # (name, input, pre-activation) of every relu layer, in order
+
+    def relu_layers(x, prefix, count):
+        for i in range(count):
+            name = f"{prefix}{i}"
+            w, b = t[name + "_w"].data, t[name + "_b"].data
+            z = x @ w + b if prefix == "hidden" else _kernels.conv1d_fwd(x, w, b)
+            trunk.append((name, x, z))
+            x = np.maximum(z, 0.0)
+        return x
+
+    x = relu_layers(a.reshape(batch + (2 * params.m, params.lags)), "asset_conv", convs[0])
+    y = relu_layers(c, "ctx_conv", convs[1])
+    feat = np.concatenate([x.reshape(batch + (-1,)), y.reshape(batch + (-1,))], axis=-1)
+    feat = relu_layers(feat, "hidden", len(params.arch.hidden))
+    z = feat @ t["weights_head_w"].data + t["weights_head_b"].data
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    z = feat @ t["leverage_head_w"].data + t["leverage_head_b"].data
+    e = np.exp(-np.abs(z))  # a sigmoid that exponentiates no positive number
+    gate = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    max_lev = params.arch.max_leverage
+
+    def dense(name, x, g):
+        w = t[name + "_w"]
+        n, o = w.data.shape
+        ad.accumulate(w, x.reshape(-1, n).T @ g.reshape(-1, o))
+        ad.accumulate(t[name + "_b"], g.reshape(-1, o).sum(axis=0))
+        return np.matmul(g, w.data.T)
+
+    def conv_stack(layers, g):
+        for i in range(len(layers) - 1, -1, -1):
+            name, x, z = layers[i]
+            # in z's memory layout, which conv1d_bwd's bias sum depends on
+            gz = np.multiply(g, z > 0.0, out=np.empty_like(z))
+            g, gk, gb = _kernels.conv1d_bwd(x, t[name + "_w"].data, gz, i > 0)
+            ad.accumulate(t[name + "_w"], gk)
+            ad.accumulate(t[name + "_b"], gb)
+
+    def backward(g_weights: np.ndarray, g_leverage: np.ndarray) -> None:
+        g = dense("leverage_head", feat, g_leverage[..., None] * max_lev * gate * (1.0 - gate))
+        g = g + dense("weights_head", feat, weights * (
+            g_weights - np.einsum("...i,...i->...", g_weights, weights)[..., None]))
+        for name, x, z in reversed(trunk[sum(convs):]):
+            g = dense(name, x, g * (z > 0.0))
+        asset, context = trunk[:convs[0]], trunk[convs[0]:sum(convs)]
+        split = math.prod(asset[-1][2].shape[-2:])
+        conv_stack(context, g[..., split:].reshape(context[-1][2].shape))
+        conv_stack(asset, g[..., :split].reshape(asset[-1][2].shape))
+
+    return weights, (gate * max_lev)[..., 0], backward
 
 
 def forward(params: PolicyParameters, obs: Observation) -> Action:
     """Inference-only forward pass, for one observation or a stack."""
-    weights, lev = forward_tape(Tape(), params, obs)
-    leverage = lev.data[..., 0]
-    return Action(weights.data.copy(), float(leverage) if leverage.ndim == 0 else leverage)
+    weights, leverage, _ = differentiable_forward(params, obs)
+    return Action(weights, float(leverage) if leverage.ndim == 0 else leverage)
 
 
 def l2_penalty(params: PolicyParameters) -> float:

@@ -6,11 +6,12 @@ observations, a random action replaces the policy's with probability
 P_T / P_0 - 1 with a one-step action lag (the action decided at t earns the
 returns realized at t + 1). The terminal reward is a product of per-step
 growth factors, so its gradient (and the L2 penalty's) with respect to the
-network's outputs is exact and in closed form; only the network's layers
-are backpropagated on the tape. Random-action steps contribute constant
-factors. Observations, realized returns and random draws do not depend on
-the actions, so an iteration is one batched inference forward and one
-batched taped forward over all steps. Parameters ascend with Adam; training
+network's outputs is exact and in closed form, and the policy's own batched
+backward carries it through the network's layers. Random-action steps
+contribute constant factors. Observations, realized returns and random
+draws do not depend on the actions, so an iteration is one batched
+inference forward and one batched differentiable forward over all steps,
+whose backward is a single tape record. Parameters ascend with Adam; training
 stops early when the best seen reward stops improving.
 """
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import DataError, NumericError
 from .features import (ContextFrame, LagSet, Observation, build_observations,
                        min_valid_index)
 from .market_data import ReturnFrame, VolFrame
-from .policy import (Action, NetworkArch, PolicyParameters, forward,
-                     forward_tape, init_network, l2_penalty)
+from .policy import (Action, NetworkArch, PolicyParameters, differentiable_forward,
+                     forward, init_network, l2_penalty)
 
 
 @dataclass(frozen=True)
@@ -160,34 +161,33 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
 
 def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer) -> Tensor:
     """Differentiable terminal reward minus L2 penalty, rebuilt from a stored
-    episode. One taped forward re-runs the network on every policy step's
+    episode. One batched forward re-runs the network on every policy step's
     stored observation; random-action steps enter as constant growth factors.
-    One tape record holds the closed-form gradient: each policy step's factor
-    gets the product of all the others, from prefix and suffix products (exact
-    at a step that loses 100%), and every weight tensor w gets -2 l2_coeff w."""
+    One tape record holds the whole backward: every weight tensor w gets
+    -2 l2_coeff w, then each policy step's factor gets the product of all the
+    others, from prefix and suffix products (exact at a step that loses
+    100%), and the policy's backward carries that through the network."""
     pick = buffer.is_policy
     constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
     gross = constant
     if pick.any():
-        weights, lev = forward_tape(tape, params, buffer.obs[pick])
+        weights, leverage, network_backward = differentiable_forward(params, buffer.obs[pick])
         returns = buffer.next_returns[pick]
-        leverage = lev.data.reshape(-1)
-        dot = np.einsum("ij,ij->i", weights.data, returns)
+        dot = np.einsum("ij,ij->i", weights, returns)
         factors = leverage * dot + 1.0
         prefix = np.cumprod(factors)
         gross = prefix[-1] * constant
     out = Tensor(gross - 1.0 - l2_penalty(params))
 
     def back():
+        for name in params.weight_names():
+            w = params.tensors[name]
+            ad.accumulate(w, 2.0 * (-out.grad * params.arch.l2_coeff) * w.data)
         if pick.any():
             before = np.concatenate(([1.0], prefix[:-1]))
             after = np.concatenate((np.cumprod(factors[:0:-1])[::-1], [1.0]))
             seed = out.grad * constant * before * after
-            ad.accumulate(lev, (seed * dot)[:, None])
-            ad.accumulate(weights, (seed * leverage)[:, None] * returns)
-        for name in params.weight_names():
-            w = params.tensors[name]
-            ad.accumulate(w, 2.0 * (-out.grad * params.arch.l2_coeff) * w.data)
+            network_backward((seed * leverage)[:, None] * returns, seed * dot)
 
     tape.record(back)
     return out

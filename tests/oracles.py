@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's solver/metric code paths: grid
 enumeration plus direct objective evaluation for the allocators, plain
-Python loops for the performance metrics, and central finite differences
-for gradients.
+Python loops for the performance metrics, central finite differences for
+gradients, and the policy network composed from generic tape layers as the
+bit-for-bit reference for its own batched forward and backward.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import os
 
 import numpy as np
 
-from portalloc.autodiff import Tensor, accumulate, scale
+from portalloc import _kernels
+from portalloc.autodiff import Tape, Tensor, accumulate
 from portalloc.errors import DataError
 from portalloc.features import build_observations
 
@@ -251,6 +253,141 @@ def relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> np.nda
 
 
 # ---------------------------------------------------------------------------
+# the policy network composed from generic tape layers: the gradient reference
+# for the policy's own batched forward and backward
+# ---------------------------------------------------------------------------
+
+def conv1d(tape: Tape, x: Tensor | np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid 1-D cross-correlation: x (..., c_in, L), kernels (c_out, c_in, k)
+    -> (..., c_out, L - k + 1). A plain array x is a constant input, such as
+    the network's observations: its gradient is not formed."""
+    taped = isinstance(x, Tensor)
+    data = x.data if taped else x
+    length, k = data.shape[-1], kernels.data.shape[2]
+    if k > length:
+        raise ValueError(f"kernel length {k} exceeds input length {length}")
+    out = Tensor(_kernels.conv1d_fwd(data, kernels.data, bias.data))
+
+    def back():
+        gx, gk, gb = _kernels.conv1d_bwd(data, kernels.data, out.grad, taped)
+        if taped:
+            accumulate(x, gx)
+        accumulate(kernels, gk)
+        accumulate(bias, gb)
+
+    tape.record(back)
+    return out
+
+
+def dense(tape: Tape, x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
+    """Affine map: x (..., n) @ weights (n, o) + bias (o,) -> (..., o)."""
+    out = Tensor(x.data @ weights.data + bias.data)
+
+    def back():
+        g = out.grad
+        n, o = weights.data.shape
+        accumulate(x, np.matmul(g, weights.data.T))
+        accumulate(weights, x.data.reshape(-1, n).T @ g.reshape(-1, o))
+        accumulate(bias, g.reshape(-1, o).sum(axis=0))
+
+    tape.record(back)
+    return out
+
+
+def relu(tape: Tape, x: Tensor) -> Tensor:
+    out = Tensor(np.maximum(x.data, 0.0))
+
+    def back():
+        accumulate(x, out.grad * (x.data > 0.0))
+
+    tape.record(back)
+    return out
+
+
+def sigmoid(tape: Tape, x: Tensor) -> Tensor:
+    d = x.data
+    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
+                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    out = Tensor(y)
+
+    def back():
+        accumulate(x, out.grad * out.data * (1.0 - out.data))
+
+    tape.record(back)
+    return out
+
+
+def softmax(tape: Tape, x: Tensor) -> Tensor:
+    """Stable softmax over the last axis; output is strictly positive and
+    sums to 1 along it."""
+    e = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def back():
+        g = out.grad
+        accumulate(x, out.data * (g - np.einsum("...i,...i->...", g, out.data)[..., None]))
+
+    tape.record(back)
+    return out
+
+
+def concat(tape: Tape, a: Tensor, b: Tensor, batch_dims: int = 0) -> Tensor:
+    """Concatenate a and b, each flattened after the first batch_dims axes."""
+    batch = a.data.shape[:batch_dims]
+    fa = a.data.reshape(batch + (-1,))
+    out = Tensor(np.concatenate([fa, b.data.reshape(batch + (-1,))], axis=-1))
+    na = fa.shape[-1]
+
+    def back():
+        accumulate(a, out.grad[..., :na].reshape(a.data.shape))
+        accumulate(b, out.grad[..., na:].reshape(b.data.shape))
+
+    tape.record(back)
+    return out
+
+
+def scale(tape: Tape, x: Tensor, c: float) -> Tensor:
+    out = Tensor(x.data * c)
+
+    def back():
+        accumulate(x, out.grad * c)
+
+    tape.record(back)
+    return out
+
+
+def forward_tape(tape, params, obs):
+    """The policy network on the tape layers above; returns (weights (m,),
+    leverage (1,)), or (weights (steps, m), leverage (steps, 1)) for a stack
+    of observations."""
+    a = obs.asset_tensor
+    if a.shape[-2] != params.m or a.shape[-1] != params.lags:
+        raise DataError(f"asset tensor shape {a.shape[-3:]} does not match network "
+                        f"(2, {params.m}, {params.lags})")
+    c = obs.context_matrix
+    if c.shape[-2:] != (params.ctx_series, params.ctx_lags):
+        raise DataError(f"context matrix shape {c.shape[-2:]} does not match network "
+                        f"({params.ctx_series}, {params.ctx_lags})")
+    t = params.tensors
+    batch = a.ndim - 3
+    x = a.reshape(a.shape[:batch] + (2 * params.m, params.lags))
+    for i in range(len(params.arch.asset_conv)):
+        x = relu(tape, conv1d(tape, x, t[f"asset_conv{i}_w"], t[f"asset_conv{i}_b"]))
+    y = c
+    for i in range(len(params.arch.context_conv)):
+        y = relu(tape, conv1d(tape, y, t[f"ctx_conv{i}_w"], t[f"ctx_conv{i}_b"]))
+    feat = concat(tape, x, y, batch)
+    for i in range(len(params.arch.hidden)):
+        feat = relu(tape, dense(tape, feat, t[f"hidden{i}_w"], t[f"hidden{i}_b"]))
+    weights = softmax(tape, dense(tape, feat, t["weights_head_w"], t["weights_head_b"]))
+    lev = scale(tape, sigmoid(
+        tape, dense(tape, feat, t["leverage_head_w"], t["leverage_head_b"])),
+        params.arch.max_leverage)
+    return weights, lev
+
+
+# ---------------------------------------------------------------------------
 # tape primitives of the episodic objective, composed on the library's tape
 # ---------------------------------------------------------------------------
 
@@ -368,7 +505,6 @@ def taped_buffer_objective(tape, params, buffer):
     tape primitives over one batched taped forward; random-action steps enter
     as one constant factor. The closed-form trainer.buffer_objective must
     equal it bit for bit."""
-    from portalloc.policy import forward_tape
     from portalloc.trainer import _growth
 
     pick = buffer.is_policy
@@ -387,8 +523,6 @@ def sequential_buffer_objective(tape, params, buffer):
     """Terminal reward minus L2 of a stored episode, compounded step by step
     with one taped forward per policy step (the unbatched tape path);
     random-action steps enter as constant factors."""
-    from portalloc.policy import forward_tape
-
     gross = Tensor(np.array(1.0))
     for i, r in enumerate(buffer.next_returns):
         if buffer.is_policy[i]:

@@ -555,6 +555,30 @@ def test_size_beyond_numpy_maximum_dimension_exits_2_naming_the_key(tmp_path, ca
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, setting, named", [
+    ("synth", "--synth-steps=9223372036854775807", "bad value for synth_steps x synth_assets"),
+    ("compare", "--asset-conv=9223372036854775807:3", "tensor asset_conv0_w"),
+    ("compare", "--context-conv=3:3,9223372036854775807:1", "tensor ctx_conv1_w"),
+    ("train", "--hidden=4,9223372036854775807", "tensor hidden1_w"),
+], ids=["synth-steps", "asset-conv", "context-conv", "hidden"])
+def test_array_beyond_numpy_maximum_size_exits_2_naming_it(tmp_path, capsys, command, setting,
+                                                          named):
+    # each size fits an array axis, but no float64 array that large can exist,
+    # so numpy refuses it before allocating anything
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = synth_args(tmp_path / "o") if command == "synth" else train_args(
+        str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+    argv[0] = command
+    if command == "compare":
+        argv += ["--models", "drl"]
+    assert main(argv + [setting]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "exceeds numpy's maximum array size" in err
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("train_end", ["notadate", "2001-02-30", ""])
 def test_initial_train_end_not_a_date_exits_1(tmp_path, capsys, command, train_end):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import forward_tape
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError
 from portalloc.features import Observation
-from portalloc.policy import (Action, NetworkArch, forward, forward_tape,
-                              init_network, l2_penalty, load_params, save_params)
+from portalloc.policy import (Action, NetworkArch, forward, init_network, l2_penalty,
+                              load_params, save_params)
 
 ARCH = NetworkArch()
 
@@ -111,8 +112,8 @@ class TestForward:
             np.testing.assert_allclose(batched.weights[i], one.weights, rtol=1e-14, atol=0)
             np.testing.assert_allclose(batched.leverage[i], one.leverage, rtol=1e-14, atol=0)
 
-    def test_tape_forward_matches_inference(self, rng):
-        params = init_network(ARCH, 2, 7, 3, 7, seed=2)
+    def test_tape_forward_matches_inference(self, rng, arch=ARCH):
+        params = init_network(arch, 2, 7, 3, 7, seed=2)
         for t in params.tensors.values():
             t.data = t.data + rng.normal(scale=0.2, size=t.data.shape)
         obs = make_obs(rng)
@@ -120,6 +121,13 @@ class TestForward:
         action = forward(params, obs)
         np.testing.assert_array_equal(weights.data, action.weights)
         assert float(lev.data[0]) == action.leverage
+
+    @pytest.mark.parametrize("arch", [
+        NetworkArch(asset_conv=((4, 2), (3, 2)), context_conv=((3, 2), (2, 1)), hidden=(4, 3)),
+        NetworkArch(hidden=(1,)),
+    ], ids=["two-layer-convs-two-hidden", "one-hidden-unit"])
+    def test_tape_forward_matches_inference_through_deep_networks(self, rng, arch):
+        self.test_tape_forward_matches_inference(rng, arch)
 
 
 class TestL2Penalty:

@@ -16,6 +16,11 @@ from portalloc.trainer import (TrainConfig, adam_step, buffer_objective,
 
 SMALL_ARCH = NetworkArch(asset_conv=((5, 2), (10, 2)), context_conv=((3, 3),))
 SMALL_LAGS = LagSet((0, 1, 2))
+# two-layer convolutions on both branches and two hidden layers; one hidden unit
+DEEP_ARCHS = (NetworkArch(asset_conv=((4, 2), (3, 2)), context_conv=((3, 2), (2, 1)),
+                          hidden=(4, 3)),
+              NetworkArch(asset_conv=((5, 2), (10, 2)), context_conv=((3, 3),), hidden=(1,)))
+DEEP_IDS = ["two-layer-convs-two-hidden", "one-hidden-unit"]
 
 
 def window_from_returns(returns, vol_window=3, lags=SMALL_LAGS, t_start=None, t_end=None):
@@ -233,26 +238,47 @@ class TestClosedFormObjective:
 
     @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("noise_std", [0.0, 0.01])
-    def test_equals_the_taped_composition(self, policy_prob, noise_std):
+    def test_equals_the_taped_composition(self, policy_prob, noise_std, arch=SMALL_ARCH):
         for m in (1, 2, 3):
             rng = np.random.default_rng(m)
             window = window_from_returns(0.02 * rng.standard_normal((40, m)))
-            params = perturbed_params(window, seed=m, scale=0.4)
+            params = perturbed_params(window, seed=m, scale=0.4, arch=arch)
             buf = run_episode(params, window, noise_std, policy_prob, np.random.default_rng(m))
             self.assert_identical(params, buf)
 
     @pytest.mark.parametrize("policy_prob", [1.0, 0.5])
-    def test_equals_the_taped_composition_at_a_minus_100_percent_step(self, policy_prob):
+    def test_equals_the_taped_composition_at_a_minus_100_percent_step(self, policy_prob,
+                                                                       arch=SMALL_ARCH):
         # leverage 2 on a -50% return: that step's growth factor is exactly 0
         returns = np.full((40, 2), 0.01)
         returns[25] = -0.5
         window = window_from_returns(returns)
-        params = perturbed_params(window)
+        params = perturbed_params(window, arch=arch)
         params.tensors["leverage_head_w"].data[:] = 0.0
         params.tensors["leverage_head_b"].data[:] = np.log(2.0)
         buf = run_episode(params, window, 0.0, policy_prob, np.random.default_rng(0))
         assert buf.terminal_reward == -1.0
         self.assert_identical(params, buf)
+
+    @pytest.mark.parametrize("arch", DEEP_ARCHS, ids=DEEP_IDS)
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_equals_the_taped_composition_through_deep_networks(self, policy_prob, noise_std,
+                                                                 arch):
+        self.test_equals_the_taped_composition(policy_prob, noise_std, arch)
+
+    @pytest.mark.parametrize("arch", DEEP_ARCHS, ids=DEEP_IDS)
+    @pytest.mark.parametrize("policy_prob", [1.0, 0.5])
+    def test_minus_100_percent_step_through_deep_networks(self, policy_prob, arch):
+        self.test_equals_the_taped_composition_at_a_minus_100_percent_step(policy_prob, arch)
+
+    def test_objective_is_one_tape_record(self):
+        window = window_from_returns(0.02 * np.random.default_rng(5).standard_normal((40, 2)))
+        params = perturbed_params(window, arch=DEEP_ARCHS[0])
+        buf = run_episode(params, window, 0.01, 0.5, np.random.default_rng(5))
+        tape = Tape()
+        buffer_objective(tape, params, buf)
+        assert len(tape) == 1
 
 
 class TestAdam:
