@@ -383,9 +383,11 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     if not models:
         raise DataError("empty model list")
     valid = set(method_names()) | {"drl", "equalweight"}
-    for name in models:
+    for i, name in enumerate(models):
         if name not in valid:
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
+        if name in models[:i]:
+            raise DataError(f"model {name!r} is listed more than once")
     arch = arch or NetworkArch()
     train_cfg = train_cfg or TrainConfig()
     rf = bundle.rf

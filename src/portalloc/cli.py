@@ -82,8 +82,14 @@ class RunConfig:
         return LagSet(_ints("ctx_lags", self.ctx_lags)) if self.ctx_lags else self.lag_set()
 
     def arch(self) -> NetworkArch:
+        def conv_pair(key: str, item: str) -> tuple[int, ...]:
+            pair = _ints(key, item, ":")
+            if len(pair) != 2 or item.count(":") != 1:
+                raise UsageError(f"bad value for {key}: {item!r} is not filters:kernel")
+            return pair
+
         def conv_pairs(key: str):
-            return tuple(_ints(key, item, ":") for item in getattr(self, key).split(",") if item)
+            return tuple(conv_pair(key, item) for item in getattr(self, key).split(",") if item)
 
         return NetworkArch(conv_pairs("asset_conv"), conv_pairs("context_conv"),
                            _ints("hidden", self.hidden), self.max_leverage, self.l2_coeff)

@@ -226,7 +226,8 @@ def differentiable_forward(params: PolicyParameters, obs: Observation):
     def conv_stack(layers, g):
         for i in range(len(layers) - 1, -1, -1):
             name, x, z = layers[i]
-            # in z's memory layout, which conv1d_bwd's bias sum depends on
+            # in z's memory layout, which conv1d_bwd's bias sum depends on and
+            # which lets it read gz as (c_out, ..., L_out) without a copy
             gz = np.multiply(g, z > 0.0, out=np.empty_like(z))
             g, gk, gb = _kernels.conv1d_bwd(x, t[name + "_w"].data, gz, i > 0)
             ad.accumulate(t[name + "_w"], gk)

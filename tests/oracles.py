@@ -3,8 +3,10 @@
 These deliberately avoid the library's solver/metric code paths: grid
 enumeration plus direct objective evaluation for the allocators, plain
 Python loops for the performance metrics, central finite differences for
-gradients, and the policy network composed from generic tape layers as the
-bit-for-bit reference for its own batched forward and backward.
+gradients, the convolution passes as tensordot of a sliding-window view as
+the bit-for-bit reference for the kernels, and the policy network composed
+from generic tape layers as the bit-for-bit reference for its own batched
+forward and backward.
 """
 from __future__ import annotations
 
@@ -250,6 +252,35 @@ def central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+# ---------------------------------------------------------------------------
+# the convolution passes as tensordot of a sliding-window view: the bit-for-bit
+# reference for portalloc._kernels
+# ---------------------------------------------------------------------------
+
+def conv1d_fwd(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    kw = k.shape[2]
+    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=-1)  # (..., ci, Lo, kw)
+    y = np.tensordot(k, win, axes=((1, 2), (-3, -1)))  # (co, ..., Lo)
+    return np.moveaxis(y, 0, -2) + b[:, None]
+
+
+def conv1d_bwd(x, k, gy, input_grad: bool):
+    """(gx, gk, gb); gx is None unless input_grad, because a constant input
+    such as an observation needs none."""
+    kw = k.shape[2]
+    n_out = gy.shape[-1]
+    batch = tuple(range(gy.ndim - 2))
+    win = np.lib.stride_tricks.sliding_window_view(x, kw, axis=-1)
+    gk = np.tensordot(gy, win, axes=(batch + (gy.ndim - 1,), batch + (gy.ndim - 1,)))
+    gb = gy.sum(axis=batch + (-1,))
+    if not input_grad:
+        return None, gk, gb
+    gx = np.zeros_like(x)
+    for j in range(kw):
+        gx[..., j:j + n_out] += np.matmul(k[:, :, j].T, gy)
+    return gx, gk, gb
 
 
 # ---------------------------------------------------------------------------

@@ -368,18 +368,26 @@ class TestCompare:
         assert got.full == want
         assert len(got.per_window) == 1 and got.per_window[0] == want
 
-    def test_identical_models_identical_rows(self, rng):
+    def test_model_rows_do_not_depend_on_the_other_models(self, rng):
+        # models share each rebalance date's moments and minimum-variance solve
         bundle = small_bundle(rng)
         schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 60)
         cfg = CompareConfig(horizons={})
-        reports = compare_models(["minvariance", "minvariance"], bundle, schedule, cfg)
-        assert reports[0].full == reports[1].full
+        alone = compare_models(["minvariance"], bundle, schedule, cfg)
+        after = compare_models(["riskparity", "minvariance"], bundle, schedule, cfg)
+        assert alone[0].full == after[1].full
 
     def test_unknown_model_rejected(self, rng):
         bundle = small_bundle(rng)
         schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 60)
         with pytest.raises(DataError, match="unknown model"):
             compare_models(["nope"], bundle, schedule, CompareConfig())
+
+    def test_model_listed_twice_rejected(self, rng):
+        bundle = small_bundle(rng)
+        schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 60)
+        with pytest.raises(DataError, match="model 'minvariance' is listed more than once"):
+            compare_models(["minvariance", "minvariance"], bundle, schedule, CompareConfig())
 
     def test_empty_model_list_rejected(self, rng):
         bundle = small_bundle(rng)

@@ -198,6 +198,15 @@ class TestCompareCommand:
                      "--initial-train-end", train_end, "--models", ""] + FAST)
         assert code == 1
 
+    def test_model_listed_twice_exits_2_naming_it(self, tmp_path, capsys):
+        prices, train_end = self.setup_data(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        models = "riskparity,riskparity,equalweight"
+        assert main(self.compare_args(prices, out, train_end, models)) == 2
+        assert "model 'riskparity' is listed more than once" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
     def test_rerun_byte_identical_with_drl(self, tmp_path):
         prices, train_end = self.setup_data(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -553,6 +562,25 @@ def test_size_beyond_numpy_maximum_dimension_exits_2_naming_the_key(tmp_path, ca
     assert main(argv + [setting]) == 2
     assert (f"bad value for {key}: 99999999999999999999 exceeds numpy's maximum dimension"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "backtest"])
+@pytest.mark.parametrize("setting, message", [
+    ("--asset-conv=5", "bad value for asset_conv: '5' is not filters:kernel"),
+    ("--context-conv=5:3:2", "bad value for context_conv: '5:3:2' is not filters:kernel"),
+], ids=["asset-conv", "context-conv"])
+def test_malformed_conv_spec_exits_1_naming_the_key(tmp_path, capsys, command, setting, message):
+    # compare and backtest build the network spec even when no model uses it
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    argv = train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
+    argv[0] = command
+    argv += {"train": [], "compare": ["--models", "minvariance,equalweight"],
+             "backtest": ["--method", "minvariance"]}[command]
+    assert main(argv + [setting]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, setting, named", [
