@@ -4,9 +4,9 @@ named-tensor checkpoint container.
 A ``Tape`` holds backward closures in the order of the forward pass and
 ``backward`` runs them in reverse. The trainer's episodic objective records
 one closure: the closed-form gradient of its reward and L2 penalty, which
-hands the reward's gradient to the policy's own batched backward
-(``policy.differentiable_forward``). Closures add into ``Tensor.grad`` slots
-through ``accumulate``.
+hands the reward's gradient to the policy's own batched backward (the one
+``policy.forward`` returns with its ``Action``). Closures add into
+``Tensor.grad`` slots through ``accumulate``.
 """
 from __future__ import annotations
 

@@ -8,15 +8,16 @@ layers, and feed two heads: a softmax over asset weights and a sigmoid
 leverage scalar scaled to [0, max_leverage].
 
 The graph is fixed, so its backward is written by hand: one batched forward
-keeps every layer's input and pre-activation, and one batched backward walks
-the heads, the hidden layers and both convolution stacks in reverse, adding
-into the parameters' grad slots.
+keeps every layer's input and pre-activation and returns, with its Action, a
+backward that walks the heads, the hidden layers and both convolution stacks
+in reverse, adding into the parameters' grad slots.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -77,11 +78,14 @@ class Action:
     """weights on the simplex plus a leverage scalar in [0, max_leverage].
 
     Actions for a stack of observations carry a leading step axis: weights
-    (steps, assets) and a leverage array (steps,).
+    (steps, assets) and a leverage array (steps,). An Action made by forward
+    also carries the network's backward for the observations it decided.
     """
 
     weights: np.ndarray
     leverage: float | np.ndarray
+    backward: Callable[[np.ndarray, np.ndarray], None] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.all(np.abs(self.weights.sum(axis=-1) - 1.0) <= 1e-8)
@@ -177,11 +181,14 @@ def init_network(arch: NetworkArch, m: int, lags: int, ctx_series: int, ctx_lags
     return PolicyParameters(tensors, arch, m, lags, ctx_series, ctx_lags)
 
 
-def differentiable_forward(params: PolicyParameters, obs: Observation):
+def forward(params: PolicyParameters, obs: Observation) -> Action:
     """The network over one observation or a stack of them (leading axes):
-    (weights (..., m), leverage (...), backward). backward(g_weights,
-    g_leverage) takes a scalar's gradient with respect to both outputs and
-    adds the network's share of it to every parameter's grad slot."""
+    weights (..., m) and leverage (a float, or an array over the leading
+    axes). The Action's backward(g_weights, g_leverage) takes a scalar's
+    gradient with respect to a stack's two outputs and adds the network's
+    share of it to every parameter's grad slot; it reads the parameters when
+    it runs, so it must run before they change. One pass thus serves both
+    inference and training."""
     a = obs.asset_tensor
     if a.shape[-2] != params.m or a.shape[-1] != params.lags:
         raise DataError(f"asset tensor shape {a.shape[-3:]} does not match network "
@@ -244,13 +251,8 @@ def differentiable_forward(params: PolicyParameters, obs: Observation):
         conv_stack(context, g[..., split:].reshape(context[-1][2].shape))
         conv_stack(asset, g[..., :split].reshape(asset[-1][2].shape))
 
-    return weights, (gate * max_lev)[..., 0], backward
-
-
-def forward(params: PolicyParameters, obs: Observation) -> Action:
-    """Inference-only forward pass, for one observation or a stack."""
-    weights, leverage, _ = differentiable_forward(params, obs)
-    return Action(weights, float(leverage) if leverage.ndim == 0 else leverage)
+    leverage = (gate * max_lev)[..., 0]
+    return Action(weights, float(leverage) if leverage.ndim == 0 else leverage, backward)
 
 
 def l2_penalty(params: PolicyParameters) -> float:

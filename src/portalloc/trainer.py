@@ -9,16 +9,19 @@ growth factors, so its gradient (and the L2 penalty's) with respect to the
 network's outputs is exact and in closed form, and the policy's own batched
 backward carries it through the network's layers. Random-action steps
 contribute constant factors. Observations, realized returns and random
-draws do not depend on the actions, so an iteration is one batched
-inference forward and one batched differentiable forward over all steps,
-whose backward is a single tape record. Parameters ascend with Adam; training
-stops early when the best seen reward stops improving.
+draws do not depend on the actions, so an iteration runs the network once:
+one batched forward decides every policy step of the episode, and the
+objective runs that forward's backward as a single tape record. Parameters
+ascend with Adam; training stops early when the best seen reward stops
+improving.
 """
 from __future__ import annotations
 
 import copy
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -28,8 +31,7 @@ from .errors import DataError, NumericError
 from .features import (ContextFrame, LagSet, Observation, build_observations,
                        min_valid_index)
 from .market_data import ReturnFrame, VolFrame
-from .policy import (Action, NetworkArch, PolicyParameters, differentiable_forward,
-                     forward, init_network, l2_penalty)
+from .policy import Action, NetworkArch, PolicyParameters, forward, init_network, l2_penalty
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,16 @@ def make_window(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame, lags: LagSet,
 class EpisodeBuffer:
     """One replayed pass over a window, stacked along the step axis: the
     observations acted on, the actions taken, which steps the policy chose,
-    the realized next-step returns and the terminal net performance."""
+    the realized next-step returns, the terminal net performance and the
+    policy steps' own Action, which carries the network's backward (None
+    when no step was the policy's)."""
 
     obs: Observation
     actions: Action
     is_policy: np.ndarray
     next_returns: np.ndarray
     terminal_reward: float
+    chosen: Action | None
 
 
 def _growth(actions: Action, next_returns: np.ndarray) -> np.ndarray:
@@ -112,7 +117,8 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
 
     Observations, realized returns and every random draw are independent of
     the actions, so one loop makes the draws first and one batched forward
-    then decides every policy step. Per step, in order: one uniform draw
+    then decides every policy step; the buffer keeps that forward's Action
+    for the objective. Per step, in order: one uniform draw
     (only when policy_prob < 1) that selects a random action when it is not
     below policy_prob; for a random step a Dirichlet(1, ..., 1) weight draw
     and a uniform leverage draw on [0, max_leverage]; then, unless it is the
@@ -128,15 +134,20 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
     is_policy = np.ones(steps, dtype=bool)
     weights = np.empty((steps, params.m))
     leverage = np.empty(steps)
-    ones = np.ones(params.m)
+    m, max_leverage = params.m, params.arch.max_leverage
     # row i - 1 holds step i's noise: its asset draws, then its context draws
     noise = np.empty((steps - 1, asset[0].size + ctx[0].size)) if noise_std != 0.0 else None
     for i in range(steps):
         # random() is uniform() on [0, 1): the same draw from the same stream
         if policy_prob < 1.0 and not rng.random() < policy_prob:
             is_policy[i] = False
-            weights[i] = rng.dirichlet(ones)
-            leverage[i] = rng.uniform(0.0, params.arch.max_leverage)
+            # dirichlet(ones(m)) and uniform(0, max_leverage) as numpy computes
+            # them, minus their per-call argument handling: the same bits from
+            # the same stream. The sum runs in order, as in dirichlet (np.sum
+            # is pairwise, and the builtin sum compensates from Python 3.12).
+            e = rng.standard_exponential(m)
+            weights[i] = e * (1.0 / reduce(add, e.tolist()))
+            leverage[i] = max_leverage * rng.random()
         if noise is not None and i + 1 < steps:
             rng.standard_normal(out=noise[i])
     if noise is not None:
@@ -150,30 +161,33 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
         ctx = ctx.copy()
         ctx[1:] += noise[:, split:].reshape(ctx[1:].shape)
     obs = Observation(asset, ctx, window.observations.timestamp)
+    chosen = None
     if is_policy.any():
         chosen = forward(params, obs[is_policy])
         weights[is_policy] = chosen.weights
         leverage[is_policy] = chosen.leverage
     actions = Action(weights, leverage)
     gross = np.cumprod(_growth(actions, window.next_returns))[-1]
-    return EpisodeBuffer(obs, actions, is_policy, window.next_returns, float(gross) - 1.0)
+    return EpisodeBuffer(obs, actions, is_policy, window.next_returns, float(gross) - 1.0,
+                         chosen)
 
 
 def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer) -> Tensor:
-    """Differentiable terminal reward minus L2 penalty, rebuilt from a stored
-    episode. One batched forward re-runs the network on every policy step's
-    stored observation; random-action steps enter as constant growth factors.
-    One tape record holds the whole backward: every weight tensor w gets
+    """Differentiable terminal reward minus L2 penalty of an episode that
+    run_episode played with params as they are now. The policy steps' outputs
+    and backward come from the episode's own forward, so the network does not
+    run again; random-action steps enter as constant growth factors. One tape
+    record holds the whole backward: every weight tensor w gets
     -2 l2_coeff w, then each policy step's factor gets the product of all the
     others, from prefix and suffix products (exact at a step that loses
     100%), and the policy's backward carries that through the network."""
-    pick = buffer.is_policy
+    pick, chosen = buffer.is_policy, buffer.chosen
     constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
     gross = constant
-    if pick.any():
-        weights, leverage, network_backward = differentiable_forward(params, buffer.obs[pick])
+    if chosen is not None:
+        leverage = chosen.leverage
         returns = buffer.next_returns[pick]
-        dot = np.einsum("ij,ij->i", weights, returns)
+        dot = np.einsum("ij,ij->i", chosen.weights, returns)
         factors = leverage * dot + 1.0
         prefix = np.cumprod(factors)
         gross = prefix[-1] * constant
@@ -183,11 +197,11 @@ def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer
         for name in params.weight_names():
             w = params.tensors[name]
             ad.accumulate(w, 2.0 * (-out.grad * params.arch.l2_coeff) * w.data)
-        if pick.any():
+        if chosen is not None:
             before = np.concatenate(([1.0], prefix[:-1]))
             after = np.concatenate((np.cumprod(factors[:0:-1])[::-1], [1.0]))
             seed = out.grad * constant * before * after
-            network_backward((seed * leverage)[:, None] * returns, seed * dot)
+            chosen.backward((seed * leverage)[:, None] * returns, seed * dot)
 
     tape.record(back)
     return out
@@ -284,10 +298,10 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
         except FloatingPointError:
             reward = math.nan
         if not np.isfinite(reward):
-            raise NumericError(
-                f"non-finite episode reward at iteration {iteration}; "
-                "lower the learning rate or shorten the window"
-            )
+            # before the first update only the settings, not the learning rate, can be at fault
+            hint = ("lower noise_std or max_leverage or shorten the window" if iteration == 1
+                    else "lower the learning rate or shorten the window")
+            raise NumericError(f"non-finite episode reward at iteration {iteration}; {hint}")
         if reward > best:
             best = reward
             best_iter = iteration

@@ -680,6 +680,9 @@ def test_replay_overflow_exits_by_contract(tmp_path, capsys, seed, setting, code
     (["--learning-rate=1e308"], "non-finite episode reward at iteration 2"),
     (["--noise-std=1e200"], "non-finite gradient at iteration 1"),
     (["--learning-rate=1e308", "--l2-coeff=1000"], "parameter update overflowed at iteration 1"),
+    # no update has run yet, so the message names the settings, not the learning rate
+    (["--max-leverage=1e308"], "non-finite episode reward at iteration 1; lower noise_std or "
+                               "max_leverage or shorten the window"),
 ])
 def test_huge_training_settings_exit_3(tmp_path, capsys, settings, needle):
     src, out = tmp_path / "data", tmp_path / "o"

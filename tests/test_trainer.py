@@ -4,6 +4,7 @@ import pytest
 import oracles
 from conftest import make_price_frame
 from oracles import build_observation
+from portalloc import _kernels
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError, NumericError
@@ -207,15 +208,18 @@ class TestBatchedEpisode:
             assert np.all(np.isfinite(got[name]))
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-300)
 
+    # numpy's sum is pairwise from 8 terms, so m of 8 and more tells a
+    # sequential Dirichlet normaliser from a pairwise one
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 24])
     @pytest.mark.parametrize("policy_prob", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("noise_std", [0.0, 0.002])
-    def test_rng_stream_matches_documented_draws(self, rng, policy_prob, noise_std):
-        window = window_from_returns(0.01 * rng.standard_normal((30, 2)))
+    def test_rng_stream_matches_documented_draws(self, rng, policy_prob, noise_std, m):
+        window = window_from_returns(0.01 * rng.standard_normal((30, m)))
         params = perturbed_params(window)
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
         buf = run_episode(params, window, noise_std, policy_prob, ours)
         is_policy, random_actions, assets, contexts = oracles.episode_draws(
-            theirs, window, 2, params.arch.max_leverage, noise_std, policy_prob)
+            theirs, window, m, params.arch.max_leverage, noise_std, policy_prob)
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert np.array_equal(buf.is_policy, is_policy)
         assert np.array_equal(buf.obs.asset_tensor, assets)
@@ -320,6 +324,24 @@ class TestTrain:
         result = train(window, SMALL_ARCH, cfg)
         assert len(result.log) == 1
         assert result.log[0].iteration == 1
+
+    def test_one_network_pass_per_iteration(self, rng, monkeypatch):
+        # the objective runs the backward of the rollout's forward, so each
+        # iteration convolves every conv layer once
+        calls = []
+        real_conv = _kernels.conv1d_fwd
+
+        def counting_conv(*args, **kwargs):
+            calls.append(1)
+            return real_conv(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "conv1d_fwd", counting_conv)
+        window = window_from_returns(0.01 * rng.standard_normal((30, 2)))
+        cfg = TrainConfig(max_iterations=3, early_stop_patience=3, seed=1)
+        result = train(window, SMALL_ARCH, cfg)
+        assert len(result.log) == 3
+        layers = len(SMALL_ARCH.asset_conv) + len(SMALL_ARCH.context_conv)
+        assert len(calls) == 3 * layers
 
     def test_plateau_stops_after_patience(self):
         # zero returns: the reward is identically zero, so the best never
