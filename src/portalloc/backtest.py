@@ -437,31 +437,27 @@ def _fmt_metric(x: float | None) -> str:
     return "undef" if x is None else f"{x:.4f}"
 
 
+def _report_rows(reports: list[PerformanceReport]):
+    """(model, horizon, formatted metrics in MetricSet's field order) per table
+    row: each model's full curve, then its horizons in label order."""
+    for rep in reports:
+        for label, ms in [("full", rep.full)] + sorted(rep.horizons.items()):
+            yield rep.model, label, [_fmt_metric(x) for x in vars(ms).values()]
+
+
 def report_table_csv(reports: list[PerformanceReport]) -> str:
     """Metric table, one row per (model, horizon): return / Sortino / Sharpe /
     max DD column order."""
     lines = ["model,horizon,annualized_return,sortino,sharpe,max_dd"]
-    for rep in reports:
-        rows = [("full", rep.full)] + sorted(rep.horizons.items())
-        for label, ms in rows:
-            lines.append(
-                f"{rep.model},{label},{_fmt_metric(ms.annualized_return)},"
-                f"{_fmt_metric(ms.sortino)},{_fmt_metric(ms.sharpe)},{_fmt_metric(ms.max_dd)}"
-            )
+    lines += [",".join([model, label, *cells]) for model, label, cells in _report_rows(reports)]
     return "\n".join(lines) + "\n"
 
 
 def report_table_text(reports: list[PerformanceReport]) -> str:
     header = f"{'model':<20}{'horizon':<10}{'return':>10}{'Sortino':>10}{'Sharpe':>10}{'max DD':>10}"
     lines = [header, "-" * len(header)]
-    for rep in reports:
-        rows = [("full", rep.full)] + sorted(rep.horizons.items())
-        for label, ms in rows:
-            lines.append(
-                f"{rep.model:<20}{label:<10}{_fmt_metric(ms.annualized_return):>10}"
-                f"{_fmt_metric(ms.sortino):>10}{_fmt_metric(ms.sharpe):>10}"
-                f"{_fmt_metric(ms.max_dd):>10}"
-            )
+    lines += [f"{model:<20}{label:<10}" + "".join(f"{c:>10}" for c in cells)
+              for model, label, cells in _report_rows(reports)]
     return "\n".join(lines) + "\n"
 
 
@@ -479,12 +475,17 @@ def curves_csv(reports: list[PerformanceReport]) -> str:
                      np.column_stack([r.curve.values for r in with_curves]))
 
 
+def scaled_weights(curve: EquityCurve) -> tuple[list[str], np.ndarray]:
+    """The names w1..wm and the leverage-scaled weight path of a curve."""
+    names = [f"w{i + 1}" for i in range(curve.weights.shape[1])]
+    return names, curve.leverage[:, None] * curve.weights
+
+
 def weights_csv(report: PerformanceReport) -> str:
     """Leverage-scaled weight path of one model plus the leverage column."""
     if report.curve is None:
         raise DataError("report has no curve attached")
     curve = report.curve
-    names = [f"w{i + 1}" for i in range(curve.weights.shape[1])] + ["leverage"]
-    scaled = curve.leverage[:, None] * curve.weights
-    return dated_csv(curve.dates[:len(curve.weights)], names,
+    names, scaled = scaled_weights(curve)
+    return dated_csv(curve.dates[:len(curve.weights)], names + ["leverage"],
                      np.column_stack([scaled, curve.leverage]))

@@ -20,13 +20,13 @@ import numpy as np
 from . import __version__
 from .allocators import method_names, solve
 from .backtest import (CompareConfig, DataBundle, compare_models, curves_csv,
-                       make_schedule, report_table_csv, report_table_text,
+                       make_schedule, report_table_csv, report_table_text, scaled_weights,
                        weights_csv)
 from .errors import DataError, NumericError, PortallocError
 from .features import LagSet, build_context_series, context_rows, load_context_csv
-from .market_data import (RegimeSpec, ReturnFrame, SyntheticSpec, atomic_write_text,
-                          compute_returns, generate_synthetic, load_price_csv,
-                          read_dated_csv, rolling_volatility, write_price_csv)
+from .market_data import (MAX_ARRAY_SIZE, RegimeSpec, ReturnFrame, SyntheticSpec,
+                          atomic_write_text, compute_returns, generate_synthetic,
+                          load_price_csv, read_dated_csv, rolling_volatility, write_price_csv)
 from .policy import NetworkArch, load_params, save_params
 from .risk_models import estimate_stats
 from .trainer import TrainConfig, train_split, training_log_csv
@@ -111,6 +111,8 @@ class RunConfig:
             label, _, steps = item.partition(":")
             if not steps:
                 raise UsageError(f"bad horizon {item!r}; expected label:steps")
+            if not label or label in out:
+                raise UsageError(f"bad horizon {item!r}: label {label!r} is empty or repeated")
             out[label] = _convert("horizons", int, steps)
         return out
 
@@ -151,13 +153,11 @@ def _convert(key: str, kind, text: str):
         raise UsageError(f"bad value for {key}: {text!r} is not {noun}") from None
 
 
-_MAX_DIM = int(np.iinfo(np.intp).max)  # numpy's largest array dimension and byte size
-
-
 def _size(key: str, n: int) -> int:
     """n, or a DataError naming the key if no array axis can be that long."""
-    if n > _MAX_DIM:
-        raise DataError(f"bad value for {key}: {n} exceeds numpy's maximum dimension {_MAX_DIM}")
+    if n > MAX_ARRAY_SIZE:
+        raise DataError(f"bad value for {key}: {n} exceeds numpy's maximum dimension "
+                        f"{MAX_ARRAY_SIZE}")
     return n
 
 
@@ -184,7 +184,7 @@ def _build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--config", default=None, help="flat key = value config file")
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
-            if f.type == "bool" or f.type is bool:
+            if f.type == "bool":  # every f.type is a string under the future import
                 p.add_argument(flag, action="store_true", default=None)
             else:
                 p.add_argument(flag, default=None)
@@ -215,11 +215,11 @@ def _coerce(name: str, raw) -> object:
     if isinstance(raw, bool):
         return raw
     text = str(raw)
-    if kind in ("int", int):
+    if kind == "int":
         return _convert(name, int, text)
-    if kind in ("float", float):
+    if kind == "float":
         return _convert(name, float, text)
-    if kind in ("bool", bool):
+    if kind == "bool":
         return text.strip().lower() in {"1", "true", "yes"}
     return text
 
@@ -290,10 +290,10 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 def cmd_synth(cfg: RunConfig) -> int:
     assets, steps = _size("synth_assets", cfg.synth_assets), _size("synth_steps", cfg.synth_steps)
-    if (steps + 1) * assets * 8 > _MAX_DIM:  # the float64 price panel, in bytes
+    if (steps + 1) * assets * 8 > MAX_ARRAY_SIZE:  # the float64 price panel, in bytes
         raise DataError(f"bad value for synth_steps x synth_assets: a price panel of {steps + 1} "
                         f"rows of {assets} assets exceeds numpy's maximum array size of "
-                        f"{_MAX_DIM} bytes")
+                        f"{MAX_ARRAY_SIZE} bytes")
     spec = SyntheticSpec(assets, steps, _parse_regimes(cfg.regimes), cfg.seed)
     frame = generate_synthetic(spec)
     write_price_csv(frame, os.path.join(cfg.outdir, "prices.csv"))
@@ -380,8 +380,7 @@ def _run_comparison(cfg: RunConfig, models: list[str], command: str) -> int:
         atomic_write_text(os.path.join(cfg.outdir, "curves.svg"),
                           line_chart_svg(reports[0].curve.dates, series))
         for rep in reports:
-            names = [f"w{i + 1}" for i in range(rep.curve.weights.shape[1])]
-            scaled = rep.curve.leverage[:, None] * rep.curve.weights
+            names, scaled = scaled_weights(rep.curve)
             atomic_write_text(os.path.join(cfg.outdir, f"weights_{rep.model}.svg"),
                               stacked_area_svg(rep.curve.dates[:-1], names, scaled))
     write_manifest(cfg, command)

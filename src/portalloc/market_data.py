@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DataError
 
+MAX_ARRAY_SIZE = int(np.iinfo(np.intp).max)  # numpy's largest array dimension and byte size
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write a file atomically (temp file in the same directory + rename)."""
@@ -47,11 +49,13 @@ def read_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], n
         parsed = _read_one_way(path)
     except (OSError, ValueError):
         parsed = None
-    return parsed or _walk_dated_csv(path, kind)
+    ordinals, names, matrix = parsed or _walk_dated_csv(path, kind)
+    dates = (ordinals - datetime.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return dates, names, matrix
 
 
 def _read_one_way(path: str):
-    """The file's (dates, names, matrix) by np.loadtxt if csv can only split
+    """The file's (date ordinals, names, matrix) by np.loadtxt if csv can only split
     it at its commas and line ends (\\n, or one \\r before it), its dates are
     ordered and its cells finite; else None. numpy strips \\x1c-\\x1f as
     whitespace, float() rejects them."""
@@ -71,20 +75,18 @@ def _read_one_way(path: str):
                          for line in lines])
     if not (np.all(np.diff(ordinals) > 0) and np.isfinite(matrix).all()):
         return None
-    dates = (ordinals - datetime.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-    return dates, tuple(header.split(",")[1:]), matrix
+    return ordinals, tuple(header.split(",")[1:]), matrix
 
 
 def _walk_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """The csv row walk behind read_dated_csv.
+    """The csv row walk behind read_dated_csv: (date ordinals, names, matrix).
 
     Raises DataError with a distinct message for: missing or unreadable file,
     bad header, no data rows, ragged rows, malformed, duplicate or unordered
     dates, non-numeric cells and non-finite cells. ``kind`` only names the
     file in messages; the header is row 1. A row's cells parse in one pass;
     only a row that fails is walked to name its first non-numeric cell.
-    ``date.fromisoformat`` validates each date; the date axis is built from
-    the dates' ordinals.
+    ``date.fromisoformat`` validates each date.
     """
     if not os.path.exists(path):
         raise DataError(f"{kind} file not found: {path}")
@@ -129,9 +131,7 @@ def _walk_dated_csv(path: str, kind: str) -> tuple[np.ndarray, tuple[str, ...], 
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         raise malformed(f"non-finite cell at (row {bad[0, 0] + 2}, column {names[bad[0, 1]]})")
-    ordinals = np.array([day.toordinal() for day in days])
-    dates = (ordinals - datetime.date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-    return dates, names, matrix
+    return np.array([day.toordinal() for day in days]), names, matrix
 
 
 def dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:
@@ -235,7 +235,6 @@ class SyntheticSpec:
     num_steps: int
     regimes: tuple[RegimeSpec, ...] = field(default_factory=tuple)
     seed: int = 0
-    start_date: np.datetime64 = np.datetime64("2000-01-03")
 
     def __post_init__(self):
         object.__setattr__(self, "regimes", tuple(self.regimes))
@@ -341,7 +340,7 @@ def generate_synthetic_with_regimes(spec: SyntheticSpec) -> tuple[PriceFrame, np
     prices = np.empty((spec.num_steps + 1, m))
     prices[0] = 100.0
     prices[1:] = 100.0 * np.cumprod(1.0 + returns, axis=0)
-    dates = _weekday_dates(spec.start_date, spec.num_steps + 1)
+    dates = _weekday_dates(np.datetime64("2000-01-03"), spec.num_steps + 1)
     assets = tuple(f"A{i + 1}" for i in range(m))
     return PriceFrame(dates, assets, prices), labels
 

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .features import Observation
+from .market_data import MAX_ARRAY_SIZE
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,6 @@ class PolicyParameters:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self.tensors.items()}
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for n, data in snap.items():
-            self.tensors[n].data = data.copy()
-
 
 def _conv_extents(length: int, convs: tuple[tuple[int, int], ...], axis_name: str) -> int:
     out = length
@@ -128,9 +125,6 @@ def _conv_extents(length: int, convs: tuple[tuple[int, int], ...], axis_name: st
                 f"kernel too large for {axis_name} axis: extent {length} shrinks to {out}"
             )
     return out
-
-
-_MAX_BYTES = int(np.iinfo(np.intp).max)  # numpy's largest array, in bytes
 
 
 def _network_shapes(arch: NetworkArch, m: int, lags: int, ctx_series: int,
@@ -157,9 +151,9 @@ def _network_shapes(arch: NetworkArch, m: int, lags: int, ctx_series: int,
     for head, width in (("weights_head", m), ("leverage_head", 1)):
         shapes[f"{head}_w"], shapes[f"{head}_b"] = (feat, width), (width,)
     for name, shape in shapes.items():
-        if math.prod(shape) * 8 > _MAX_BYTES:
+        if math.prod(shape) * 8 > MAX_ARRAY_SIZE:
             raise DataError(f"tensor {name} of shape {shape} exceeds numpy's maximum "
-                            f"array size of {_MAX_BYTES} bytes")
+                            f"array size of {MAX_ARRAY_SIZE} bytes")
     return shapes
 
 

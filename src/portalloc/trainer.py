@@ -17,7 +17,6 @@ improving.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -41,9 +40,6 @@ class TrainConfig:
     max_iterations: int = 500
     early_stop_patience: int = 50
     policy_prob: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -230,9 +226,11 @@ def init_adam(params: PolicyParameters) -> AdamState:
                      {n: np.zeros_like(t.data) for n, t in params.tensors.items()})
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
+
+
 def adam_step(state: AdamState, params: PolicyParameters, grads: dict[str, np.ndarray],
-              learning_rate: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+              learning_rate: float) -> AdamState:
     """Bias-corrected Adam update in the ascent direction (theta += step)."""
     state.step += 1
     t = state.step
@@ -240,11 +238,11 @@ def adam_step(state: AdamState, params: PolicyParameters, grads: dict[str, np.nd
         g = grads.get(name)
         if g is None:
             continue
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        tensor.data = tensor.data + learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = _BETA1 * state.m[name] + (1.0 - _BETA1) * g
+        state.v[name] = _BETA2 * state.v[name] + (1.0 - _BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - _BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - _BETA2 ** t)
+        tensor.data = tensor.data + learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
     return state
 
 
@@ -317,16 +315,15 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient at iteration {iteration}")
         try:
-            adam_step(adam, params, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(adam, params, grads, cfg.learning_rate)
         except FloatingPointError:
             raise NumericError(f"parameter update overflowed at iteration {iteration}; "
                                "lower the learning rate") from None
         log.append(IterationLog(iteration, reward, best, norm))
         if iteration - best_iter >= cfg.early_stop_patience:
             break
-    result = copy.deepcopy(params)
-    result.restore(best_snap)
-    return TrainedPolicy(result, log, best, best_iter)
+    best_params = replace(params, tensors={n: Tensor(d) for n, d in best_snap.items()})
+    return TrainedPolicy(best_params, log, best, best_iter)
 
 
 def train_split(bundle, index: int, split, arch: NetworkArch, cfg: TrainConfig) -> TrainedPolicy:

@@ -49,19 +49,18 @@ def _frame(title: str, y_lo: float, y_hi: float, x_labels: list[str]) -> list[st
     return parts
 
 
-def _x_tick_labels(dates: np.ndarray, count: int = 6) -> list[str]:
-    idx = np.linspace(0, len(dates) - 1, min(count, len(dates))).astype(int)
+def _x_tick_labels(dates: np.ndarray) -> list[str]:
+    idx = np.linspace(0, len(dates) - 1, min(6, len(dates))).astype(int)
     return [str(dates[i]) for i in idx]
 
 
-def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray],
-                   title: str = "equity curves") -> str:
+def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray]) -> str:
     """Polyline per named series over a shared date axis."""
     if not series:
         raise DataError("no series to plot")
     lo = min(float(np.min(v)) for v in series.values())
     hi = max(float(np.max(v)) for v in series.values())
-    parts = _frame(title, lo, hi, _x_tick_labels(dates))
+    parts = _frame("equity curves", lo, hi, _x_tick_labels(dates))
     xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
     for i, (name, vals) in enumerate(series.items()):
         ys = _scale(np.asarray(vals, dtype=float), lo, hi, _H - _MB, _MT)
@@ -76,15 +75,14 @@ def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray],
     return "\n".join(parts) + "\n"
 
 
-def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray,
-                     title: str = "allocation") -> str:
+def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray) -> str:
     """Stacked area chart of (possibly leverage-scaled) weight columns."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape != (len(dates), len(names)):
         raise DataError("weight matrix shape does not match dates/names")
     cum = np.cumsum(np.clip(matrix, 0.0, None), axis=1)
     hi = float(cum[:, -1].max()) if cum.size else 1.0
-    parts = _frame(title, 0.0, hi, _x_tick_labels(dates))
+    parts = _frame("allocation", 0.0, hi, _x_tick_labels(dates))
     xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
     # band j's lower edge is band j-1's upper edge, walked backwards
     base = _points(xs, _scale(np.zeros(len(dates)), 0.0, hi, _H - _MB, _MT))

@@ -34,6 +34,9 @@ import tempfile
 
 import numpy as np
 
+from portalloc.cli import _parse_regimes, main as portalloc
+from portalloc.market_data import SyntheticSpec, generate_synthetic
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "golden_digests.json")
 SEED = 777
@@ -67,9 +70,6 @@ def _mixed_regimes(m: int) -> str:
 
 
 def _returns(regimes: str, assets: int, steps: int, seed: int) -> np.ndarray:
-    from portalloc.cli import _parse_regimes
-    from portalloc.market_data import SyntheticSpec, generate_synthetic
-
     prices = generate_synthetic(SyntheticSpec(assets, steps, _parse_regimes(regimes), seed)).prices
     return prices[1:] / prices[:-1] - 1.0
 
@@ -90,7 +90,7 @@ def _walk_levels(returns: np.ndarray, first_test: int, test_span: int) -> list[s
             r, s = _levels(returns[:t + 1])
             r_min, sigma_max = min(r_min, r), max(sigma_max, s)
     # "=" keeps a negative level from reading as a flag
-    return [f"--r-min={float(r_min)!r}", f"--sigma-max={sigma_max!r}"]
+    return [f"--r-min={r_min!r}", f"--sigma-max={sigma_max!r}"]
 
 
 def _panel(name: str, panel: int, assets: int, steps: int, first_test: int, test_span: int,
@@ -170,10 +170,8 @@ def commands() -> list[list[str]]:
 def run(argv: list[str]) -> tuple[int, dict[str, str]]:
     """Run one command in the working directory, with its printout discarded:
     its exit code and the sha256 of every file in its output directory."""
-    from portalloc.cli import main
-
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
+        code = portalloc(argv)
     outdir = argv[argv.index("--outdir") + 1]
     files = {}
     for root, _, names in os.walk(outdir):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import itertools
 import math
 import os
@@ -62,10 +63,27 @@ def simplex_grid(l: int, step: float = GRID_STEP) -> np.ndarray:
     return _GRID_CACHE[key]
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_form(shape: tuple[int, int], data: bytes) -> np.ndarray:
+    matrix = np.frombuffer(data).reshape(shape)
+    W = simplex_grid(shape[0])
+    vals = ((W @ matrix) * W).sum(axis=1)
+    vals.flags.writeable = False
+    return vals
+
+
+def grid_form(matrix: np.ndarray) -> np.ndarray:
+    """w' M w at every grid point w, by one BLAS product. The last two
+    matrices' forms are kept, so the oracles of one instance form its
+    covariance once, and its correlation once."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    return _grid_form(matrix.shape, matrix.tobytes())
+
+
 def grid_min_quadratic(matrix: np.ndarray, feasible_mask=None) -> tuple[np.ndarray, float]:
     """argmin of w' M w over the grid (optionally masked)."""
     W = simplex_grid(matrix.shape[0])
-    vals = np.einsum("ni,ij,nj->n", W, matrix, W)
+    vals = grid_form(matrix)
     if feasible_mask is not None:
         vals = np.where(feasible_mask(W), vals, np.inf)
     i = int(np.argmin(vals))
@@ -74,26 +92,26 @@ def grid_min_quadratic(matrix: np.ndarray, feasible_mask=None) -> tuple[np.ndarr
 
 def grid_min_risk_with_floor(sigma: np.ndarray, mu: np.ndarray, r_min: float):
     W = simplex_grid(sigma.shape[0])
-    var = np.einsum("ni,ij,nj->n", W, sigma, W)
-    var = np.where(W @ mu >= r_min - 1e-12, var, np.inf)
+    var = np.where(W @ mu >= r_min - 1e-12, grid_form(sigma), np.inf)
     i = int(np.argmin(var))
     return W[i], float(var[i])
 
 
 def grid_max_return_with_cap(sigma: np.ndarray, mu: np.ndarray, cap: float):
     W = simplex_grid(sigma.shape[0])
-    var = np.einsum("ni,ij,nj->n", W, sigma, W)
-    ret = np.where(var <= cap + 1e-12, W @ mu, -np.inf)
+    ret = np.where(grid_form(sigma) <= cap + 1e-12, W @ mu, -np.inf)
     i = int(np.argmax(ret))
     return W[i], float(ret[i])
 
 
 def grid_max_diversification(sigma: np.ndarray, vols: np.ndarray):
     W = simplex_grid(sigma.shape[0])
-    var = np.einsum("ni,ij,nj->n", W, sigma, W)
-    ratio = (W @ vols) / np.sqrt(var)
+    ratio = (W @ vols) / np.sqrt(grid_form(sigma))
     i = int(np.argmax(ratio))
     return W[i], float(ratio[i])
+
+
+_BARRIER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def grid_equal_risk_contribution(sigma: np.ndarray):
@@ -101,10 +119,11 @@ def grid_equal_risk_contribution(sigma: np.ndarray):
     1/2 + 1/2 ln(w'Sw) - (1/l) sum ln w_i (interior points only)."""
     l = sigma.shape[0]
     W = simplex_grid(l)
-    interior = np.all(W > 0, axis=1)
-    var = np.einsum("ni,ij,nj->n", W, sigma, W)
+    if l not in _BARRIER_CACHE:  # the interior and the sum of logs depend on the grid only
+        _BARRIER_CACHE[l] = np.all(W > 0, axis=1), np.log(np.clip(W, 1e-300, None)).sum(axis=1)
+    interior, log_sum = _BARRIER_CACHE[l]
     with np.errstate(divide="ignore"):
-        obj = 0.5 + 0.5 * np.log(var) - np.log(np.clip(W, 1e-300, None)).sum(axis=1) / l
+        obj = 0.5 + 0.5 * np.log(grid_form(sigma)) - log_sum / l
     obj = np.where(interior, obj, np.inf)
     i = int(np.argmin(obj))
     return W[i], float(obj[i])

@@ -445,6 +445,24 @@ def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizons, needle", [
+    ("2y:504,2y:10", "label '2y' is empty or repeated"),
+    (":10", "label '' is empty or repeated"),
+    ("1y:20,:5,", "label '' is empty or repeated"),
+])
+def test_repeated_or_empty_horizon_label_exits_1_naming_it(tmp_path, capsys, horizons, needle):
+    src = tmp_path / "data"
+    main(synth_args(src, steps=600))
+    frame = load_price_csv(str(src / "prices.csv"))
+    capsys.readouterr()
+    code = main(["compare", "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
+                 "--initial-train-end", str(frame.dates[280]), "--models", "equalweight"]
+                + FAST + ["--horizons", horizons])
+    assert code == 1
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("setting", [
     "--cost-rate=-0.001", "--trad-leverage=-1", "--trad-leverage=inf",
     "--ew-leverage=-0.5", "--ew-leverage=nan", "--rebalance=0", "--horizons=2y:-5",

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from conftest import make_price_frame
 from oracles import build_observation
-from portalloc import _kernels
+from portalloc import _kernels, trainer
 from portalloc import autodiff as ad
 from portalloc.autodiff import Tape
 from portalloc.errors import DataError, NumericError
@@ -359,6 +359,27 @@ class TestTrain:
         bests = [row.best_objective for row in result.log]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
         assert result.best_objective == max(row.objective for row in result.log)
+
+    @pytest.mark.parametrize("kind", ["zero returns", "random returns"])
+    def test_returns_the_parameters_its_best_episode_ran_with(self, monkeypatch, rng, kind):
+        ran_with = []
+        real_episode = trainer.run_episode
+
+        def recording_episode(params, *args):
+            ran_with.append(params.snapshot())
+            return real_episode(params, *args)
+
+        monkeypatch.setattr(trainer, "run_episode", recording_episode)
+        returns = np.zeros((20, 2)) if kind == "zero returns" else 0.01 * rng.standard_normal((40, 2))
+        cfg = TrainConfig(max_iterations=200, early_stop_patience=7, noise_std=0.0, seed=0)
+        result = train(window_from_returns(returns), SMALL_ARCH, cfg)
+        assert result.best_iteration < len(result.log) == len(ran_with)
+        best, last = ran_with[result.best_iteration - 1], ran_with[-1]
+        assert any(not np.array_equal(best[n], last[n]) for n in best)
+        assert list(result.params.tensors) == list(best)
+        for name, tensor in result.params.tensors.items():
+            assert tensor.data.dtype == best[name].dtype and tensor.data.shape == best[name].shape
+            assert tensor.data.tobytes() == best[name].tobytes()
 
     def test_deterministic_given_seed(self, rng):
         window = window_from_returns(0.01 * rng.standard_normal((30, 2)))
