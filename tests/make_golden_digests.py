@@ -18,7 +18,9 @@ benchmark's workloads does not move them. They cover:
 - ``train`` on ten assets, so that sums of eight or more terms run, and one
   ``compare --svg`` of the six convex models and ``drl`` from its checkpoints;
 - ``allocate`` for each of the six convex methods on that panel;
-- the README walkthrough.
+- the README walkthrough;
+- one ``compare`` of minvariance, markowitz and maxreturn on a rank-deficient
+  panel, whose prices ``write_inputs`` writes (no command makes such a panel).
 
 Every path is relative to the working directory, because manifests echo them.
 """
@@ -35,7 +37,7 @@ import tempfile
 import numpy as np
 
 from portalloc.cli import _parse_regimes, main as portalloc
-from portalloc.market_data import SyntheticSpec, generate_synthetic
+from portalloc.market_data import PriceFrame, SyntheticSpec, generate_synthetic, write_price_csv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "golden_digests.json")
@@ -44,6 +46,7 @@ PANELS = 2
 START = np.datetime64("2000-01-03")  # the first date of every synthetic panel
 REBALANCE = 21
 COST_RATE = 0.0005
+DEFICIENT = "deficient/prices.csv"
 CONVEX = ("markowitz", "maxreturn", "minvariance", "maxdiversification", "maxdecorrelation",
           "riskparity")
 
@@ -114,6 +117,21 @@ def _learned(iterations: int) -> list[str]:
             "--patience", str(iterations)]
 
 
+def _deficient_prices() -> PriceFrame:
+    """Four synthetic assets and a fifth whose prices repeat the first one's,
+    so that every sample covariance is singular and the min-variance,
+    floor and cap optima can be non-unique."""
+    frame = generate_synthetic(SyntheticSpec(4, 700, _parse_regimes(_convex_regimes(4)), 0))
+    return PriceFrame(frame.dates, frame.assets + ("A5",),
+                      np.hstack((frame.prices, frame.prices[:, :1])))
+
+
+def write_inputs() -> None:
+    """Write, relative to the working directory, the input that no command makes."""
+    os.makedirs(os.path.dirname(DEFICIENT), exist_ok=True)
+    write_price_csv(_deficient_prices(), DEFICIENT)
+
+
 def commands() -> list[list[str]]:
     out: list[list[str]] = []
     for panel in range(PANELS):
@@ -164,6 +182,13 @@ def commands() -> list[list[str]]:
         ["plot", "--curves", "run/cmp/curves.csv", "--weights", "run/cmp/weights_drl.csv",
          "--outdir", "run/plots"],
     ]
+    prices = _deficient_prices().prices
+    out.append(["compare", "--prices", DEFICIENT, "--initial-train-end",
+                str(np.busday_offset(START, 400)), "--test-span", "100", "--rebalance",
+                str(REBALANCE), "--cost-rate", repr(COST_RATE)]
+               + _walk_levels(prices[1:] / prices[:-1] - 1.0, 400, 100)
+               + ["--horizons", "", "--outdir", "deficient/out", "--models",
+                  "minvariance,markowitz,maxreturn"])
     return out
 
 
@@ -189,6 +214,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            write_inputs()
             for argv in argvs:
                 code, files = run(argv)
                 if code != 0:
