@@ -31,11 +31,13 @@ that face's line meets lam = 0, the floor or the cap is kept if the KKT
 certificate passes. A failed guess is usually one asset off, so up to
 _SWAP_ROUNDS primal-dual swaps repair it: the next face keeps the assets
 held above zero at the point and adds those whose bound multiplier there
-is below zero. The walk runs only if no face passes. Every walk ends with
-the same solve on its final face, so a guess and a walk that end on one
-face return the same bits. iterations counts the faces walked (a kept
-guess is one, repaired or not), plus those of the minimum-variance solve
-for markowitz and maxreturn; maxdiversification reports its
+is below zero. The walk runs only if no face passes. With no report yet
+(a comparison's first date) start is a support mask, kept only if its
+optimum is unique: the walk may settle on another of several. Every walk
+ends with the same solve on its final face, so a guess and a walk that
+end on one face return the same bits. iterations counts the faces walked
+(a kept guess is one, repaired or not), plus those of the minimum-variance
+solve for markowitz and maxreturn; maxdiversification reports its
 maximum-decorrelation solve's count and flags. converged means a KKT
 residual <= 1e-10 with Q scaled to a largest entry of 1; non_unique means a
 zero eigenvalue of the reduced Hessian: Q on the assets held or priced at
@@ -47,7 +49,8 @@ widened by such assets and on walk ends that settle on no face. Risk
 parity runs damped Newton on its barrier objective scaled to be
 self-concordant, which converges with no step-size rule to tune (Spinu
 2013), from the minimizer of that objective on the inverse-volatility ray;
-iterations counts its Newton steps.
+iterations counts its Newton steps. Its test for a positive-definite S
+reads the eigenvalues CovarianceStats keeps from its own PSD check.
 """
 from __future__ import annotations
 
@@ -94,6 +97,10 @@ class SolveReport:
     non_unique: bool = False
 
 
+# a warm start: a report on earlier moments of the same assets, or a support mask
+Start = SolveReport | np.ndarray | None
+
+
 def _finish(w: np.ndarray, objective: float, iterations: int, converged: bool,
             active: tuple[str, ...] = (), non_unique: bool = False) -> SolveReport:
     w = w / w.sum()  # unit sum to rounding; the solvers' exact zeros stay zero
@@ -119,10 +126,12 @@ def _on_face(q, v, face):
     the face, from one factorization of the bordered KKT system
     [Q_FF 1; 1' 0] solved for [0; 1] (y0) and [v_F; 0] (d). None if
     Q_FF - _TOL I has no Cholesky factor, so that the system may be singular."""
-    qff = q[np.ix_(face, face)]
+    qff = q.compress(face, axis=0).compress(face, axis=1)
     k = qff.shape[0]
+    shifted = qff.copy()
+    shifted.flat[::k + 1] -= _TOL
     try:
-        np.linalg.cholesky(qff - _TOL * np.eye(k))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
     bordered, rhs = np.ones((k + 1, k + 1)), np.zeros((k + 1, 2))
@@ -236,11 +245,12 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     F settles at the point y where its critical line (_on_face) meets stop,
     if lam > 0 (or v = 0: on the frontier lam = 0 is the minimum-variance
     report, kept as it is), y_F > 0, and the KKT residual and gap(y), the
-    floor or cap residual, are within _TOL. start's support is tried first;
-    if it fails, up to _SWAP_ROUNDS primal-dual swaps repair it, each trying
-    F' = {i in F : y_i > 0} + {i not in F : z_i < -_TOL}, z the bound
-    multipliers at y, until F' is empty or F, or its line has no stop. A
-    guess kept with or without swaps counts as one face. Otherwise walk() ->
+    floor or cap residual, are within _TOL. start's support, or start if it
+    is a mask (then kept only if unique), is tried first; if it fails, up to
+    _SWAP_ROUNDS primal-dual swaps repair it, each trying F' = {i in F :
+    y_i > 0} + {i not in F : z_i < -_TOL}, z the bound multipliers at y,
+    until F' is empty or F, or its line has no stop. A guess kept with or
+    without swaps counts as one face. Otherwise walk() ->
     (y, lam, free, faces, stopped) runs and a stopped walk settles on its
     final support, so that a guess and a walk that end on one face return
     the same bits. The non-unique check runs only on the point returned, and
@@ -265,14 +275,16 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
         priced = face | (z <= _TOL)
         return y, lam, kkt, bool((priced != face).any()) and _non_unique(q, priced)
 
-    if start is not None and start.weights.w.size == v.size:
-        face = start.weights.w > 0
+    guess = start.weights.w > 0 if isinstance(start, SolveReport) else start
+    if guess is not None and guess.size == v.size:
+        face = guess
         for _ in range(_SWAP_ROUNDS + 1):
             met = meet(face)
             if met is None:
                 break
             point = settle(face, *met)
-            if point is not None:
+            # a mask (guess is start) has no report behind it: kept only if unique
+            if point is not None and not (point[3] and guess is start):
                 return (*point, 1, True)
             y, _, z = met
             swapped = (face & (y > 0)) | (~face & (z < -_TOL))
@@ -293,7 +305,7 @@ def _variance(w: np.ndarray, q: np.ndarray) -> float:
     return max(float(w @ q @ w), 0.0)
 
 
-def _min_quadratic(q: np.ndarray, start: SolveReport | None = None) -> SolveReport:
+def _min_quadratic(q: np.ndarray, start: Start = None) -> SolveReport:
     """min y'Qy on the simplex, with Q scaled to a largest entry of 1 so that
     the tolerances are relative. The vertex k with the least q_kk minimizes
     1/2 y'Qy + lam y_k for every lam up to min_i (q_ik - q_kk), where the
@@ -314,7 +326,7 @@ def _min_quadratic(q: np.ndarray, start: SolveReport | None = None) -> SolveRepo
     return _finish(y, _variance(y, q), faces, kkt <= _TOL, non_unique=non_unique)
 
 
-def solve_min_variance(stats: CovarianceStats, start: SolveReport | None = None) -> SolveReport:
+def solve_min_variance(stats: CovarianceStats, start: Start = None) -> SolveReport:
     """Minimize portfolio variance w'Sw on the simplex, warm-started from start."""
     return _min_quadratic(stats.sigma_mat, start)
 
@@ -342,7 +354,7 @@ def solve_max_diversification(stats: CovarianceStats) -> SolveReport:
 
 def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
                              minvar: SolveReport | None = None,
-                             start: SolveReport | None = None) -> SolveReport:
+                             start: Start = None) -> SolveReport:
     """Minimize w'Sw subject to mu'w >= r_min on the simplex.
 
     If the minimum-variance portfolio misses the floor, the floor binds: the
@@ -382,7 +394,7 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
 
 def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
                                minvar: SolveReport | None = None,
-                               start: SolveReport | None = None) -> SolveReport:
+                               start: Start = None) -> SolveReport:
     """Maximize mu'w subject to w'Sw <= sigma_max^2 on the simplex.
 
     sigma_max is a volatility; the cap applies to portfolio variance
@@ -390,7 +402,8 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
     portfolio until its variance meets the cap, or to the frontier top (least
     variance among the best-mean assets) if that is within the cap. minvar,
     if given, is solve_min_variance(stats), which is then not solved again.
-    start warm-starts the solve (see solve) if the cap bound it.
+    start warm-starts the solve (see solve); a report's support is tried only
+    if the cap bound it.
     """
     mu, sigma = stats.mu, stats.sigma_mat
     if not sigma_max >= 0:
@@ -423,9 +436,10 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
             return (np.float64(gap) / (s + np.sqrt(s * s + dqd * gap))
                     if gap > rounding else 0.0)
 
-    capped = start is not None and "risk_cap" in start.active_constraints
+    if isinstance(start, SolveReport) and "risk_cap" not in start.active_constraints:
+        start = None
     y, lam, kkt, non_unique, faces, stopped = _warm_or_walk(
-        q, v, variance_root, lambda y: abs(cap_q - float(y @ q @ y)), start if capped else None,
+        q, v, variance_root, lambda y: abs(cap_q - float(y @ q @ y)), start,
         lambda: _walk(q, v, minvar.weights.w, 0.0, variance_root))
     iters = minvar.iterations + faces
     if not stopped:
@@ -487,8 +501,7 @@ def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
     equal. Reported objective is the barrier objective reduced over positive
     rescalings: 1/2 + 1/2 ln(w'Sw) - (1/l) sum ln w_i.
     """
-    sigma = stats.sigma_mat
-    eig = np.linalg.eigvalsh(sigma)
+    sigma, eig = stats.sigma_mat, stats.eig
     if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
         raise DataError("singular covariance matrix: risk parity needs a positive-definite one")
     x, steps = _erc_newton(sigma)
@@ -515,15 +528,17 @@ def method_names() -> tuple[str, ...]:
 
 def solve(method: str, stats: CovarianceStats, r_min: float | None = None,
           sigma_max: float | None = None, minvar: SolveReport | None = None,
-          start: SolveReport | None = None) -> SolveReport:
+          start: Start = None) -> SolveReport:
     """Dispatch over the named programs. markowitz requires r_min and
     maxreturn requires sigma_max. minvar, if given, is
     solve_min_variance(stats): minvariance returns it, and markowitz and
     maxreturn start from it. start, if given, is the method's report on
     earlier moments of the same assets, whose support minvariance, markowitz
-    and maxreturn try as their optimal face, repaired by up to _SWAP_ROUNDS
-    face swaps if it fails, before walking; a guess kept with or without
-    swaps counts as one iteration. The other programs use neither."""
+    and maxreturn try as their optimal face, or a support to try (a boolean
+    mask over the assets) with no report behind it, which is kept only where
+    the optimum is unique. A face that fails is repaired by up to
+    _SWAP_ROUNDS face swaps before the walk runs; a guess kept with or
+    without swaps counts as one iteration. The other programs use neither."""
     if method not in _METHODS:
         raise DataError(f"unknown method {method!r}; valid: {', '.join(_METHODS)}")
     if method == "markowitz":

@@ -294,7 +294,10 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
     splits, maps a decision index t to (the moments of the window ending at
     t, their minimum-variance report or None): each is computed once, by the
     first model that needs it. Under a method's name it holds that method's
-    latest report, which warm-starts its solve on the next rebalance date."""
+    latest report, which warm-starts its solve on the next rebalance date.
+    On the first date minimum variance guesses every asset, and markowitz
+    and maxreturn that date's minimum-variance support; such a guess counts
+    as one iteration and is kept only if unique, and so the cold walk's."""
     from .allocators import solve, solve_min_variance
     from .risk_models import estimate_stats
 
@@ -306,10 +309,11 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
             stats = estimate_stats(sub, cfg.est_window)
         if minvar is None and method in _FROM_MIN_VARIANCE:
             minvar = moments["minvariance"] = solve_min_variance(
-                stats, moments.get("minvariance"))
+                stats, moments.get("minvariance", np.ones(rf.num_assets, dtype=bool)))
         moments[t] = stats, minvar
+        guess = None if minvar is None else minvar.weights.w > 0
         report = solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max,
-                       minvar=minvar, start=moments.get(method))
+                       minvar=minvar, start=moments.get(method, guess))
         moments[method] = report
         weights[t - t_start:t - t_start + cfg.rebalance] = report.weights.w
     return weights

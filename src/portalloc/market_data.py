@@ -278,10 +278,17 @@ def write_price_csv(frame: PriceFrame, path: str) -> None:
 
 
 def compute_returns(frame: PriceFrame) -> ReturnFrame:
-    """Arithmetic returns r_t = p_t / p_{t-1} - 1, one row fewer than prices."""
+    """Arithmetic returns r_t = p_t / p_{t-1} - 1, one row fewer than prices.
+    A step between positive prices whose ratio overflows, or is so small that
+    its return rounds to -100%, is rejected by name."""
     if len(frame.dates) < 2:
         raise DataError("insufficient history: need at least 2 price rows")
-    returns = frame.prices[1:] / frame.prices[:-1] - 1.0
+    with np.errstate(over="ignore"):
+        returns = frame.prices[1:] / frame.prices[:-1] - 1.0
+    if not (returns.min() > -1.0 and returns.max() < np.inf):
+        row, col = np.argwhere((returns <= -1.0) | (returns == np.inf))[0]
+        raise DataError(f"return of asset {frame.assets[col]} on {frame.dates[row + 1]} is "
+                        f"{'infinite' if returns[row, col] > 0 else '-100% after rounding'}")
     return ReturnFrame(frame.dates[1:], frame.assets, returns)
 
 

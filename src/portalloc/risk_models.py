@@ -2,7 +2,7 @@
 correlation and volatilities over a trailing window of returns."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,29 +12,40 @@ from .market_data import ReturnFrame
 _PSD_TOL = 1e-10
 
 
+def _allclose(a, b, rtol: float, atol: float) -> bool:
+    """np.allclose(a, b, rtol=rtol, atol=atol), which accepts whatever a == b
+    or (for a finite b) its bound |a - b| <= atol + rtol |b| accepts, and so
+    runs only if both fail."""
+    return bool(np.all(a == b)
+                or np.isfinite(b).all() and np.all(np.abs(a - b) <= atol + rtol * np.abs(b))
+                or np.allclose(a, b, rtol=rtol, atol=atol))
+
+
 @dataclass(frozen=True)
 class CovarianceStats:
-    """Window moments: mu (l,), sigma_mat (l, l), corr (l, l), vols (l,)."""
+    """Window moments: mu (l,), sigma_mat (l, l), corr (l, l), vols (l,), and
+    eig (l,), sigma_mat's ascending eigenvalues, kept from the PSD check."""
 
     mu: np.ndarray
     sigma_mat: np.ndarray
     corr: np.ndarray
     vols: np.ndarray
+    eig: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         l = len(self.mu)
         if self.sigma_mat.shape != (l, l) or self.corr.shape != (l, l) or len(self.vols) != l:
             raise DataError("inconsistent moment shapes")
-        if not np.allclose(self.sigma_mat, self.sigma_mat.T, rtol=0, atol=1e-12):
+        if not _allclose(self.sigma_mat, self.sigma_mat.T, 0.0, 1e-12):
             raise DataError("covariance matrix is not symmetric")
-        eig = np.linalg.eigvalsh(self.sigma_mat)
-        if eig[0] < -_PSD_TOL * max(eig[-1], 1e-300):
+        object.__setattr__(self, "eig", np.linalg.eigvalsh(self.sigma_mat))
+        if self.eig[0] < -_PSD_TOL * max(self.eig[-1], 1e-300):
             raise DataError("covariance matrix is not positive semi-definite")
-        if not np.allclose(np.diag(self.corr), 1.0, rtol=0, atol=1e-12):
+        if not _allclose(np.diag(self.corr), 1.0, 0.0, 1e-12):
             raise DataError("correlation diagonal must be 1")
         if np.any(np.abs(self.corr) > 1.0 + 1e-12):
             raise DataError("correlation entries must lie within [-1, 1]")
-        if not np.allclose(self.vols ** 2, np.diag(self.sigma_mat), rtol=1e-12, atol=1e-300):
+        if not _allclose(self.vols ** 2, np.diag(self.sigma_mat), 1e-12, 1e-300):
             raise DataError("volatilities must be the square roots of the covariance diagonal")
 
     @property

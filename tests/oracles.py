@@ -6,7 +6,8 @@ Python loops for the performance metrics, central finite differences for
 gradients, the convolution passes as tensordot of a sliding-window view as
 the bit-for-bit reference for the kernels, and the policy network composed
 from generic tape layers as the bit-for-bit reference for its own batched
-forward and backward.
+forward and backward, and the moment checks by np.allclose as the reference
+for the cheaper comparisons that CovarianceStats tries first.
 """
 from __future__ import annotations
 
@@ -137,6 +138,27 @@ def erc_fixed_point(sigma: np.ndarray, sweeps: int = 10000) -> np.ndarray:
         w = np.sqrt(w / (sigma @ w))
         w /= w.sum()
     return w
+
+
+def covariance_stats_failure(mu, sigma_mat, corr, vols) -> str | None:
+    """The message of the first check of CovarianceStats that these moments
+    fail, None if they pass: the checks in their order, each closeness test
+    by np.allclose itself."""
+    l = len(mu)
+    if sigma_mat.shape != (l, l) or corr.shape != (l, l) or len(vols) != l:
+        return "inconsistent moment shapes"
+    if not np.allclose(sigma_mat, sigma_mat.T, rtol=0, atol=1e-12):
+        return "covariance matrix is not symmetric"
+    eig = np.linalg.eigvalsh(sigma_mat)
+    if eig[0] < -1e-10 * max(eig[-1], 1e-300):
+        return "covariance matrix is not positive semi-definite"
+    if not np.allclose(np.diag(corr), 1.0, rtol=0, atol=1e-12):
+        return "correlation diagonal must be 1"
+    if np.any(np.abs(corr) > 1.0 + 1e-12):
+        return "correlation entries must lie within [-1, 1]"
+    if not np.allclose(vols ** 2, np.diag(sigma_mat), rtol=1e-12, atol=1e-300):
+        return "volatilities must be the square roots of the covariance diagonal"
+    return None
 
 
 def best_zero_variance_return(rows: np.ndarray) -> float:

@@ -745,3 +745,100 @@ def test_run_strategy_rejects_infinite_decisions_before_the_step():
         run_strategy(lambda t: (np.array([0.5, 0.5]), inf), rf, 0, 3, 0.0)
     with pytest.raises(NumericError, match="non-finite"):
         run_strategy(lambda t: (np.array([inf, 0.5]), 1.0), rf, 0, 3, 0.0)
+
+
+def counting_walks(monkeypatch):
+    """Wrap allocators._walk; the returned list grows by one per walk."""
+    import portalloc.allocators as allocators
+
+    walks = []
+    real_walk = allocators._walk
+
+    def counting(*args):
+        walks.append(1)
+        return real_walk(*args)
+
+    monkeypatch.setattr(allocators, "_walk", counting)
+    return walks
+
+
+class TestFirstDateGuesses:
+    """On a comparison's first rebalance date no report warm-starts the
+    solves: minimum variance guesses every asset, and markowitz and maxreturn
+    that date's minimum-variance support. A guess is kept only where the
+    optimum is unique, so the date's weights are the cold walk's bits."""
+
+    METHODS = ("minvariance", "markowitz", "maxreturn")
+
+    def first_date(self, monkeypatch, rf, t, cfg):
+        """{method: (weights on date t, walks they ran, report)}, each method
+        solved from fresh moments, and the moments of date t."""
+        from portalloc.backtest import _traditional_weights
+
+        walks, out = counting_walks(monkeypatch), {}
+        for method in self.METHODS:
+            moments, before = {}, len(walks)
+            weights = _traditional_weights(method, rf, t, t + 1, cfg, moments)[0]
+            out[method] = weights, len(walks) - before, moments[method]
+        return out, moments[t][0]
+
+    def cold(self, stats, cfg):
+        from portalloc.allocators import solve
+
+        return {method: solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max)
+                for method in self.METHODS}
+
+    def test_well_conditioned_panel_walks_zero_times(self, monkeypatch):
+        from portalloc.allocators import solve_min_variance
+        from portalloc.risk_models import estimate_stats
+
+        rng = np.random.default_rng(21)
+        returns = (np.linspace(0.0002, 0.001, 6) + 0.01 * rng.standard_normal((600, 6))
+                   + 0.004 * rng.standard_normal((600, 1)))
+        rf, t = returns_frame(returns), 400
+        stats = estimate_stats(ReturnFrame(rf.dates[:t + 1], rf.assets, rf.returns[:t + 1]))
+        minvar = solve_min_variance(stats)
+        base = float(stats.mu @ minvar.weights.w)
+        cfg = CompareConfig(horizons={}, r_min=base + 0.4 * (float(stats.mu.max()) - base),
+                            sigma_max=1.3 * float(np.sqrt(minvar.objective_value)))
+        first, _ = self.first_date(monkeypatch, rf, t, cfg)
+        cold = self.cold(stats, cfg)
+        for method in self.METHODS:
+            weights, walks, report = first[method]
+            assert np.array_equal(weights, cold[method].weights.w), method
+            assert walks == 0 and not report.non_unique, method
+            # a kept guess counts as one iteration, on top of minimum variance's
+            assert report.iterations == (1 if method == "minvariance" else 2), method
+        # the floor and the cap bind, so their guesses were tried
+        assert "return_target" in first["markowitz"][2].active_constraints
+        assert "risk_cap" in first["maxreturn"][2].active_constraints
+
+    def test_rank_deficient_panel_walks_where_the_guess_is_not_unique(self, monkeypatch):
+        import make_golden_digests as golden
+        from portalloc.allocators import solve
+
+        prices = golden._deficient_prices()
+        rf = compute_returns(prices)
+        r_min, sigma_max = (float(level.split("=")[1]) for level in golden._walk_levels(
+            prices.prices[1:] / prices.prices[:-1] - 1.0, 400, 100))
+        cfg = CompareConfig(horizons={}, r_min=r_min, sigma_max=sigma_max)
+        first, stats = self.first_date(monkeypatch, rf, 399, cfg)
+        cold = self.cold(stats, cfg)
+        for method in self.METHODS:
+            assert np.array_equal(first[method][0], cold[method].weights.w), method
+        weights, walks, report = first["markowitz"]
+        assert walks > 0 and report.non_unique
+        # kept whether unique or not, as a report's support is, the same
+        # guess returns another optimum
+        minvar = first["minvariance"][2]
+        kept = solve("markowitz", stats, r_min=r_min, minvar=minvar, start=minvar)
+        assert kept.non_unique and not np.array_equal(kept.weights.w, weights)
+
+    def test_a_solve_with_no_start_walks(self, monkeypatch):
+        from portalloc.allocators import solve_min_variance
+        from portalloc.risk_models import stats_from_covariance
+
+        walks = counting_walks(monkeypatch)
+        solve_min_variance(stats_from_covariance(np.zeros(3), np.array(
+            [[4.0, 1.0, 0.5], [1.0, 9.0, 2.0], [0.5, 2.0, 16.0]])))
+        assert walks == [1]

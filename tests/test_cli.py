@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from portalloc.cli import main
-from portalloc.market_data import load_price_csv
+from portalloc.market_data import PriceFrame, load_price_csv, write_price_csv
 
 
 def read(path):
@@ -732,3 +732,29 @@ def test_sigma_max_whose_square_overflows_is_an_infinite_cap(tmp_path, command):
         outputs.append(read(out / ("weights.csv" if command == "allocate"
                                    else "weights_maxreturn.csv")))
     assert outputs[0] == outputs[1]
+
+
+def overflow_panel(path):
+    """Three assets over 400 dates, every price finite and positive; asset A
+    sits near 1e-300 through row 201 and near 1e300 after it, so that one
+    price ratio overflows."""
+    rng = np.random.default_rng(5)
+    prices = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((400, 3)), axis=0)
+    prices[:202, 0] = 1e-300 * (1.0 + 0.01 * rng.random(202))
+    prices[202:, 0] = 1e300 * (1.0 + 0.01 * rng.random(198))
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(400))
+    write_price_csv(PriceFrame(dates, ("A", "B", "C"), prices), str(path))
+    return dates
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["compare", "--models", "minvariance"],
+                                     ["compare", "--models", "equalweight"], ["train"]])
+def test_overflowing_price_step_exits_2_naming_it(tmp_path, capsys, command):
+    """Once a raw RuntimeWarning, then 'covariance matrix is not symmetric',
+    'observation contains non-finite cells' or, for equalweight, exit 0."""
+    dates = overflow_panel(tmp_path / "prices.csv")
+    code = main(command + ["--prices", str(tmp_path / "prices.csv"), "--outdir",
+                           str(tmp_path / "o"), "--initial-train-end", str(dates[280])] + FAST)
+    assert code == 2
+    assert f"return of asset A on {dates[202]} is infinite" in capsys.readouterr().err

@@ -86,6 +86,21 @@ class TestComputeReturns:
         with pytest.raises(DataError, match="insufficient history"):
             compute_returns(make_price_frame([100.0]))
 
+    @pytest.mark.parametrize("before, after, outcome", [
+        (1e-300, 1e300, "infinite"),        # the ratio overflows
+        (87.0, 1e-200, "-100% after rounding"),  # a fall by more than 2^53 times
+    ])
+    def test_step_outside_the_float_range_is_named(self, before, after, outcome):
+        """Both prices are finite and positive, but the return is not a
+        finite number above -100%: the first such cell, by date and then by
+        asset, is named, and no RuntimeWarning escapes."""
+        prices = np.full((5, 3), 50.0)
+        prices[:, 1] = prices[:, 2] = before
+        prices[3:, 1] = prices[2:, 2] = after
+        frame = make_price_frame(prices)
+        with pytest.raises(DataError, match=f"return of asset A3 on {frame.dates[2]} is {outcome}"):
+            compute_returns(frame)
+
     def test_cumprod_rebuilds_prices(self, rng):
         frame = make_price_frame(100.0 * np.cumprod(1 + 0.02 * rng.standard_normal((60, 2)), axis=0))
         rf = compute_returns(frame)

@@ -88,3 +88,91 @@ def test_window_below_one_rejected(rng):
             estimate_stats(rf, window)
     last = estimate_stats(rf, 10)
     np.testing.assert_array_equal(last.mu, rf.returns[-10:].mean(axis=0))
+
+
+def crafted_moments():
+    """(label, mu, sigma_mat, corr, vols): a valid 2-asset base with one
+    cell set to NaN, an infinity, or a value at a check's tolerance."""
+    def base():
+        return np.zeros(2), np.array([[4.0, 0.0], [0.0, 9.0]]), np.eye(2), np.array([2.0, 3.0])
+
+    above = np.nextafter(1e-12, 1.0)
+    cases = []
+    for label, edit in [
+        ("valid", lambda s, c, v: None),
+        ("nan off the diagonal", lambda s, c, v: s.__setitem__((0, 1), np.nan)),
+        ("nan variance", lambda s, c, v: s.__setitem__((0, 0), np.nan)),
+        ("nan correlation diagonal", lambda s, c, v: c.__setitem__((1, 1), np.nan)),
+        ("nan volatility", lambda s, c, v: v.__setitem__(0, np.nan)),
+        ("matching +inf", lambda s, c, v: s.__setitem__((slice(None), slice(None)),
+                                                        [[4.0, np.inf], [np.inf, 9.0]])),
+        ("matching -inf", lambda s, c, v: s.__setitem__((slice(None), slice(None)),
+                                                        [[4.0, -np.inf], [-np.inf, 9.0]])),
+        ("mismatched +inf and -inf", lambda s, c, v: s.__setitem__(
+            (slice(None), slice(None)), [[4.0, np.inf], [-np.inf, 9.0]])),
+        ("+inf against a number", lambda s, c, v: s.__setitem__((0, 1), np.inf)),
+        ("infinite variance and volatility", lambda s, c, v: (s.__setitem__((0, 0), np.inf),
+                                                              v.__setitem__(0, np.inf))),
+        ("infinite variance, finite volatility", lambda s, c, v: s.__setitem__((0, 0), np.inf)),
+        ("infinite correlation diagonal", lambda s, c, v: c.__setitem__((0, 0), np.inf)),
+        ("asymmetry 1e-12", lambda s, c, v: s.__setitem__((1, 0), 1e-12)),
+        ("asymmetry one float above 1e-12", lambda s, c, v: s.__setitem__((1, 0), above)),
+        ("correlation diagonal 1 + 1e-12", lambda s, c, v: c.__setitem__((0, 0), 1.0 + 1e-12)),
+        ("correlation diagonal 1 - 1e-12", lambda s, c, v: c.__setitem__((0, 0), 1.0 - 1e-12)),
+    ]:
+        mu, sigma, corr, vols = base()
+        edit(sigma, corr, vols)
+        cases.append((label, mu, sigma, corr, vols))
+    # volatilities whose squares straddle the rtol bound |v^2 - 4| <= 4e-12
+    for side in (1.0, -1.0):
+        edge = np.sqrt(4.0 * (1.0 + side * 1e-12))
+        for k in range(-3, 4):
+            mu, sigma, corr, vols = base()
+            vols[0] = edge + k * np.spacing(edge)
+            cases.append((f"volatility {side:+.0f}e-12 {k:+d} ulp", mu, sigma, corr, vols))
+    return cases
+
+
+def test_moment_checks_are_exactly_as_strict_as_allclose():
+    """CovarianceStats tries a == b and isclose's bound before np.allclose;
+    on inputs at every edge of the three closeness checks it must accept and
+    reject what the np.allclose checks do, with the same message."""
+    from oracles import covariance_stats_failure
+    from portalloc.risk_models import CovarianceStats
+
+    outcomes = set()
+    for label, mu, sigma, corr, vols in crafted_moments():
+        want = covariance_stats_failure(mu, sigma, corr, vols)
+        try:
+            CovarianceStats(mu, sigma, corr, vols)
+            got = None
+        except DataError as exc:
+            got = str(exc)
+        assert got == want, label
+        outcomes.add(want)
+    # every closeness check both accepts and rejects among the cases
+    assert {None, "covariance matrix is not symmetric", "correlation diagonal must be 1",
+            "volatilities must be the square roots of the covariance diagonal"} <= outcomes
+
+
+@pytest.mark.parametrize("a, b, rtol, atol", [
+    (np.array([np.nan]), np.array([np.nan]), 0.0, 1e-12),
+    (np.array([np.inf, -np.inf]), np.array([np.inf, -np.inf]), 0.0, 1e-12),
+    (np.array([np.inf]), np.array([-np.inf]), 0.0, 1e-12),
+    (np.array([25.0]), np.array([np.inf]), 1e-12, 1e-300),  # isclose's bound alone says yes
+    (np.array([np.inf]), np.array([4.0]), 1e-12, 1e-300),
+    (np.array([1e-12]), np.array([0.0]), 0.0, 1e-12),
+    (np.array([np.nextafter(1e-12, 1.0)]), np.array([0.0]), 0.0, 1e-12),
+    (np.array([1.0 + 1e-12, 1.0 - 1e-12]), 1.0, 0.0, 1e-12),
+    (np.array([4.0 + 4e-12]), np.array([4.0]), 1e-12, 1e-300),
+    (np.array([np.nextafter(4.0 + 4e-12, 5.0)]), np.array([4.0]), 1e-12, 1e-300),
+])
+def test_cheaper_closeness_test_answers_as_allclose(a, b, rtol, atol):
+    from portalloc.risk_models import _allclose
+
+    assert _allclose(a, b, rtol, atol) == np.allclose(a, b, rtol=rtol, atol=atol)
+
+
+def test_stats_keep_the_eigenvalues_of_their_check(rng):
+    stats = estimate_stats(frame_from_returns(0.01 * rng.standard_normal((40, 5))))
+    assert np.array_equal(stats.eig, np.linalg.eigvalsh(stats.sigma_mat))
