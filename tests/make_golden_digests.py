@@ -20,7 +20,11 @@ benchmark's workloads does not move them. They cover:
 - ``allocate`` for each of the six convex methods on that panel;
 - the README walkthrough;
 - one ``compare`` of minvariance, markowitz and maxreturn on a rank-deficient
-  panel, whose prices ``write_inputs`` writes (no command makes such a panel).
+  panel, whose prices ``write_inputs`` writes (no command makes such a panel);
+- one ``plot`` of curves and weights that ``write_inputs`` writes on 17 dates,
+  so that x steps by 786 / 16 = 49.125, and whose values are multiples of 1/8
+  spanning [0, 380], so that y = 414 - value: many coordinates are exact
+  binary ties at two decimals, which round half to even.
 
 Every path is relative to the working directory, because manifests echo them.
 """
@@ -37,7 +41,8 @@ import tempfile
 import numpy as np
 
 from portalloc.cli import _parse_regimes, main as portalloc
-from portalloc.market_data import PriceFrame, SyntheticSpec, generate_synthetic, write_price_csv
+from portalloc.market_data import (PriceFrame, SyntheticSpec, atomic_write_text, dated_csv,
+                                   generate_synthetic, write_price_csv)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "golden_digests.json")
@@ -47,6 +52,7 @@ START = np.datetime64("2000-01-03")  # the first date of every synthetic panel
 REBALANCE = 21
 COST_RATE = 0.0005
 DEFICIENT = "deficient/prices.csv"
+TIES = "ties"
 CONVEX = ("markowitz", "maxreturn", "minvariance", "maxdiversification", "maxdecorrelation",
           "riskparity")
 
@@ -126,10 +132,29 @@ def _deficient_prices() -> PriceFrame:
                       np.hstack((frame.prices, frame.prices[:, :1])))
 
 
+def _tie_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17 dates, a curves matrix and a weights matrix (with a leverage column
+    and a negative weight), all multiples of 1/8; each chart's maximum is 380
+    and the curves' minimum 0, so every y coordinate is 414 - value exactly."""
+    rng = np.random.default_rng(SEED)
+    dates = np.busday_offset(START, np.arange(17))
+    curves = rng.integers(0, 3041, size=(17, 3)) / 8.0
+    curves[0, 0], curves[-1, 1] = 0.0, 380.0
+    weights = rng.integers(0, 1001, size=(17, 4)) / 8.0
+    weights[-1, :3] = 120.125, 130.375, 129.5
+    weights[3, 1] = -0.625  # clipped to 0 in the stack
+    weights[:, 3] = 1.5  # the leverage column, which the chart leaves out
+    return dates, curves, weights
+
+
 def write_inputs() -> None:
-    """Write, relative to the working directory, the input that no command makes."""
+    """Write, relative to the working directory, the inputs that no command makes."""
     os.makedirs(os.path.dirname(DEFICIENT), exist_ok=True)
     write_price_csv(_deficient_prices(), DEFICIENT)
+    dates, curves, weights = _tie_panels()
+    atomic_write_text(f"{TIES}/curves.csv", dated_csv(dates, ("c1", "c2", "c3"), curves))
+    atomic_write_text(f"{TIES}/weights.csv",
+                      dated_csv(dates, ("w1", "w2", "w3", "leverage"), weights))
 
 
 def commands() -> list[list[str]]:
@@ -189,6 +214,8 @@ def commands() -> list[list[str]]:
                + _walk_levels(prices[1:] / prices[:-1] - 1.0, 400, 100)
                + ["--horizons", "", "--outdir", "deficient/out", "--models",
                   "minvariance,markowitz,maxreturn"])
+    out.append(["plot", "--curves", f"{TIES}/curves.csv", "--weights", f"{TIES}/weights.csv",
+                "--outdir", f"{TIES}/plots"])
     return out
 
 
