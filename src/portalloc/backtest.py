@@ -305,8 +305,7 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
     for t in range(t_start, t_end, cfg.rebalance):
         stats, minvar = moments.get(t, (None, None))
         if stats is None:
-            sub = ReturnFrame(rf.dates[: t + 1], rf.assets, rf.returns[: t + 1])
-            stats = estimate_stats(sub, cfg.est_window)
+            stats = estimate_stats(rf, cfg.est_window, end=t + 1)
         if minvar is None and method in _FROM_MIN_VARIANCE:
             minvar = moments["minvariance"] = solve_min_variance(
                 stats, moments.get("minvariance", np.ones(rf.num_assets, dtype=bool)))

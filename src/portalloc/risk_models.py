@@ -69,12 +69,14 @@ def stats_from_covariance(mu: np.ndarray, sigma_mat: np.ndarray) -> CovarianceSt
     return CovarianceStats(mu, sigma_mat, corr, vols)
 
 
-def estimate_stats(rf: ReturnFrame, window: int | None = None) -> CovarianceStats:
+def estimate_stats(rf: ReturnFrame, window: int | None = None,
+                   end: int | None = None) -> CovarianceStats:
     """Sample mean and sample covariance (divisor n-1) over the trailing
-    `window` rows (full frame when window is None)."""
+    `window` rows of rows [0, end) (all of them when window is None; the
+    full frame when end is None)."""
     if window is not None and window < 1:
         raise DataError(f"estimation window must be >= 1, got {window}")
-    rows = rf.returns if window is None else rf.returns[-window:]
+    rows = rf.returns[:end] if window is None else rf.returns[:end][-window:]
     n, l = rows.shape
     if n < l + 1:
         raise DataError(f"insufficient rows for estimation: need >= {l + 1}, got {n}")

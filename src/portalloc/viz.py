@@ -1,6 +1,13 @@
 """Self-contained SVG charts: equity-curve lines and stacked weight areas.
 
 No plotting dependency; output bytes are deterministic for identical inputs.
+
+Points are written 'x,y', two decimals per coordinate, exactly as '{:.2f}'
+writes them, a whole series per call: with v = m * 2**(e - 53) for an integer
+m < 2**53 (np.frexp), v's cent count is 100 m >> (53 - e) rounded half to even
+on the remainder, exact in int64 as '{:.2f}' rounds v's exact binary value.
+The domain is [0, 9999.995), four integer digits at most; chart coordinates
+lie in the viewBox, and a chart whose scale overflows is rejected by name.
 """
 from __future__ import annotations
 
@@ -15,15 +22,47 @@ _W, _H = 880, 460
 _ML, _MR, _MT, _MB = 70, 24, 34, 46
 
 
-def _points(xs: np.ndarray, ys: np.ndarray) -> list[str]:
-    """'x,y' SVG point strings with two decimals each."""
-    return list(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+# row i: the four ASCII digits of i, "0000" to "9999"
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + 48
+# a coordinate is one 8-byte little-endian word: its integer part (leading zeros
+# are 0, a pad byte), '.', its two cent digits, and ',' after x or ' ' after y
+_UNITS = (_DIGITS * ~(np.logical_and.accumulate(_DIGITS == 48, axis=1) & (np.arange(4) < 3))
+          ).view("<u4")[:, 0].astype(np.uint64)
+_CENTS = np.ascontiguousarray(_DIGITS[:100, 2:]).view("<u2")[:, 0].astype(np.uint64) << 40
+_SEPARATORS = np.array([ord(",") << 56 | ord(".") << 32, ord(" ") << 56 | ord(".") << 32],
+                       dtype=np.uint64)
 
 
-def _scale(vals: np.ndarray, lo: float, hi: float, out_lo: float, out_hi: float) -> np.ndarray:
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The SVG points text 'x0,y0 x1,y1 ...', two decimals per coordinate."""
+    v = np.column_stack((xs, ys))
+    if not (v < 9999.995).all() or np.signbit(v).any():
+        raise ValueError("chart coordinates must be finite and lie in [0, 9999.995)")
+    mant, exp = np.frexp(v)
+    scaled = (mant * 2.0 ** 53).astype(np.int64) * 100  # below 2**60
+    # 53 - exp >= 39, as v < 2**14; from 61 on, v * 100 < 1/2 rounds to 0
+    shift = np.minimum(53 - exp, 61).astype(np.int64)
+    cents = scaled >> shift
+    rem = scaled - (cents << shift)
+    half = np.int64(1) << (shift - 1)
+    cents += (rem > half) | (rem == half) & (cents & 1 == 1)
+    units = cents // 100
+    words = _UNITS[units] | _CENTS[cents - 100 * units] | _SEPARATORS
+    text = words.astype("<u8", copy=False).tobytes()[:-1]  # no space after the last point
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _scale(chart: str, vals: np.ndarray, lo: float, hi: float, out_lo: float,
+           out_hi: float) -> np.ndarray:
+    """vals mapped from [lo, hi] onto [out_lo, out_hi]: a DataError naming the
+    chart if that overflows, not nan or inf points."""
     if hi <= lo:
         hi = lo + 1.0
-    return out_lo + (vals - lo) * (out_hi - out_lo) / (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = out_lo + (vals - lo) * (out_hi - out_lo) / (hi - lo)
+    if not np.isfinite(out).all():
+        raise DataError(f"{chart} chart: the values span more than a float can scale")
+    return out
 
 
 def _frame(title: str, y_lo: float, y_hi: float, x_labels: list[str]) -> list[str]:
@@ -61,10 +100,12 @@ def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray]) -> str:
     lo = min(float(np.min(v)) for v in series.values())
     hi = max(float(np.max(v)) for v in series.values())
     parts = _frame("equity curves", lo, hi, _x_tick_labels(dates))
-    xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
-    for i, (name, vals) in enumerate(series.items()):
-        ys = _scale(np.asarray(vals, dtype=float), lo, hi, _H - _MB, _MT)
-        points = " ".join(_points(xs, ys))
+    xs = _scale("equity curves", np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML,
+                _W - _MR)
+    ys = _scale("equity curves", np.array(list(series.values()), dtype=float), lo, hi, _H - _MB,
+                _MT)
+    for i, name in enumerate(series):
+        points = _points(xs, ys[i])
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
@@ -80,21 +121,23 @@ def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray) ->
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape != (len(dates), len(names)):
         raise DataError("weight matrix shape does not match dates/names")
-    cum = np.cumsum(np.clip(matrix, 0.0, None), axis=1)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(np.clip(matrix, 0.0, None), axis=1)
     hi = float(cum[:, -1].max()) if cum.size else 1.0
     parts = _frame("allocation", 0.0, hi, _x_tick_labels(dates))
-    xs = _scale(np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML, _W - _MR)
-    # band j's lower edge is band j-1's upper edge, walked backwards
-    base = _points(xs, _scale(np.zeros(len(dates)), 0.0, hi, _H - _MB, _MT))
+    xs = _scale("allocation", np.arange(len(dates), dtype=float), 0, len(dates) - 1, _ML,
+                _W - _MR)
+    # column 0 is the zero base; band j's lower edge is column j, walked backwards
+    ys = _scale("allocation", np.column_stack((np.zeros(len(dates)), cum)), 0.0, hi, _H - _MB,
+                _MT)
+    back = np.concatenate((xs, xs[::-1]))
     for j, name in enumerate(names):
-        top = _points(xs, _scale(cum[:, j], 0.0, hi, _H - _MB, _MT))
-        outline = top + base[::-1]
+        outline = _points(back, np.concatenate((ys[:, j + 1], ys[::-1, j])))
         color = _PALETTE[j % len(_PALETTE)]
-        parts.append(f'<polygon points="{" ".join(outline)}" '
+        parts.append(f'<polygon points="{outline}" '
                      f'fill="{color}" fill-opacity="0.75" stroke="none"/>')
         parts.append(f'<rect x="{_W - _MR - 170}" y="{_MT + 16 * j}" width="12" height="12" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{_W - _MR - 152}" y="{_MT + 16 * j + 10}">{name}</text>')
-        base = top
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

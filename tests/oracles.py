@@ -660,9 +660,10 @@ def cell_by_cell_weights_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scalar_svg_points(xs, ys) -> list[str]:
-    """SVG 'x,y' point strings from numpy scalars, two f-string formats each."""
-    return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+def scalar_svg_points(xs, ys) -> str:
+    """The SVG points text: 'x,y' per point from numpy scalars, two f-string
+    formats each, joined by spaces."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
 def row_by_row_dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:

@@ -471,9 +471,9 @@ class TestSharedMoments:
         estimated, min_variance_solves = [], []
         real_estimate, real_min_variance = risk_models.estimate_stats, allocators.solve_min_variance
 
-        def counting_estimate(frame, window=None):
-            estimated.append(len(frame.returns) - 1)
-            return real_estimate(frame, window)
+        def counting_estimate(frame, window=None, end=None):
+            estimated.append((len(frame.returns) if end is None else end) - 1)
+            return real_estimate(frame, window, end)
 
         def counting_min_variance(*args, **kwargs):
             min_variance_solves.append(1)

@@ -758,3 +758,18 @@ def test_overflowing_price_step_exits_2_naming_it(tmp_path, capsys, command):
                            str(tmp_path / "o"), "--initial-train-end", str(dates[280])] + FAST)
     assert code == 2
     assert f"return of asset A on {dates[202]} is infinite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, cells, chart", [
+    ("--weights", ("1e308,1e308", "1e308,1e308"), "allocation"),  # the stack overflows
+    ("--curves", ("1e306,1.0", "-1e306,1.0"), "equity curves"),  # the scale overflows
+])
+def test_plot_whose_scale_overflows_exits_2_naming_the_chart(tmp_path, capsys, flag, cells,
+                                                            chart):
+    """Once an SVG with nan or -inf points, exit 0 and RuntimeWarnings."""
+    path = tmp_path / "in.csv"
+    path.write_text("date,a,b\n2020-01-06," + cells[0] + "\n2020-01-07," + cells[1] + "\n")
+    assert main(["plot", flag, str(path), "--outdir", str(tmp_path / "o")]) == 2
+    assert f"data error: {chart} chart" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.svg"))
