@@ -2,12 +2,14 @@
 
 No plotting dependency; output bytes are deterministic for identical inputs.
 
-Points are written 'x,y', two decimals per coordinate, exactly as '{:.2f}'
-writes them, a whole series per call: with v = m * 2**(e - 53) for an integer
-m < 2**53 (np.frexp), v's cent count is 100 m >> (53 - e) rounded half to even
-on the remainder, exact in int64 as '{:.2f}' rounds v's exact binary value.
-The domain is [0, 9999.995), four integer digits at most; chart coordinates
-lie in the viewBox, and a chart whose scale overflows is rejected by name.
+Points are written 'x,y', two decimals per coordinate, byte for byte as
+'{:.2f}' writes them (it rounds the exact binary value half to even), one
+series per call. With v = m * 2**(e - 53) for an integer m < 2**53 (np.frexp),
+v * 100 = 100 m / 2**(53 - e): the cent count is 100 m shifted right by
+53 - e, rounded half to even on the remainder, and 100 m < 2**60 keeps every
+step exact in int64. The domain is [0, 9999.995): finite, sign bit clear, at
+most four integer digits. Chart coordinates lie inside the viewBox; a chart
+whose scale overflows is a DataError naming it.
 """
 from __future__ import annotations
 
@@ -22,12 +24,13 @@ _W, _H = 880, 460
 _ML, _MR, _MT, _MB = 70, 24, 34, 46
 
 
-# row i: the four ASCII digits of i, "0000" to "9999"
-_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + 48
-# a coordinate is one 8-byte little-endian word: its integer part (leading zeros
-# are 0, a pad byte), '.', its two cent digits, and ',' after x or ' ' after y
-_UNITS = (_DIGITS * ~(np.logical_and.accumulate(_DIGITS == 48, axis=1) & (np.arange(4) < 3))
-          ).view("<u4")[:, 0].astype(np.uint64)
+# row i of _DIGITS: the four ASCII digits of i, "0000" to "9999". A coordinate is
+# written as one 8-byte little-endian word: its integer part with leading zeros
+# as 0 (pad bytes, dropped at the end), '.', two cent digits, then ',' after x
+# or ' ' after y
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0"))
+_PADDED = np.where(np.arange(10000)[:, None] < (1000, 100, 10, 0), 0, _DIGITS).astype(np.uint8)
+_UNITS = _PADDED.view("<u4")[:, 0].astype(np.uint64)
 _CENTS = np.ascontiguousarray(_DIGITS[:100, 2:]).view("<u2")[:, 0].astype(np.uint64) << 40
 _SEPARATORS = np.array([ord(",") << 56 | ord(".") << 32, ord(" ") << 56 | ord(".") << 32],
                        dtype=np.uint64)
@@ -56,8 +59,8 @@ def _scale(chart: str, vals: np.ndarray, lo: float, hi: float, out_lo: float,
            out_hi: float) -> np.ndarray:
     """vals mapped from [lo, hi] onto [out_lo, out_hi]: a DataError naming the
     chart if that overflows, not nan or inf points."""
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # a flat range; from 2**53 up, lo + 1.0 rounds back to lo
+        hi = max(lo + 1.0, np.nextafter(lo, np.inf))
     with np.errstate(over="ignore", invalid="ignore"):
         out = out_lo + (vals - lo) * (out_hi - out_lo) / (hi - lo)
     if not np.isfinite(out).all():

@@ -96,3 +96,9 @@ class TestScaleOverflow:
         dates = weekday_dates("2020-01-06", 2)
         svg = viz.line_chart_svg(dates, {"a": np.array([1e305, -1e305])})
         assert 'points="70.00,34.00 856.00,414.00"' in svg
+
+    def test_flat_series_too_large_to_add_one_to(self):
+        """Once nan points: lo + 1.0 == lo made the flat range 0 / 0."""
+        dates = weekday_dates("2020-01-06", 2)
+        svg = viz.line_chart_svg(dates, {"a": np.array([1e17, 1e17])})
+        assert 'points="70.00,414.00 856.00,414.00"' in svg
