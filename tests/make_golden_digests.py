@@ -24,7 +24,13 @@ benchmark's workloads does not move them. They cover:
 - one ``plot`` of curves and weights that ``write_inputs`` writes on 17 dates,
   so that x steps by 786 / 16 = 49.125, and whose values are multiples of 1/8
   spanning [0, 380], so that y = 414 - value: many coordinates are exact
-  binary ties at two decimals, which round half to even.
+  binary ties at two decimals, which round half to even;
+- on the ten-asset panel, a ``compare`` of the frontier programs and risk
+  parity on a trailing window of l + 1 rows re-estimated on every date, and
+  one whose rebalance period is longer than the test span, so that a split's
+  stack of dates holds about 100 dates or one;
+- the same ``compare`` on a one-asset panel, whose window means numpy sums
+  pairwise.
 
 Every path is relative to the working directory, because manifests echo them.
 """
@@ -91,19 +97,21 @@ def _levels(returns: np.ndarray) -> tuple[float, float]:
     return float(0.5 * (mu.max() + mu.mean())), float(np.sqrt(cov.sum())) / len(mu)
 
 
-def _walk_levels(returns: np.ndarray, first_test: int, test_span: int) -> list[str]:
-    """--r-min and --sigma-max that every rebalance of a compare can meet."""
+def _walk_levels(returns: np.ndarray, first_test: int, test_span: int,
+                 rebalance: int = REBALANCE, window: int | None = None) -> list[str]:
+    """--r-min and --sigma-max that every rebalance of a compare can meet,
+    on windows of all rows so far, or of the trailing `window` rows."""
     r_min, sigma_max = np.inf, 0.0
     for start in range(first_test, len(returns), test_span):
-        for t in range(start - 1, min(start + test_span, len(returns)) - 1, REBALANCE):
-            r, s = _levels(returns[:t + 1])
+        for t in range(start - 1, min(start + test_span, len(returns)) - 1, rebalance):
+            r, s = _levels(returns[:t + 1][-(window or t + 1):])
             r_min, sigma_max = min(r_min, r), max(sigma_max, s)
     # "=" keeps a negative level from reading as a flag
     return [f"--r-min={r_min!r}", f"--sigma-max={sigma_max!r}"]
 
 
 def _panel(name: str, panel: int, assets: int, steps: int, first_test: int, test_span: int,
-           regimes: str) -> tuple[list[str], list[str], int]:
+           regimes: str, rebalance: int = REBALANCE) -> tuple[list[str], list[str], int]:
     """The synth command of one panel, the split flags its commands share and
     its data seed."""
     seed = int(np.random.SeedSequence([SEED, panel]).generate_state(1)[0])
@@ -113,7 +121,7 @@ def _panel(name: str, panel: int, assets: int, steps: int, first_test: int, test
     # the return frame starts one date after the prices: the last training date
     train_end = str(np.busday_offset(START, first_test))
     split = ["--prices", f"{data}/prices.csv", "--seed", str(seed), "--initial-train-end",
-             train_end, "--test-span", str(test_span), "--rebalance", str(REBALANCE),
+             train_end, "--test-span", str(test_span), "--rebalance", str(rebalance),
              "--cost-rate", repr(COST_RATE)]
     return synth, split, seed
 
@@ -216,6 +224,22 @@ def commands() -> list[list[str]]:
                   "minvariance,markowitz,maxreturn"])
     out.append(["plot", "--curves", f"{TIES}/curves.csv", "--weights", f"{TIES}/weights.csv",
                 "--outdir", f"{TIES}/plots"])
+    # a split's rebalance dates estimated, and solved for risk parity, as one stack
+    frontier = "markowitz,maxreturn,minvariance,riskparity"
+    # a trailing window of l + 1 rows re-estimated on every date: stacks of 100 dates
+    _, split, _ = _panel("seven", 0, 10, 1000, 600, 100, regimes, rebalance=1)
+    out.append(["compare"] + split + ["--est-window", "11"]
+               + _walk_levels(returns, 600, 100, rebalance=1, window=11)
+               + ["--horizons", "", "--outdir", "seven/p0/trailing", "--models", frontier])
+    # a rebalance period longer than the test span: stacks of one date
+    _, split, _ = _panel("seven", 0, 10, 1000, 600, 200, regimes, rebalance=250)
+    out.append(["compare"] + split + _walk_levels(returns, 600, 200, rebalance=250)
+               + ["--horizons", "", "--outdir", "seven/p0/sparse", "--models", frontier])
+    single = _regimes((((0.0006,), (0.01,), 0.0, 250), ((-0.0008,), (0.016,), 0.0, 80)))
+    synth, split, seed = _panel("single", 0, 1, 700, 400, 100, single)
+    out += [synth, ["compare"] + split + _walk_levels(_returns(single, 1, 700, seed), 400, 100)
+            + ["--horizons", "", "--outdir", "single/p0/out", "--models",
+               "riskparity,minvariance,markowitz"]]
     return out
 
 
