@@ -50,7 +50,11 @@ parity runs damped Newton on its barrier objective scaled to be
 self-concordant, which converges with no step-size rule to tune (Spinu
 2013), from the minimizer of that objective on the inverse-volatility ray;
 iterations counts its Newton steps. Its test for a positive-definite S
-reads the eigenvalues CovarianceStats keeps from its own PSD check.
+reads the eigenvalues CovarianceStats keeps from its own PSD check. The
+walk-forward comparison solves a split's rebalance dates for risk parity as
+one stack (solve_risk_parity_stack): the dates share one stacked solve per
+Newton step and each stops on its own, so every report equals its one-date
+solve's bit for bit.
 """
 from __future__ import annotations
 
@@ -457,33 +461,44 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
 def _erc_start(sigma: np.ndarray) -> np.ndarray:
     """The minimizer of F(x) = l/2 x'Sx - sum ln x_i on the inverse-volatility
     ray x = t s, s = 1 / sqrt(diag S): F' = l (t s'Ss - 1/t) is zero at
-    t = 1 / sqrt(s'Ss). On a diagonal S it is the minimizer of F."""
-    s = 1.0 / np.sqrt(np.diag(sigma))
-    return s / np.sqrt(float(s @ sigma @ s))
+    t = 1 / sqrt(s'Ss). On a diagonal S it is the minimizer of F. sigma may
+    be a stack (..., l, l)."""
+    s = 1.0 / np.sqrt(np.diagonal(sigma, axis1=-2, axis2=-1))
+    return s / np.sqrt(np.matmul(np.matmul(s[..., None, :], sigma), s[..., :, None])[..., 0])
 
 
-def _erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, int]:
+def _erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the self-concordant F(x) = l/2 x'Sx - sum ln x_i over x > 0,
     whose minimizer is that of the risk-parity barrier program, by damped
-    Newton (Spinu 2013). In the variables scaled by x, the residual is
-    r = l x * (Sx) - 1, the Newton step u solves (l xx' * S + I) u = r, and
-    delta = sqrt(r'u) is the Newton decrement; |u_i| <= delta, so the damped
-    step x * (1 - u / (1 + delta)) stays positive. Starts at _erc_start, cold
-    and so the same for every caller: the damped steps are bounded by a
-    multiple of F(x0) - F* (Boyd & Vandenberghe 2004, 9.6.4), and the ray's
-    line minimum has F no higher than its point 1 / sqrt(l diag S), which is
-    the minimizer for uncorrelated assets. Stops after the step with
-    delta <= 1e-8, or after _NEWTON_STEPS steps."""
-    l = sigma.shape[0]
+    Newton (Spinu 2013), for each S of a stack sigma (k, l, l): returns x
+    (k, l) and the steps taken (k,). In the variables scaled by x, the
+    residual is r = l x * (Sx) - 1, the Newton step u solves
+    (l xx' * S + I) u = r, and delta = sqrt(r'u) is the Newton decrement;
+    |u_i| <= delta, so the damped step x * (1 - u / (1 + delta)) stays
+    positive. Starts at _erc_start, cold and so the same for every caller:
+    the damped steps are bounded by a multiple of F(x0) - F* (Boyd &
+    Vandenberghe 2004, 9.6.4), and the ray's line minimum has F no higher
+    than its point 1 / sqrt(l diag S), which is the minimizer for
+    uncorrelated assets. Each S stops after its own step with
+    delta <= 1e-8, or after _NEWTON_STEPS steps; the live ones share one
+    stacked solve per step, with the arithmetic each would have alone."""
+    k, l = sigma.shape[:2]
     x = _erc_start(sigma)
+    steps = np.full(k, _NEWTON_STEPS)
     eye = np.eye(l)
-    for steps in range(1, _NEWTON_STEPS + 1):
-        r = l * x * (sigma @ x) - 1.0
-        u = np.linalg.solve(l * np.outer(x, x) * sigma + eye, r)
-        delta = np.sqrt(float(r @ u))
-        x = x * (1.0 - u / (1.0 + delta))
-        if delta <= 1e-8:
-            break
+    live, s, y = np.arange(k), sigma, x
+    for step in range(1, _NEWTON_STEPS + 1):
+        r = l * y * np.matmul(s, y[:, :, None])[:, :, 0] - 1.0
+        u = np.linalg.solve(l * (y[:, :, None] * y[:, None, :]) * s + eye, r[:, :, None])[:, :, 0]
+        delta = np.sqrt(np.matmul(r[:, None, :], u[:, :, None])[:, 0, 0])
+        y = y * (1.0 - u / (1.0 + delta[:, None]))
+        done = delta <= 1e-8
+        if done.any():
+            x[live[done]], steps[live[done]] = y[done], step
+            live, s, y = live[~done], s[~done], y[~done]
+            if not live.size:
+                break
+    x[live] = y
     return x, steps
 
 
@@ -491,6 +506,12 @@ def risk_contributions(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Per-asset contribution to portfolio variance: w_i * (S w)_i."""
     w = np.asarray(w, dtype=float)
     return w * (sigma @ w)
+
+
+def _singular(stats: CovarianceStats) -> bool:
+    """Whether S is too close to singular for risk parity."""
+    eig = stats.eig
+    return bool(eig[0] <= 1e-10 * max(eig[-1], 1e-300))
 
 
 def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
@@ -501,15 +522,31 @@ def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
     equal. Reported objective is the barrier objective reduced over positive
     rescalings: 1/2 + 1/2 ln(w'Sw) - (1/l) sum ln w_i.
     """
-    sigma, eig = stats.sigma_mat, stats.eig
-    if eig[0] <= 1e-10 * max(eig[-1], 1e-300):
+    if _singular(stats):
         raise DataError("singular covariance matrix: risk parity needs a positive-definite one")
-    x, steps = _erc_newton(sigma)
-    w = x / x.sum()
-    contrib = risk_contributions(w, sigma)
-    converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6
-    objective = 0.5 + 0.5 * np.log(float(w @ sigma @ w)) - float(np.log(w).sum()) / len(w)
-    return _finish(w, objective, steps, converged)
+    return solve_risk_parity_stack([stats])[0]
+
+
+def solve_risk_parity_stack(stats: list[CovarianceStats]) -> list[SolveReport]:
+    """solve_risk_parity of each of a sequence of moments of the same assets
+    (a walk-forward split's rebalance dates), by one damped Newton over their
+    stack; each report equals the one-date solve's bit for bit. The list
+    stops before the first singular covariance, so that the caller, having
+    used the reports before it, solves that one alone and reports its error
+    there."""
+    stats = stats[:next((i for i, st in enumerate(stats) if _singular(st)), len(stats))]
+    if not stats:
+        return []
+    x, steps = _erc_newton(np.stack([st.sigma_mat for st in stats]))
+    reports = []
+    for st, xi, n in zip(stats, x, steps):
+        sigma = st.sigma_mat
+        w = xi / xi.sum()
+        contrib = risk_contributions(w, sigma)
+        converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6
+        objective = 0.5 + 0.5 * np.log(float(w @ sigma @ w)) - float(np.log(w).sum()) / len(w)
+        reports.append(_finish(w, objective, int(n), converged))
+    return reports
 
 
 _METHODS = {

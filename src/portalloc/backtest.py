@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -292,17 +293,27 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
     solved every cfg.rebalance steps from t_start and held in between.
     moments, shared by every convex model of one comparison and all its
     splits, maps a decision index t to (the moments of the window ending at
-    t, their minimum-variance report or None): each is computed once, by the
-    first model that needs it. Under a method's name it holds that method's
-    latest report, which warm-starts its solve on the next rebalance date.
-    On the first date minimum variance guesses every asset, and markowitz
-    and maxreturn that date's minimum-variance support; such a guess counts
-    as one iteration and is kept only if unique, and so the cold walk's."""
-    from .allocators import solve, solve_min_variance
+    t, their minimum-variance report or None): the first model to reach a
+    split estimates all its rebalance dates as one stack. Under a method's
+    name it holds that method's latest report, which warm-starts its solve on
+    the next rebalance date. On the first date minimum variance guesses every
+    asset, and markowitz and maxreturn that date's minimum-variance support;
+    such a guess counts as one iteration and is kept only if unique, and so
+    the cold walk's. Risk parity solves the split's dates as one stack. A
+    date that a stack leaves out, the first one to fail, is estimated or
+    solved alone when its turn comes, so that errors are raised in date
+    order."""
+    from .allocators import solve, solve_min_variance, solve_risk_parity_stack
     from .risk_models import estimate_stats
 
+    dates = range(t_start, t_end, cfg.rebalance)
+    if dates[0] not in moments:
+        estimates = estimate_stats(rf, cfg.est_window, ends=[t + 1 for t in dates])
+        moments.update((t, (stats, None)) for t, stats in zip(dates, estimates))
+    stacked = solve_risk_parity_stack([moments[t][0] for t in takewhile(
+        moments.__contains__, dates)]) if method == "riskparity" else []
     weights = np.empty((t_end - t_start, rf.num_assets))
-    for t in range(t_start, t_end, cfg.rebalance):
+    for i, t in enumerate(dates):
         stats, minvar = moments.get(t, (None, None))
         if stats is None:
             stats = estimate_stats(rf, cfg.est_window, end=t + 1)
@@ -311,8 +322,9 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
                 stats, moments.get("minvariance", np.ones(rf.num_assets, dtype=bool)))
         moments[t] = stats, minvar
         guess = None if minvar is None else minvar.weights.w > 0
-        report = solve(method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max,
-                       minvar=minvar, start=moments.get(method, guess))
+        report = stacked[i] if i < len(stacked) else solve(
+            method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max, minvar=minvar,
+            start=moments.get(method, guess))
         moments[method] = report
         weights[t - t_start:t - t_start + cfg.rebalance] = report.weights.w
     return weights

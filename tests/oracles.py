@@ -6,8 +6,10 @@ Python loops for the performance metrics, central finite differences for
 gradients, the convolution passes as tensordot of a sliding-window view as
 the bit-for-bit reference for the kernels, and the policy network composed
 from generic tape layers as the bit-for-bit reference for its own batched
-forward and backward, and the moment checks by np.allclose as the reference
-for the cheaper comparisons that CovarianceStats tries first.
+forward and backward, the moment checks by np.allclose as the reference
+for the cheaper comparisons that CovarianceStats tries first, and risk
+parity's damped Newton on one covariance as the bit-for-bit reference for
+the stacked solve.
 """
 from __future__ import annotations
 
@@ -138,6 +140,28 @@ def erc_fixed_point(sigma: np.ndarray, sweeps: int = 10000) -> np.ndarray:
         w = np.sqrt(w / (sigma @ w))
         w /= w.sum()
     return w
+
+
+def erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, int]:
+    """Risk parity's damped Newton (Spinu 2013) on one covariance, one step
+    after another: from the line minimum of F(x) = l/2 x'Sx - sum ln x_i on
+    the inverse-volatility ray, x <- x * (1 - u / (1 + delta)) with u solving
+    (l xx' * S + I) u = l x * (Sx) - 1 and delta = sqrt(r'u), until the step
+    with delta <= 1e-8 or _NEWTON_STEPS steps. Returns (x, steps)."""
+    from portalloc.allocators import _NEWTON_STEPS
+
+    l = sigma.shape[0]
+    s = 1.0 / np.sqrt(np.diag(sigma))
+    x = s / np.sqrt(float(s @ sigma @ s))
+    eye = np.eye(l)
+    for steps in range(1, _NEWTON_STEPS + 1):
+        r = l * x * (sigma @ x) - 1.0
+        u = np.linalg.solve(l * np.outer(x, x) * sigma + eye, r)
+        delta = np.sqrt(float(r @ u))
+        x = x * (1.0 - u / (1.0 + delta))
+        if delta <= 1e-8:
+            break
+    return x, steps
 
 
 def covariance_stats_failure(mu, sigma_mat, corr, vols) -> str | None:

@@ -11,7 +11,7 @@ from portalloc.allocators import (SolveReport, Weights,
                                   solve_markowitz_min_risk,
                                   solve_max_decorrelation,
                                   solve_max_diversification, solve_min_variance,
-                                  solve_risk_parity)
+                                  solve_risk_parity, solve_risk_parity_stack)
 from portalloc.errors import DataError, InfeasibleError, NumericError
 from portalloc.risk_models import stats_from_covariance
 
@@ -281,6 +281,61 @@ class TestRiskParity:
         report = solve_risk_parity(stats)
         w_grid, _ = oracles.grid_equal_risk_contribution(stats.sigma_mat)
         assert np.max(np.abs(report.weights.w - w_grid)) < 0.01
+
+
+class TestStackedRiskParity:
+    """A walk-forward split's dates solved for risk parity as one stack give
+    each date its one-date solve, bit for bit."""
+
+    @staticmethod
+    def covariance(rng, l):
+        """A correlated, a diagonal or an ill-conditioned (condition number
+        up to 1e8) covariance, at random."""
+        kind = int(rng.integers(3))
+        if kind == 0:
+            return random_stats(rng, l, rng.uniform(0.0, 0.9)).sigma_mat
+        if kind == 1:
+            return np.diag(rng.uniform(1e-4, 1e-1, l))
+        q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+        sigma = (q * np.logspace(-4, -4 - rng.uniform(0, 8), l)) @ q.T
+        return 0.5 * (sigma + sigma.T)
+
+    def test_newton_equals_the_one_date_reference_in_x_and_steps(self):
+        rng = np.random.default_rng(25)
+        counts = set()
+        for _ in range(150):
+            l, k = int(rng.integers(1, 31)), int(rng.integers(1, 16))
+            sigma = np.stack([self.covariance(rng, l) for _ in range(k)])
+            x, steps = allocators._erc_newton(sigma)
+            for i in range(k):
+                want_x, want_steps = oracles.erc_newton(sigma[i].copy())
+                assert x[i].tobytes() == want_x.tobytes() and steps[i] == want_steps, (l, k, i)
+                counts.add(int(steps[i]))
+        assert len(counts) > 3  # the dates of a stack stop at different steps
+
+    def test_reports_equal_one_date_solves_up_to_the_first_singular_date(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            l, k = int(rng.integers(1, 13)), int(rng.integers(1, 16))
+            stats = [stats_from_covariance(np.zeros(l), self.covariance(rng, l))
+                     for _ in range(k)]
+            singular = int(rng.integers(k + 1)) if l > 1 else k
+            if singular < k:  # the second asset repeats the first one's returns
+                repeat = np.r_[0, 0, 2:l]
+                stats[singular] = stats_from_covariance(
+                    np.zeros(l), stats[singular].sigma_mat[np.ix_(repeat, repeat)])
+            reports = solve_risk_parity_stack(stats)
+            assert len(reports) == singular
+            for got, st in zip(reports, stats):
+                want = solve_risk_parity(st)
+                assert got.weights.w.tobytes() == want.weights.w.tobytes()
+                assert (got.objective_value, got.iterations, got.converged,
+                        got.active_constraints, got.non_unique) == (
+                    want.objective_value, want.iterations, want.converged,
+                    want.active_constraints, want.non_unique)
+            if singular < k:
+                with pytest.raises(DataError, match="needs a positive-definite one"):
+                    solve_risk_parity(stats[singular])
 
 
 class TestDispatchAndReports:

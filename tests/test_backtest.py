@@ -471,9 +471,10 @@ class TestSharedMoments:
         estimated, min_variance_solves = [], []
         real_estimate, real_min_variance = risk_models.estimate_stats, allocators.solve_min_variance
 
-        def counting_estimate(frame, window=None, end=None):
-            estimated.append((len(frame.returns) if end is None else end) - 1)
-            return real_estimate(frame, window, end)
+        def counting_estimate(frame, window=None, end=None, ends=None):
+            one = [len(frame.returns) if end is None else end]
+            estimated.extend(e - 1 for e in (one if ends is None else ends))
+            return real_estimate(frame, window, end, ends)
 
         def counting_min_variance(*args, **kwargs):
             min_variance_solves.append(1)

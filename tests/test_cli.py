@@ -773,3 +773,44 @@ def test_plot_whose_scale_overflows_exits_2_naming_the_chart(tmp_path, capsys, f
     assert main(["plot", flag, str(path), "--outdir", str(tmp_path / "o")]) == 2
     assert f"data error: {chart} chart" in capsys.readouterr().err
     assert not list((tmp_path / "o").glob("*.svg"))
+
+
+def failing_split_panel(path, kind):
+    """Three assets over 421 dates. "flat": every mean falls below zero over
+    rows 291..330, and asset A is flat over rows 331..370, so that with a
+    20-row window a zero return floor is infeasible from decision 300 and A
+    degenerate from decision 350. "singular": asset B repeats A's returns over
+    rows 331..370, so that the window ending at 350 has a singular covariance."""
+    rng = np.random.default_rng(11)
+    if kind == "flat":
+        returns = 0.002 + 0.001 * rng.standard_normal((420, 3))
+        returns[291:331] = -0.01 + 0.001 * rng.standard_normal((40, 3))
+        returns[331:371, 0] = 0.0
+    else:
+        returns = 0.01 * rng.standard_normal((420, 3))
+        returns[331:371, 1] = returns[331:371, 0]
+    prices = 100.0 * np.cumprod(np.vstack([np.ones(3), 1.0 + returns]), axis=0)
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(421))
+    write_price_csv(PriceFrame(dates, ("A", "B", "C"), prices), str(path))
+    return dates
+
+
+@pytest.mark.parametrize("kind, models, message", [
+    # decision 300's floor fails before decision 350's estimate
+    ("flat", "markowitz", "infeasible return target: r_min=0.0 exceeds max mean -0.00320892"),
+    # risk parity, the first model, needs no floor: it reaches decision 350
+    ("flat", "riskparity,markowitz", "degenerate asset A: zero variance, correlation undefined"),
+    ("singular", "riskparity",
+     "singular covariance matrix: risk parity needs a positive-definite one"),
+])
+def test_a_split_fails_at_its_first_failing_date(tmp_path, capsys, kind, models, message):
+    """A split's rebalance dates are estimated and solved as one stack, yet
+    the error reported is that of the first date to fail, in date order."""
+    dates = failing_split_panel(tmp_path / "prices.csv", kind)
+    code = main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir",
+                 str(tmp_path / "o"), "--models", models, "--initial-train-end",
+                 str(dates[280]), "--est-window", "20", "--rebalance", "10", "--r-min=0.0",
+                 "--lags", "0,1,2", "--vol-window", "5", "--test-span", "120",
+                 "--horizons", ""])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"

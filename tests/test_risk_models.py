@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_price_frame
 from portalloc.errors import DataError
-from portalloc.market_data import compute_returns
+from portalloc.market_data import ReturnFrame, compute_returns
 from portalloc.risk_models import estimate_stats, stats_from_covariance
 
 
@@ -176,3 +176,75 @@ def test_cheaper_closeness_test_answers_as_allclose(a, b, rtol, atol):
 def test_stats_keep_the_eigenvalues_of_their_check(rng):
     stats = estimate_stats(frame_from_returns(0.01 * rng.standard_normal((40, 5))))
     assert np.array_equal(stats.eig, np.linalg.eigvalsh(stats.sigma_mat))
+
+
+class TestStackedEstimates:
+    """A split's rebalance dates estimated as one stack equal their one-date
+    estimates on every field, bit for bit, up to the first date that fails."""
+
+    FIELDS = ("mu", "sigma_mat", "corr", "vols", "eig")
+
+    @staticmethod
+    def frame(returns):
+        dates = np.datetime64("2000-01-03") + np.arange(len(returns))
+        return ReturnFrame(dates, tuple(f"A{i}" for i in range(returns.shape[1])), returns)
+
+    def assert_one_date_estimates(self, rf, window, ends, count=None):
+        stacked = estimate_stats(rf, window, ends=ends)
+        assert len(stacked) == (len(ends) if count is None else count)
+        for end, got in zip(ends, stacked):
+            want = estimate_stats(rf, window, end=end)
+            for name in self.FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, end)
+
+    def test_expanding_and_trailing_windows_of_any_size_and_order(self):
+        rng = np.random.default_rng(25)
+        for trial in range(120):
+            l = int(rng.integers(1, 31))
+            n = int(rng.integers(l + 1, 1500))
+            returns = 0.01 * rng.standard_normal((n, l)) + rng.uniform(-1e-3, 1e-3, l)
+            if trial % 2:
+                returns = np.asfortranarray(returns)
+            first = l + 1 if trial % 4 == 0 else int(rng.integers(l + 1, n + 1))
+            ends = list(range(first, n + 1, int(rng.integers(1, 40))))
+            window = (None, l + 1, int(rng.integers(l + 1, n + 1)))[trial % 3]
+            self.assert_one_date_estimates(self.frame(returns), window, ends)
+
+    def test_one_asset_keeps_its_pairwise_mean(self, rng):
+        returns = 0.01 * rng.standard_normal((600, 1)) + 1e-3
+        rf = self.frame(returns)
+        ends = list(range(100, 601, 21))
+        self.assert_one_date_estimates(rf, None, ends)
+        # the running sum would not do: it differs from the mean on some end
+        sums = np.cumsum(returns, axis=0)
+        assert any(sums[end - 1] / end != returns[:end].mean(axis=0) for end in ends)
+
+    def test_stops_before_the_first_date_that_fails(self, rng):
+        returns = 0.01 * rng.standard_normal((200, 3))
+        returns[120:160, 1] = 0.0  # flat over the 20 rows before ends 140..160
+        rf = self.frame(returns)
+        ends = list(range(100, 201, 10))
+        self.assert_one_date_estimates(rf, 20, ends, count=4)
+        with pytest.raises(DataError, match="degenerate asset A1"):
+            estimate_stats(rf, 20, end=140)
+        self.assert_one_date_estimates(rf, None, ends)
+        assert estimate_stats(rf, None, ends=[3, 4, 50]) == []
+        self.assert_one_date_estimates(rf, None, [50, 3, 60], count=1)
+
+    @pytest.mark.parametrize("a, b, rtol, atol", [
+        (np.array([np.nan]), np.array([1.0]), 0.0, 1e-12),
+        (np.array([np.inf]), np.array([4.0]), 1e-12, 1e-300),
+        (np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.0, 0.0),
+        (np.array([1e-12]), np.array([0.0]), 0.0, 1e-12),
+        (np.array([np.nextafter(1e-12, 1.0)]), np.array([0.0]), 0.0, 1e-12),
+        (np.array([4.0 + 4e-12]), np.array([4.0]), 1e-12, 1e-300),
+        (np.array([np.nextafter(4.0 + 4e-12, 5.0)]), np.array([4.0]), 1e-12, 1e-300),
+    ])
+    def test_stacked_closeness_accepts_only_what_allclose_accepts(self, a, b, rtol, atol):
+        """On a finite b, which is all that the stack compares with."""
+        from portalloc.risk_models import _accepted
+
+        accepted = _accepted(np.stack([a, a]), np.stack([b, b]), rtol, atol)
+        assert accepted.shape == (2,)
+        assert accepted[0] == np.allclose(a, b, rtol=rtol, atol=atol)
