@@ -294,15 +294,15 @@ def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
     moments, shared by every convex model of one comparison and all its
     splits, maps a decision index t to (the moments of the window ending at
     t, their minimum-variance report or None): the first model to reach a
-    split estimates all its rebalance dates as one stack. Under a method's
-    name it holds that method's latest report, which warm-starts its solve on
-    the next rebalance date. On the first date minimum variance guesses every
-    asset, and markowitz and maxreturn that date's minimum-variance support;
-    such a guess counts as one iteration and is kept only if unique, and so
-    the cold walk's. Risk parity solves the split's dates as one stack. A
-    date that a stack leaves out, the first one to fail, is estimated or
-    solved alone when its turn comes, so that errors are raised in date
-    order."""
+    split estimates all its rebalance dates in one estimate_stats call, as
+    one stack. Under a method's name it holds that method's latest report,
+    which warm-starts its solve on the next rebalance date. On the first date
+    minimum variance guesses every asset, and markowitz and maxreturn that
+    date's minimum-variance support; such a guess counts as one iteration and
+    is kept only if unique, and so the cold walk's. Risk parity solves the
+    split's dates as one stack. The first date to fail, which the stacks
+    leave out, is estimated (a stack of one, the same path) or solved alone
+    when its turn comes, so that its error is raised in date order."""
     from .allocators import solve, solve_min_variance, solve_risk_parity_stack
     from .risk_models import estimate_stats
 

@@ -814,3 +814,83 @@ def test_a_split_fails_at_its_first_failing_date(tmp_path, capsys, kind, models,
                  "--horizons", ""])
     assert code == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def convex_panel(path):
+    """Four correlated assets over 400 returns, written as prices to path;
+    returns the price dates and --r-min and --sigma-max flags that the window
+    of all rows up to every decision from row 279 on can meet."""
+    rng = np.random.default_rng(29)
+    returns = (np.linspace(-0.0004, 0.0012, 4) + 0.01 * rng.standard_normal((400, 4))
+               + 0.006 * rng.standard_normal((400, 1)))
+    prices = 100.0 * np.cumprod(np.vstack([np.ones(4), 1.0 + returns]), axis=0)
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(401))
+    write_price_csv(PriceFrame(dates, ("A", "B", "C", "D"), prices), str(path))
+    windows = [returns[:t + 1] for t in range(279, 400)]
+    r_min = min(float(0.5 * (w.mean(axis=0).max() + w.mean())) for w in windows)
+    sigma_max = max(float(np.sqrt(np.cov(w, rowvar=False).sum())) / 4 for w in windows)
+    return dates, [f"--r-min={r_min!r}", f"--sigma-max={sigma_max!r}"]
+
+
+def convex_compare(tmp_path, models, outdir, rebalance):
+    dates, levels = convex_panel(tmp_path / "prices.csv")
+    return main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir", str(outdir),
+                 "--models", ",".join(models), "--initial-train-end", str(dates[280]),
+                 "--test-span", "40", "--rebalance", str(rebalance), "--lags", "0,1,2",
+                 "--vol-window", "5", "--horizons", ""] + levels)
+
+
+def test_one_estimate_call_per_split(tmp_path, monkeypatch):
+    """A compare estimates each split's rebalance dates in one call, never
+    one date at a time, when no date fails."""
+    from portalloc import risk_models
+
+    calls = []
+    estimate = risk_models.estimate_stats
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(risk_models, "estimate_stats", counted)
+    assert convex_compare(tmp_path, ["riskparity", "minvariance", "markowitz"],
+                          tmp_path / "o", 10) == 0
+    assert len(calls) == 3  # three splits of 40 test steps
+    for args, kwargs in calls:
+        assert len(args) == 2 and kwargs.keys() == {"ends"}
+    assert [kwargs["ends"][0] for _, kwargs in calls] == [280, 320, 360]
+
+
+def test_weights_do_not_depend_on_the_other_convex_models(tmp_path):
+    """The convex models share each split's estimates and minimum-variance
+    solves, yet each model's weights are the same bytes whichever models run
+    beside it, and in whichever order."""
+    convex = ("markowitz", "maxreturn", "minvariance", "maxdiversification",
+              "maxdecorrelation", "riskparity")
+    runs = [convex, convex[::-1], ("maxreturn", "markowitz"), ("markowitz", "riskparity"),
+            ("maxdecorrelation", "minvariance", "maxdiversification")]
+    weights = {}
+    for i, models in enumerate(runs):
+        assert convex_compare(tmp_path, models, tmp_path / f"o{i}", 7) == 0
+        for model in models:
+            weights.setdefault(model, set()).add(read(tmp_path / f"o{i}" / f"weights_{model}.csv"))
+    assert weights.keys() == set(convex)
+    assert all(len(files) == 1 for files in weights.values())
+
+
+@pytest.mark.parametrize("flat, window, message", [
+    (True, [], "degenerate asset FLAT: zero variance, correlation undefined"),
+    (False, ["--est-window", "3"], "insufficient rows for estimation: need >= 4, got 3"),
+    (False, ["--est-window", "1"], "insufficient rows for estimation: need >= 4, got 1"),
+])
+def test_allocate_reports_a_failing_estimate(tmp_path, capsys, flat, window, message):
+    rng = np.random.default_rng(13)
+    prices = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((60, 3)), axis=0)
+    if flat:
+        prices[:, 1] = 100.0
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(60))
+    write_price_csv(PriceFrame(dates, ("A", "FLAT", "C"), prices), str(tmp_path / "prices.csv"))
+    code = main(["allocate", "--prices", str(tmp_path / "prices.csv"), "--method", "minvariance",
+                 "--outdir", str(tmp_path / "o")] + window)
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"

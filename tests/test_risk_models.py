@@ -155,6 +155,29 @@ def test_moment_checks_are_exactly_as_strict_as_allclose():
             "volatilities must be the square roots of the covariance diagonal"} <= outcomes
 
 
+def test_stacked_check_answers_each_date_as_the_oracle():
+    """Every crafted case as one date of one stack, a valid date after each:
+    each date gets the message of its own first failing check, eigvalsh runs
+    on the symmetric dates only, and no entry that is not finite warns."""
+    import warnings
+
+    from oracles import covariance_stats_failure
+    from portalloc.risk_models import _check
+
+    cases = crafted_moments()
+    dates = [moments for case in cases for moments in (case[1:], cases[0][1:])]
+    _, sigma, corr, vols = (np.stack(field) for field in zip(*dates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig, failures = _check(sigma, corr, vols)
+    assert failures == [covariance_stats_failure(*moments) for moments in dates]
+    for s, e, failure in zip(sigma, eig, failures):
+        if failure != "covariance matrix is not symmetric":
+            assert e.tobytes() == np.linalg.eigvalsh(s).tobytes()
+    assert {None, "covariance matrix is not symmetric", "correlation diagonal must be 1",
+            "volatilities must be the square roots of the covariance diagonal"} <= set(failures)
+
+
 @pytest.mark.parametrize("a, b, rtol, atol", [
     (np.array([np.nan]), np.array([np.nan]), 0.0, 1e-12),
     (np.array([np.inf, -np.inf]), np.array([np.inf, -np.inf]), 0.0, 1e-12),
