@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -284,50 +283,47 @@ class CompareConfig:
                 raise DataError(f"horizons: {label} must be >= 1 step, got {steps!r}")
 
 
-_FROM_MIN_VARIANCE = ("minvariance", "markowitz", "maxreturn")
+@dataclass
+class _SplitMoments:
+    """What the convex models of a comparison share on a split: its rebalance
+    dates, their estimates up to the first that fails, and their
+    minimum-variance reports, solved in date order on first use."""
+
+    dates: range
+    stats: list
+    minvar: list = field(default_factory=list)
 
 
-def _traditional_weights(method: str, rf: ReturnFrame, t_start: int, t_end: int,
-                         cfg: CompareConfig, moments: dict) -> np.ndarray:
-    """Weights (steps, m) for decision steps [t_start, t_end): `method`
-    solved every cfg.rebalance steps from t_start and held in between.
-    moments, shared by every convex model of one comparison and all its
-    splits, maps a decision index t to (the moments of the window ending at
-    t, their minimum-variance report or None): the first model to reach a
-    split estimates all its rebalance dates in one estimate_stats call, as
-    one stack. Under a method's name it holds that method's latest report,
-    which warm-starts its solve on the next rebalance date. On the first date
-    minimum variance guesses every asset, and markowitz and maxreturn that
-    date's minimum-variance support; such a guess counts as one iteration and
-    is kept only if unique, and so the cold walk's. Risk parity solves the
-    split's dates as one stack. The first date to fail, which the stacks
-    leave out, is estimated (a stack of one, the same path) or solved alone
-    when its turn comes, so that its error is raised in date order."""
+def _traditional_weights(method: str, rf: ReturnFrame, split: _SplitMoments, chain: dict,
+                         cfg: CompareConfig) -> tuple[np.ndarray, list]:
+    """Weights (steps, m) of `method` solved on each of the split's rebalance
+    dates and held until the next, and its reports. chain maps a method to
+    its latest report, the warm start of its next solve, across splits; with
+    none yet, minimum variance guesses every asset, and markowitz and
+    maxreturn the date's minimum-variance support. Risk parity solves the
+    split's estimates as one stack. The first date to fail, which the stacks
+    leave out, is estimated or solved alone when its turn comes, so that its
+    error is raised in date order."""
     from .allocators import solve, solve_min_variance, solve_risk_parity_stack
     from .risk_models import estimate_stats
 
-    dates = range(t_start, t_end, cfg.rebalance)
-    if dates[0] not in moments:
-        estimates = estimate_stats(rf, cfg.est_window, ends=[t + 1 for t in dates])
-        moments.update((t, (stats, None)) for t, stats in zip(dates, estimates))
-    stacked = solve_risk_parity_stack([moments[t][0] for t in takewhile(
-        moments.__contains__, dates)]) if method == "riskparity" else []
-    weights = np.empty((t_end - t_start, rf.num_assets))
-    for i, t in enumerate(dates):
-        stats, minvar = moments.get(t, (None, None))
-        if stats is None:
-            stats = estimate_stats(rf, cfg.est_window, end=t + 1)
-        if minvar is None and method in _FROM_MIN_VARIANCE:
-            minvar = moments["minvariance"] = solve_min_variance(
-                stats, moments.get("minvariance", np.ones(rf.num_assets, dtype=bool)))
-        moments[t] = stats, minvar
-        guess = None if minvar is None else minvar.weights.w > 0
-        report = stacked[i] if i < len(stacked) else solve(
+    uses_minvar = method in ("minvariance", "markowitz", "maxreturn")
+    stacked = solve_risk_parity_stack(split.stats) if method == "riskparity" else []
+    reports = []
+    for i, t in enumerate(split.dates):
+        stats = split.stats[i] if i < len(split.stats) else estimate_stats(
+            rf, cfg.est_window, end=t + 1)
+        if uses_minvar and i == len(split.minvar):
+            chain["minvariance"] = solve_min_variance(
+                stats, chain.get("minvariance", np.ones(rf.num_assets, dtype=bool)))
+            split.minvar.append(chain["minvariance"])
+        minvar = split.minvar[i] if uses_minvar else None
+        chain[method] = stacked[i] if i < len(stacked) else solve(
             method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max, minvar=minvar,
-            start=moments.get(method, guess))
-        moments[method] = report
-        weights[t - t_start:t - t_start + cfg.rebalance] = report.weights.w
-    return weights
+            start=chain.get(method, None if minvar is None else minvar.weights.w > 0))
+        reports.append(chain[method])
+    weights = np.repeat([r.weights.w for r in reports], split.dates.step, axis=0)
+    return weights[:split.dates.stop - split.dates.start], reports
 
 
 def _policy_decisions(params, bundle, t_start: int, t_end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,9 +378,9 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
 
     The learned model retrains per split on the expanding train range unless
     per-split parameters are supplied in trained_params (split index -> params).
-    Traditional models re-solve every cfg.rebalance steps on trailing stats;
-    they share each rebalance date's moment estimate and minimum-variance
-    solve, and each solve is warm-started from the previous date's report.
+    Traditional models re-solve every cfg.rebalance steps on trailing stats,
+    each warm-started from its previous report, and share each split's
+    _SplitMoments; models run in turn, so the first listed one's error is raised.
     No decision depends on the replayed path, so each split is decided whole
     and then replayed by run_strategy. A model that loses 100% on a step is
     ruined: its curve stays at value 0, with zero leverage and weights, on
@@ -393,6 +389,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     from .allocators import method_names
     from .features import min_valid_index
     from .policy import NetworkArch
+    from .risk_models import estimate_stats
     from .trainer import TrainConfig, train_split
 
     if not models:
@@ -408,7 +405,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     rf = bundle.rf
     m = rf.num_assets
     lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
-    moments: dict = {}
+    records, chain = {}, {}
     reports = []
     for model in models:
         segments = []
@@ -434,7 +431,11 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
             elif model == "equalweight":
                 weights, leverage = np.full((steps, m), 1.0 / m), np.full(steps, cfg.ew_leverage)
             else:
-                weights = _traditional_weights(model, rf, first_decision, t_end, cfg, moments)
+                if k not in records:
+                    dates = range(first_decision, t_end, cfg.rebalance)
+                    records[k] = _SplitMoments(dates, estimate_stats(
+                        rf, cfg.est_window, ends=[t + 1 for t in dates]))
+                weights, _ = _traditional_weights(model, rf, records[k], chain, cfg)
                 leverage = np.full(steps, cfg.trad_leverage)
             seg = run_strategy(lambda t: (weights[t - first_decision],
                                           leverage[t - first_decision]),

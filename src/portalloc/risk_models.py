@@ -24,11 +24,6 @@ def _accepted(a, b, rtol: float, atol: float) -> np.ndarray:
     return np.all(np.isclose(a, b, rtol=rtol, atol=atol), axis=tuple(range(1, a.ndim)))
 
 
-def _allclose(a, b, rtol: float, atol: float) -> bool:
-    """np.allclose(a, b, rtol=rtol, atol=atol): _accepted on a stack of one."""
-    return bool(_accepted(np.asarray(a)[None], np.asarray(b)[None], rtol, atol)[0])
-
-
 def _check(sigma, corr, vols) -> tuple[np.ndarray, list[str | None]]:
     """The checks of CovarianceStats, in order, over stacked moments: sigma's
     ascending eigenvalues (NaN on a date that is not symmetric, where eigvalsh
@@ -77,14 +72,17 @@ class CovarianceStats:
 def _stats_stack(mu, sigma, names) -> tuple[list[CovarianceStats], str | None]:
     """The CovarianceStats of means (dates, l) and covariances (dates, l, l)
     up to the first date that fails, and its message (None if none does); a
-    zero variance fails before the checks, naming its asset from names."""
+    non-finite moment, then a zero variance, fails first, naming its asset."""
     variances = np.diagonal(sigma, axis1=1, axis2=2)
-    k = next((i for i, zero in enumerate(np.any(variances <= 0, axis=1)) if zero), len(sigma))
+    infinite = ~(np.isfinite(mu) & np.isfinite(sigma).all(axis=2))
+    k = next(iter(np.flatnonzero((infinite | (variances <= 0)).any(axis=1))), len(sigma))
     vols = np.sqrt(variances[:k])
     corr = np.clip(sigma[:k] / (vols[:, :, None] * vols[:, None, :]), -1.0, 1.0)
     corr[:, range(mu.shape[1]), range(mu.shape[1])] = 1.0
     eig, failures = _check(sigma[:k], corr, vols)
-    if k < len(sigma):
+    if k < len(sigma) and infinite[k].any():
+        failures.append(f"asset {names[np.argmax(infinite[k])]}: mean or variance not finite")
+    elif k < len(sigma):
         name = names[int(np.argmin(variances[k]))]
         failures.append(f"degenerate asset {name}: zero variance, correlation undefined")
     j = next((i for i, failure in enumerate(failures) if failure), len(failures))
@@ -106,6 +104,7 @@ def stats_from_covariance(mu: np.ndarray, sigma_mat: np.ndarray) -> CovarianceSt
     return stats[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # moments that overflow fail on their date
 def estimate_stats(rf: ReturnFrame, window: int | None = None, end: int | None = None,
                    ends: list[int] | None = None) -> CovarianceStats | list[CovarianceStats]:
     """Sample mean and sample covariance (divisor n-1) over the trailing

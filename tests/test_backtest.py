@@ -488,6 +488,25 @@ class TestSharedMoments:
         for model, report in zip(self.MODELS, reports):
             assert np.array_equal(report.curve.weights, want[model]), model
 
+    def test_minimum_variance_is_solved_only_for_models_that_use_it(self, rng, monkeypatch):
+        import portalloc.allocators as allocators
+
+        bundle = small_bundle(rng, assets=3)
+        schedule = make_schedule(bundle.rf.dates, bundle.rf.dates[299], 40)
+        solves, real_min_variance = [], allocators.solve_min_variance
+
+        def counting_min_variance(*args, **kwargs):
+            solves.append(1)
+            return real_min_variance(*args, **kwargs)
+
+        monkeypatch.setattr(allocators, "solve_min_variance", counting_min_variance)
+        models = ["riskparity", "maxdecorrelation", "equalweight"]
+        compare_models(models, bundle, schedule, CompareConfig(horizons={}))
+        assert solves == []
+        compare_models(models + ["minvariance"], bundle, schedule, CompareConfig(horizons={}))
+        assert len(solves) == sum(len(range(split.test_start - 1, split.test_end - 1, 21))
+                                  for split in schedule.splits)
+
     def test_settled_faces_need_no_eigen_check(self, monkeypatch):
         """On a well-conditioned panel every warm or walked solve settles on a
         face whose Cholesky factor certifies uniqueness, so a compare of the
@@ -774,14 +793,16 @@ class TestFirstDateGuesses:
     def first_date(self, monkeypatch, rf, t, cfg):
         """{method: (weights on date t, walks they ran, report)}, each method
         solved from fresh moments, and the moments of date t."""
-        from portalloc.backtest import _traditional_weights
+        from portalloc.backtest import _SplitMoments, _traditional_weights
+        from portalloc.risk_models import estimate_stats
 
         walks, out = counting_walks(monkeypatch), {}
         for method in self.METHODS:
-            moments, before = {}, len(walks)
-            weights = _traditional_weights(method, rf, t, t + 1, cfg, moments)[0]
-            out[method] = weights, len(walks) - before, moments[method]
-        return out, moments[t][0]
+            split = _SplitMoments(range(t, t + 1), estimate_stats(rf, cfg.est_window, ends=[t + 1]))
+            before = len(walks)
+            weights, reports = _traditional_weights(method, rf, split, {}, cfg)
+            out[method] = weights[0], len(walks) - before, reports[0]
+        return out, split.stats[0]
 
     def cold(self, stats, cfg):
         from portalloc.allocators import solve

@@ -780,19 +780,40 @@ def failing_split_panel(path, kind):
     rows 291..330, and asset A is flat over rows 331..370, so that with a
     20-row window a zero return floor is infeasible from decision 300 and A
     degenerate from decision 350. "singular": asset B repeats A's returns over
-    rows 331..370, so that the window ending at 350 has a singular covariance."""
+    rows 331..370, so that the window ending at 350 has a singular covariance.
+    "overflow": A's prices before row 351 are scaled by 1e-250, so that its
+    return of about 1e250 at row 350 overflows the variance of the window
+    ending at 350, while every window's means stay above a zero floor."""
     rng = np.random.default_rng(11)
     if kind == "flat":
         returns = 0.002 + 0.001 * rng.standard_normal((420, 3))
         returns[291:331] = -0.01 + 0.001 * rng.standard_normal((40, 3))
         returns[331:371, 0] = 0.0
+    elif kind == "overflow":
+        returns = 0.002 + 0.001 * rng.standard_normal((420, 3))
     else:
         returns = 0.01 * rng.standard_normal((420, 3))
         returns[331:371, 1] = returns[331:371, 0]
     prices = 100.0 * np.cumprod(np.vstack([np.ones(3), 1.0 + returns]), axis=0)
+    if kind == "overflow":
+        prices[:351, 0] *= 1e-250
     dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(421))
     write_price_csv(PriceFrame(dates, ("A", "B", "C"), prices), str(path))
     return dates
+
+
+OVERFLOWING_MOMENTS = "asset A: mean or variance not finite"
+
+
+def failing_compare(tmp_path, kind, models, test_span):
+    """Exit code of a compare on failing_split_panel(kind) with a 20-row
+    window, a zero floor and a rebalance every 10 steps from decision 280."""
+    dates = failing_split_panel(tmp_path / "prices.csv", kind)
+    return main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir",
+                 str(tmp_path / "o"), "--models", models, "--initial-train-end",
+                 str(dates[280]), "--est-window", "20", "--rebalance", "10", "--r-min=0.0",
+                 "--lags", "0,1,2", "--vol-window", "5", "--test-span", str(test_span),
+                 "--horizons", ""])
 
 
 @pytest.mark.parametrize("kind, models, message", [
@@ -802,18 +823,24 @@ def failing_split_panel(path, kind):
     ("flat", "riskparity,markowitz", "degenerate asset A: zero variance, correlation undefined"),
     ("singular", "riskparity",
      "singular covariance matrix: risk parity needs a positive-definite one"),
+    # once numpy warnings, then a solver's "Singular matrix" or non-finite weights
+    pytest.param("overflow", "minvariance,markowitz,riskparity", OVERFLOWING_MOMENTS,
+                 marks=pytest.mark.filterwarnings("error")),
 ])
 def test_a_split_fails_at_its_first_failing_date(tmp_path, capsys, kind, models, message):
     """A split's rebalance dates are estimated and solved as one stack, yet
     the error reported is that of the first date to fail, in date order."""
-    dates = failing_split_panel(tmp_path / "prices.csv", kind)
-    code = main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir",
-                 str(tmp_path / "o"), "--models", models, "--initial-train-end",
-                 str(dates[280]), "--est-window", "20", "--rebalance", "10", "--r-min=0.0",
-                 "--lags", "0,1,2", "--vol-window", "5", "--test-span", "120",
-                 "--horizons", ""])
+    code = failing_compare(tmp_path, kind, models, 120)
     assert code == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_compare_reports_the_first_listed_models_error(tmp_path, capsys):
+    """Models run one after another over every split: risk parity, listed
+    first, fails on split 1 before markowitz's floor fails on split 0."""
+    assert failing_compare(tmp_path, "flat", "riskparity,markowitz", 40) == 2
+    assert capsys.readouterr().err == (
+        "data error: degenerate asset A: zero variance, correlation undefined\n")
 
 
 def convex_panel(path):
@@ -894,3 +921,17 @@ def test_allocate_reports_a_failing_estimate(tmp_path, capsys, flat, window, mes
                  "--outdir", str(tmp_path / "o")] + window)
     assert code == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_allocate_reports_overflowing_moments(tmp_path, capsys):
+    """Once numpy warnings and 'weights contain non-finite entries'."""
+    rng = np.random.default_rng(13)
+    prices = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((300, 3)), axis=0)
+    prices[:150, 0] *= 1e-250
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(300))
+    write_price_csv(PriceFrame(dates, ("A", "B", "C"), prices), str(tmp_path / "prices.csv"))
+    code = main(["allocate", "--prices", str(tmp_path / "prices.csv"), "--method", "minvariance",
+                 "--outdir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {OVERFLOWING_MOMENTS}\n"
