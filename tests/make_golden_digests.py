@@ -30,7 +30,15 @@ benchmark's workloads does not move them. They cover:
   one whose rebalance period is longer than the test span, so that a split's
   stack of dates holds about 100 dates or one;
 - the same ``compare`` on a one-asset panel, whose window means numpy sums
-  pairwise.
+  pairwise;
+- a ``compare --svg`` at 400 times leverage, where minimum variance is ruined
+  inside the first split and the four later splits are not traded;
+- an ``ingest`` of prices that ``write_inputs`` writes with quoted cells and
+  CRLF line ends, which only the csv row walk reads;
+- on a panel and an external context series that ``write_inputs`` writes, a
+  convex-only ``compare`` set by a ``--config`` file, which checks the context
+  without building features, and a ``train`` then ``backtest`` of ``drl``
+  with that context, a hidden layer and a width-1 convolution kernel.
 
 Every path is relative to the working directory, because manifests echo them.
 """
@@ -59,6 +67,8 @@ REBALANCE = 21
 COST_RATE = 0.0005
 DEFICIENT = "deficient/prices.csv"
 TIES = "ties"
+QUOTED = "quoted/prices.csv"
+CONTEXT = "context"
 CONVEX = ("markowitz", "maxreturn", "minvariance", "maxdiversification", "maxdecorrelation",
           "riskparity")
 
@@ -155,6 +165,12 @@ def _tie_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dates, curves, weights
 
 
+def _context_panel() -> tuple[PriceFrame, np.ndarray]:
+    """Three synthetic assets and two external context series on their dates."""
+    frame = generate_synthetic(SyntheticSpec(3, 400, _parse_regimes(_convex_regimes(3)), 1))
+    return frame, np.random.default_rng(SEED).standard_normal((len(frame.dates), 2))
+
+
 def write_inputs() -> None:
     """Write, relative to the working directory, the inputs that no command makes."""
     os.makedirs(os.path.dirname(DEFICIENT), exist_ok=True)
@@ -163,6 +179,22 @@ def write_inputs() -> None:
     atomic_write_text(f"{TIES}/curves.csv", dated_csv(dates, ("c1", "c2", "c3"), curves))
     atomic_write_text(f"{TIES}/weights.csv",
                       dated_csv(dates, ("w1", "w2", "w3", "leverage"), weights))
+    frame = generate_synthetic(SyntheticSpec(2, 30, _parse_regimes(_convex_regimes(2)), 2))
+    rows = [["date", *frame.assets]] + [[str(day), *map(repr, row)] for day, row in
+                                        zip(frame.dates, frame.prices.tolist())]
+    atomic_write_text(QUOTED, "".join(",".join(f'"{cell}"' for cell in row) + "\r\n"
+                                      for row in rows))
+    frame, context = _context_panel()
+    write_price_csv(frame, f"{CONTEXT}/prices.csv")
+    atomic_write_text(f"{CONTEXT}/context.csv", dated_csv(frame.dates, ("c1", "c2"), context))
+    atomic_write_text(f"{CONTEXT}/compare.cfg", "\n".join([
+        "# a convex-only compare: the external context is checked, not used",
+        f"prices = {CONTEXT}/prices.csv",
+        "models = minvariance,riskparity,equalweight",
+        f"initial_train_end = {np.busday_offset(START, 250)}",
+        "test_span = 100",
+        "horizons =",
+    ]) + "\n")
 
 
 def commands() -> list[list[str]]:
@@ -240,6 +272,21 @@ def commands() -> list[list[str]]:
     out += [synth, ["compare"] + split + _walk_levels(_returns(single, 1, 700, seed), 400, 100)
             + ["--horizons", "", "--outdir", "single/p0/out", "--models",
                "riskparity,minvariance,markowitz"]]
+    # minimum variance at 400 times leverage is ruined inside the first split
+    out += [["synth", "--outdir", "ruin/data", "--synth-steps", "600", "--seed", "1"],
+            ["compare", "--prices", "ruin/data/prices.csv", "--initial-train-end",
+             str(np.busday_offset(START, 300)), "--models", "minvariance,equalweight",
+             "--trad-leverage", "400", "--test-span", "60", "--horizons", "", "--svg",
+             "--outdir", "ruin/out"]]
+    out.append(["ingest", "--prices", QUOTED, "--outdir", "quoted/out"])
+    out.append(["compare", "--config", f"{CONTEXT}/compare.cfg", "--context",
+                f"{CONTEXT}/context.csv", "--outdir", f"{CONTEXT}/cmp"])
+    learned = ["--prices", f"{CONTEXT}/prices.csv", "--context", f"{CONTEXT}/context.csv",
+               "--initial-train-end", str(np.busday_offset(START, 250)), "--test-span", "100",
+               "--seed", "5", "--hidden", "4", "--asset-conv", "4:1,3:2"] + _learned(3)
+    out += [["train"] + learned + ["--outdir", f"{CONTEXT}/train"],
+            ["backtest"] + learned + ["--method", "drl", "--checkpoints", f"{CONTEXT}/train",
+                                      "--horizons", "", "--outdir", f"{CONTEXT}/backtest"]]
     return out
 
 

@@ -2,8 +2,8 @@
 
 ``golden_digests.json`` holds the commands and the sha256 of every file each
 one writes; ``make_golden_digests.py`` beside it builds the commands, writes
-the one input that no command makes, and regenerates the fixture. A change that alters any output byte of them fails
-here, naming the command and the file.
+the inputs that no command makes, and regenerates the fixture. A change that
+alters any output byte of them fails here, naming the command and the file.
 """
 import json
 
