@@ -694,6 +694,41 @@ class TestRuin:
         assert lines[-1].split(",")[1] == "0.0"
         assert weights_csv(ruined).splitlines()[-1].endswith(",0.0,0.0,0.0")
 
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_ruin_on_a_splits_first_or_last_step(self, edge):
+        # growth factors 1.5, 0.75 and 0 on dyadic returns: every value is exact;
+        # a ruin on the last step leaves the split no step at value 0
+        dates = weekday_dates("2021-01-04", 24)
+        moves = np.where(np.arange(24) % 3 == 0, -0.125, 0.25)
+        schedule = make_schedule(dates, dates[3], 5)  # tests [4, 9), [9, 14), [14, 19), [19, 24)
+        split = schedule.splits[1]
+        crash = split.test_start if edge == "first" else split.test_end - 1
+        moves[crash] = -0.5
+        rf = ReturnFrame(dates, ("A", "B"), np.column_stack([moves, moves]))
+        vf = rolling_volatility(rf, 2)
+        lags = LagSet((0,))
+        bundle = DataBundle(rf, vf, build_context_series(rf, vf), lags, lags)
+        cfg = CompareConfig(cost_rate=0.0, ew_leverage=2.0, horizons={})
+        (report,) = compare_models(["equalweight"], bundle, schedule, cfg)
+        first = schedule.splits[0].test_start - 1
+        ruin = crash - 1 - first  # the decision step that earns the crash
+        traded = np.arange(len(dates) - 1 - first) <= ruin
+        values = np.concatenate([[1.0], np.cumprod(1.0 + 2.0 * moves[first + 1:])])
+        values[ruin + 1:] = 0.0
+        turnover = np.zeros(len(traded))
+        turnover[0] = 2.0  # entering the market; equal weights are held across splits
+        curve = report.curve
+        assert curve.bankrupt and curve.values[ruin] > 0.0
+        np.testing.assert_array_equal(curve.dates, dates[first:])
+        np.testing.assert_array_equal(curve.values, values)
+        np.testing.assert_array_equal(curve.weights, np.where(traded, 0.5, 0.0)[:, None]
+                                      * np.ones(2))
+        np.testing.assert_array_equal(curve.leverage, np.where(traded, 2.0, 0.0))
+        np.testing.assert_array_equal(curve.turnover, turnover)
+        assert len(report.per_window) == len(schedule)
+        assert report.per_window[1].annualized_return == -1.0
+        assert all(ms.max_dd == 1.0 for ms in report.per_window[1:])
+
 
 class TestCompareConfigValidation:
     @pytest.mark.parametrize("field, value", [
