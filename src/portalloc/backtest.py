@@ -202,9 +202,9 @@ class MetricSet:
 class PerformanceReport:
     model: str
     full: MetricSet
+    curve: EquityCurve
     horizons: dict[str, MetricSet] = field(default_factory=dict)
     per_window: list[MetricSet] = field(default_factory=list)
-    curve: EquityCurve | None = None
 
 
 def _slice_curve(curve: EquityCurve, last_steps: int) -> EquityCurve:
@@ -219,37 +219,32 @@ def _slice_curve(curve: EquityCurve, last_steps: int) -> EquityCurve:
 
 
 def report_for_curve(model: str, curve: EquityCurve, horizons: dict[str, int],
-                     per_window: list[EquityCurve] | None = None) -> PerformanceReport:
-    """Metrics over the full curve plus trailing horizons (given in steps)."""
-    report = PerformanceReport(model, MetricSet.of(curve), curve=curve)
-    for label, steps in horizons.items():
-        report.horizons[label] = MetricSet.of(_slice_curve(curve, steps))
-    for segment in per_window or []:
-        report.per_window.append(MetricSet.of(segment))
-    return report
+                     per_window: list[EquityCurve]) -> PerformanceReport:
+    """Metrics over the full curve, its trailing horizons (given in steps)
+    and each of its per-window segments."""
+    return PerformanceReport(
+        model, MetricSet.of(curve), curve,
+        {label: MetricSet.of(_slice_curve(curve, steps)) for label, steps in horizons.items()},
+        [MetricSet.of(segment) for segment in per_window])
 
 
 def stitch_curves(segments: list[EquityCurve]) -> EquityCurve:
-    """Chain test segments into one continuous out-of-sample curve,
-    compounding values across the segment boundaries."""
+    """Chain segments, each starting on the date the one before ends on, into
+    one curve. Only values compound: each segment's are scaled to continue from
+    the running end value (by 0 if it starts at value 0, after ruin). Dates
+    after the first segment's, weights, leverage and turnover concatenate."""
     if not segments:
         raise DataError("no segments to stitch")
-    dates = [segments[0].dates]
-    values = [segments[0].values]
-    weights = [segments[0].weights]
-    leverage = [segments[0].leverage]
-    turnover = [segments[0].turnover]
+    values, end = [segments[0].values], segments[0].values[-1]
     for seg in segments[1:]:
-        # a segment after ruin starts at value 0 and stays there
-        scale = values[-1][-1] / seg.values[0] if seg.values[0] else 0.0
-        dates.append(seg.dates[1:])
+        scale = end / seg.values[0] if seg.values[0] else 0.0
         values.append(seg.values[1:] * scale)
-        weights.append(seg.weights)
-        leverage.append(seg.leverage)
-        turnover.append(seg.turnover)
-    return EquityCurve(np.concatenate(dates), np.concatenate(values),
-                       np.vstack(weights), np.concatenate(leverage),
-                       np.concatenate(turnover), any(s.bankrupt for s in segments))
+        end = seg.values[-1] * scale
+    return EquityCurve(np.concatenate([segments[0].dates[:1]] + [s.dates[1:] for s in segments]),
+                       np.concatenate(values), np.vstack([s.weights for s in segments]),
+                       np.concatenate([s.leverage for s in segments]),
+                       np.concatenate([s.turnover for s in segments]),
+                       any(s.bankrupt for s in segments))
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +334,12 @@ def _policy_decisions(params, bundle, t_start: int, t_end: int) -> tuple[np.ndar
     return action.weights, action.leverage
 
 
-def _ruined(rf: ReturnFrame, t_start: int, t_end: int,
-            seg: EquityCurve | None = None) -> EquityCurve:
-    """A curve over steps [t_start, t_end) that follows seg, a curve that
-    run_strategy ended at ruin, and then holds value 0 with zero leverage and
-    weights; without seg the whole span is untraded at value 0."""
+def _ruined_span(rf: ReturnFrame, t_start: int, t_end: int) -> EquityCurve:
+    """The bankrupt, untraded curve over steps [t_start, t_end): value 0 on
+    every date, and zero weights, leverage and turnover."""
     steps = t_end - t_start
-    taken = 0 if seg is None else len(seg.weights)
-    values = np.zeros(steps + 1)
-    weights = np.zeros((steps, rf.num_assets))
-    leverage = np.zeros(steps)
-    turnover = np.zeros(steps)
-    if seg is not None:
-        values[:taken + 1] = seg.values
-        weights[:taken] = seg.weights
-        leverage[:taken] = seg.leverage
-        turnover[:taken] = seg.turnover
-    return EquityCurve(rf.dates[t_start:t_end + 1].copy(), values, weights, leverage,
-                       turnover, True)
+    return EquityCurve(rf.dates[t_start:t_end + 1].copy(), np.zeros(steps + 1),
+                       np.zeros((steps, rf.num_assets)), np.zeros(steps), np.zeros(steps), True)
 
 
 @dataclass(frozen=True)
@@ -383,8 +366,9 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     _SplitMoments; models run in turn, so the first listed one's error is raised.
     No decision depends on the replayed path, so each split is decided whole
     and then replayed by run_strategy. A model that loses 100% on a step is
-    ruined: its curve stays at value 0, with zero leverage and weights, on
-    every later test date, and the later splits are not traded.
+    ruined: the rest of its split is stitched on as a flat curve at value 0,
+    with zero weights, leverage and turnover, and every later split is that
+    flat curve, not traded.
     """
     from .allocators import method_names
     from .features import min_valid_index
@@ -419,7 +403,7 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                     f"the first index with full feature history ({lo + 1})"
                 )
             if segments and segments[-1].bankrupt:
-                segments.append(_ruined(rf, first_decision, t_end))
+                segments.append(_ruined_span(rf, first_decision, t_end))
                 continue
             steps = t_end - first_decision
             if model == "drl":
@@ -441,7 +425,8 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                                           leverage[t - first_decision]),
                                rf, first_decision, t_end, cfg.cost_rate, prev_position=position)
             if seg.bankrupt:
-                seg = _ruined(rf, first_decision, t_end, seg)
+                seg = stitch_curves([seg, _ruined_span(rf, first_decision + len(seg.weights),
+                                                       t_end)])
             position = seg.leverage[-1] * seg.weights[-1]
             segments.append(seg)
         stitched = stitch_curves(segments)
@@ -480,15 +465,12 @@ def report_table_text(reports: list[PerformanceReport]) -> str:
 def curves_csv(reports: list[PerformanceReport]) -> str:
     """Wide CSV of stitched out-of-sample curves: date, then one value column
     per model. All stitched curves share the same date axis."""
-    with_curves = [r for r in reports if r.curve is not None]
-    if not with_curves:
-        raise DataError("no curves to export")
-    base = with_curves[0].curve.dates
-    for rep in with_curves[1:]:
+    base = reports[0].curve.dates
+    for rep in reports[1:]:
         if not np.array_equal(rep.curve.dates, base):
             raise DataError("model curves have mismatched date axes")
-    return dated_csv(base, [r.model for r in with_curves],
-                     np.column_stack([r.curve.values for r in with_curves]))
+    return dated_csv(base, [r.model for r in reports],
+                     np.column_stack([r.curve.values for r in reports]))
 
 
 def scaled_weights(curve: EquityCurve) -> tuple[list[str], np.ndarray]:
@@ -499,8 +481,6 @@ def scaled_weights(curve: EquityCurve) -> tuple[list[str], np.ndarray]:
 
 def weights_csv(report: PerformanceReport) -> str:
     """Leverage-scaled weight path of one model plus the leverage column."""
-    if report.curve is None:
-        raise DataError("report has no curve attached")
     curve = report.curve
     names, scaled = scaled_weights(curve)
     return dated_csv(curve.dates[:len(curve.weights)], names + ["leverage"],

@@ -134,9 +134,10 @@ def crafted_moments():
 
 
 def test_moment_checks_are_exactly_as_strict_as_allclose():
-    """CovarianceStats tries a == b and isclose's bound before np.allclose;
-    on inputs at every edge of the three closeness checks it must accept and
-    reject what the np.allclose checks do, with the same message."""
+    """CovarianceStats checks its moments as a stack of one date, by np.isclose
+    reduced over each date; on inputs at every edge of the three closeness
+    checks it must accept and reject what the np.allclose checks do, with the
+    same message."""
     from oracles import covariance_stats_failure
     from portalloc.risk_models import CovarianceStats
 
@@ -266,7 +267,8 @@ class TestStackedEstimates:
         (np.array([np.nextafter(4.0 + 4e-12, 5.0)]), np.array([4.0]), 1e-12, 1e-300),
     ])
     def test_stacked_closeness_accepts_only_what_allclose_accepts(self, a, b, rtol, atol):
-        """On a finite b, which is all that the stack compares with."""
+        """Each date of a stack as np.allclose: a NaN or an infinite a, equal
+        arrays, and a difference at a bound and one float beyond it."""
         from portalloc.risk_models import _accepted
 
         accepted = _accepted(np.stack([a, a]), np.stack([b, b]), rtol, atol)
