@@ -165,12 +165,6 @@ def _tie_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dates, curves, weights
 
 
-def _context_panel() -> tuple[PriceFrame, np.ndarray]:
-    """Three synthetic assets and two external context series on their dates."""
-    frame = generate_synthetic(SyntheticSpec(3, 400, _parse_regimes(_convex_regimes(3)), 1))
-    return frame, np.random.default_rng(SEED).standard_normal((len(frame.dates), 2))
-
-
 def write_inputs() -> None:
     """Write, relative to the working directory, the inputs that no command makes."""
     os.makedirs(os.path.dirname(DEFICIENT), exist_ok=True)
@@ -184,7 +178,9 @@ def write_inputs() -> None:
                                         zip(frame.dates, frame.prices.tolist())]
     atomic_write_text(QUOTED, "".join(",".join(f'"{cell}"' for cell in row) + "\r\n"
                                       for row in rows))
-    frame, context = _context_panel()
+    # three assets and two external context series on their dates
+    frame = generate_synthetic(SyntheticSpec(3, 400, _parse_regimes(_convex_regimes(3)), 1))
+    context = np.random.default_rng(SEED).standard_normal((len(frame.dates), 2))
     write_price_csv(frame, f"{CONTEXT}/prices.csv")
     atomic_write_text(f"{CONTEXT}/context.csv", dated_csv(frame.dates, ("c1", "c2"), context))
     atomic_write_text(f"{CONTEXT}/compare.cfg", "\n".join([
