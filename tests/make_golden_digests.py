@@ -1,12 +1,16 @@
-"""Regenerate ``tests/golden_digests.json``: the sha256 of every file that a
-fixed list of ``portalloc`` commands writes.
+"""Regenerate ``tests/golden_digests.json``, the sha256 of every file that a
+fixed list of ``portalloc`` commands writes, and ``tests/golden_reports.json``,
+every report that the convex solves of two comparisons return. One command
+writes both:
 
     PYTHONPATH=src python tests/make_golden_digests.py
 
 ``test_golden_digests.py`` reruns the same commands and compares every
-digest, so any change to an output byte fails it. Regenerate the fixture only
-for a change that means to alter outputs, and list in CHANGES.md every digest
-that moved and why.
+digest and every report field, so any change to an output byte fails it, and
+so does any change to a report's weights, objective, iterations, converged,
+non_unique or active_constraints, which no output file holds. Regenerate the
+fixtures only for a change that means to alter outputs or reports, and list
+in CHANGES.md every digest or report that moved and why.
 
 The commands and their input panels are built here, from settings of their
 own, and stored in the fixture as literal argument lists: a change to the
@@ -40,6 +44,13 @@ benchmark's workloads does not move them. They cover:
   without building features, and a ``train`` then ``backtest`` of ``drl``
   with that context, a hidden layer and a width-1 convolution kernel.
 
+The reports are those of ``compare`` of the six convex programs (five on the
+rank-deficient panel, where risk parity rejects the singular covariance) with
+the split and level flags of the seed-777 compare-convex panel 0 command and
+of the rank-deficient command above. They are recorded by wrapping
+``allocators.solve``, ``solve_min_variance`` and ``solve_risk_parity_stack``;
+weights and objectives are stored with ``float.hex``, bit for bit.
+
 Every path is relative to the working directory, because manifests echo them.
 """
 from __future__ import annotations
@@ -54,12 +65,14 @@ import tempfile
 
 import numpy as np
 
+from portalloc import allocators
 from portalloc.cli import _parse_regimes, main as portalloc
 from portalloc.market_data import (PriceFrame, SyntheticSpec, atomic_write_text, dated_csv,
                                    generate_synthetic, write_price_csv)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "golden_digests.json")
+REPORTS = os.path.join(HERE, "golden_reports.json")
 SEED = 777
 PANELS = 2
 START = np.datetime64("2000-01-03")  # the first date of every synthetic panel
@@ -301,9 +314,82 @@ def run(argv: list[str]) -> tuple[int, dict[str, str]]:
     return code, dict(sorted(files.items()))
 
 
+def report_commands(argvs: list[list[str]]) -> list[list[str]]:
+    """The synth of the compare-convex panel 0 and the compares whose solver
+    reports are pinned: the argv of the commands that write to convex/p0/out
+    and deficient/out, with the convex programs as their models."""
+    models = {"convex/p0/out": CONVEX, "deficient/out": CONVEX[:-1]}
+    out = [next(argv for argv in argvs if argv[:3] == ["synth", "--outdir", "convex/p0"])]
+    for argv in argvs:
+        outdir = argv[argv.index("--outdir") + 1]
+        if argv[0] == "compare" and outdir in models:
+            argv = list(argv)
+            argv[argv.index("--models") + 1] = ",".join(models[outdir])
+            argv[argv.index("--outdir") + 1] = outdir.replace("/out", "/reports")
+            out.append(argv)
+    return out
+
+
+def _report(solver: str, report) -> dict:
+    return {"solver": solver, "weights": [float(w).hex() for w in report.weights.w],
+            "objective": float(report.objective_value).hex(), "iterations": int(report.iterations),
+            "converged": bool(report.converged), "non_unique": bool(report.non_unique),
+            "active_constraints": list(report.active_constraints)}
+
+
+@contextlib.contextmanager
+def recording():
+    """Within the block, every report that allocators.solve, solve_min_variance
+    and solve_risk_parity_stack return is appended to the yielded list, as
+    _report's record."""
+    reports = []
+    originals = {name: getattr(allocators, name)
+                 for name in ("solve", "solve_min_variance", "solve_risk_parity_stack")}
+
+    def solve(method, *args, **kwargs):
+        report = originals["solve"](method, *args, **kwargs)
+        reports.append(_report(f"solve:{method}", report))
+        return report
+
+    def solve_min_variance(*args, **kwargs):
+        report = originals["solve_min_variance"](*args, **kwargs)
+        reports.append(_report("solve_min_variance", report))
+        return report
+
+    def solve_risk_parity_stack(*args, **kwargs):
+        stack = originals["solve_risk_parity_stack"](*args, **kwargs)
+        reports.extend(_report("solve_risk_parity_stack", report) for report in stack)
+        return stack
+
+    wrappers = {"solve": solve, "solve_min_variance": solve_min_variance,
+                "solve_risk_parity_stack": solve_risk_parity_stack}
+    try:
+        for name, wrapper in wrappers.items():
+            setattr(allocators, name, wrapper)
+        yield reports
+    finally:
+        for name, original in originals.items():
+            setattr(allocators, name, original)
+
+
+def reports_of(argv: list[str]) -> tuple[int, list[dict]]:
+    """Run one command in the working directory, as run does: its exit code
+    and the records of the solver reports it made."""
+    with recording() as reports:
+        code, _ = run(argv)
+    return code, reports
+
+
+def _dump(path: str, records: list[dict]) -> None:
+    fixture = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": records}
+    with open(path, "w") as fh:
+        json.dump(fixture, fh, indent=1)
+        fh.write("\n")
+
+
 def main() -> None:
     argvs = commands()
-    records = []
+    records, reports = [], []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -314,13 +400,17 @@ def main() -> None:
                 if code != 0:
                     sys.exit(f"exit code {code}: {' '.join(argv)}")
                 records.append({"argv": argv, "files": files})
+            for argv in report_commands(argvs):
+                code, made = reports_of(argv)
+                if code != 0:
+                    sys.exit(f"exit code {code}: {' '.join(argv)}")
+                reports.append({"argv": argv, "reports": made})
         finally:
             os.chdir(cwd)
-    fixture = {"numpy": np.__version__, "python": sys.version.split()[0], "commands": records}
-    with open(FIXTURE, "w") as fh:
-        json.dump(fixture, fh, indent=1)
-        fh.write("\n")
+    _dump(FIXTURE, records)
     print(f"{len(records)} commands, {sum(len(r['files']) for r in records)} files -> {FIXTURE}")
+    _dump(REPORTS, reports)
+    print(f"{len(reports)} commands, {sum(len(r['reports']) for r in reports)} reports -> {REPORTS}")
 
 
 if __name__ == "__main__":

@@ -338,6 +338,34 @@ class TestStackedRiskParity:
                     solve_risk_parity(stats[singular])
 
 
+class TestWeightsContract:
+    """Weights rejects each broken invariant with its own message, checking
+    shape, then finiteness, then range, then the sum."""
+
+    @pytest.mark.parametrize("w, message", [
+        ([[0.5, 0.5]], "weights must be a non-empty vector"),
+        ([], "weights must be a non-empty vector"),
+        ([0.5, np.nan], "weights contain non-finite entries"),
+        ([0.5, np.inf], "weights contain non-finite entries"),
+        ([-0.1, 0.6, 0.5], "weights outside [0, 1]"),
+        ([1.5, -0.25, -0.25], "weights outside [0, 1]"),
+        ([0.5, 0.4], "weights sum to 0.900000000000, not 1"),
+        # precedence: non-finite before range, range before sum
+        ([np.nan, 2.0], "weights contain non-finite entries"),
+        ([-np.inf, -1.0], "weights contain non-finite entries"),
+        ([0.2, 1.5], "weights outside [0, 1]"),
+        ([-0.2, 0.5], "weights outside [0, 1]"),
+    ])
+    def test_each_failure_has_its_message(self, w, message):
+        with pytest.raises(DataError) as info:
+            Weights(np.array(w, dtype=float))
+        assert str(info.value) == message
+
+    def test_within_the_tolerances_is_accepted_as_floats(self):
+        w = Weights([-0.5e-8, 0.5, 0.5 + 0.5e-8])
+        assert w.w.dtype == float and w.w.shape == (3,)
+
+
 class TestDispatchAndReports:
     def test_unknown_method(self, rng):
         with pytest.raises(DataError, match="unknown method"):
