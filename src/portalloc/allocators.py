@@ -58,6 +58,7 @@ solve's bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +84,10 @@ class Weights:
         object.__setattr__(self, "w", w)
         if w.ndim != 1 or w.size < 1:
             raise DataError("weights must be a non-empty vector")
-        if not np.all(np.isfinite(w)):
+        low, high = float(w.min()), float(w.max())  # NaN if any entry is
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise DataError("weights contain non-finite entries")
-        if np.any(w < -_SUM_TOL) or np.any(w > 1.0 + _SUM_TOL):
+        if low < -_SUM_TOL or high > 1.0 + _SUM_TOL:
             raise DataError("weights outside [0, 1]")
         if abs(float(w.sum()) - 1.0) > _SUM_TOL:
             raise DataError(f"weights sum to {w.sum():.12f}, not 1")
@@ -108,7 +110,7 @@ Start = SolveReport | np.ndarray | None
 def _finish(w: np.ndarray, objective: float, iterations: int, converged: bool,
             active: tuple[str, ...] = (), non_unique: bool = False) -> SolveReport:
     w = w / w.sum()  # unit sum to rounding; the solvers' exact zeros stay zero
-    active = active + tuple(f"w[{i}]=0" for i in np.nonzero(w <= 1e-12)[0])
+    active = active + tuple(map("w[{}]=0".format, (w <= 1e-12).nonzero()[0].tolist()))
     return SolveReport(Weights(w), float(objective), iterations, converged, active, non_unique)
 
 
@@ -121,7 +123,8 @@ def _multipliers(q, c, y, free):
     """The bound multipliers z = Qy + c - nu, with the sum multiplier nu the
     mean of the gradient over the free assets (where z is zero)."""
     g = q @ y + c
-    return g - g[free].mean()
+    gf = g[free]
+    return g - gf.sum() / gf.size  # np.mean's arithmetic
 
 
 def _on_face(q, v, face):
@@ -130,19 +133,18 @@ def _on_face(q, v, face):
     the face, from one factorization of the bordered KKT system
     [Q_FF 1; 1' 0] solved for [0; 1] (y0) and [v_F; 0] (d). None if
     Q_FF - _TOL I has no Cholesky factor, so that the system may be singular."""
-    qff = q.compress(face, axis=0).compress(face, axis=1)
-    k = qff.shape[0]
-    shifted = qff.copy()
-    shifted.flat[::k + 1] -= _TOL
+    held = face.nonzero()[0]
+    k = held.size
+    bordered, rhs = np.ones((k + 1, k + 1)), np.zeros((k + 1, 2))
+    shifted = q.take(held, 0).take(held, 1, out=bordered[:k, :k]).copy()
+    shifted.reshape(-1)[::k + 1] -= _TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
-    bordered, rhs = np.ones((k + 1, k + 1)), np.zeros((k + 1, 2))
-    bordered[:k, :k], bordered[k, k] = qff, 0.0
-    rhs[k, 0], rhs[:k, 1] = 1.0, v[face]
+    bordered[k, k], rhs[k, 0], rhs[:k, 1] = 0.0, 1.0, v[held]
     line = np.zeros((len(v), 2))
-    line[face] = np.linalg.solve(bordered, rhs)[:k]
+    line[held] = np.linalg.solve(bordered, rhs)[:k]
     return line[:, 0], line[:, 1]
 
 
@@ -222,11 +224,12 @@ def _walk(q, v, y, lam, stop):
 
 def _kkt(y, z):
     """KKT residual of y for min 1/2 y'Qy + c'y on the simplex, given its
-    bound multipliers z (_multipliers)."""
+    bound multipliers z (_multipliers); y >= 0, so that |y z| = y |z|."""
+    size = np.abs(z)
     return max(abs(float(y.sum()) - 1.0),                   # unit sum
-               float(np.abs(z[y > 0]).max(initial=0.0)),    # stationarity
+               float(size[y > 0].max(initial=0.0)),         # stationarity
                max(-float(z.min()), 0.0),                   # dual feasibility
-               float(np.abs(y * z).max()))                  # complementary slackness
+               float((y * size).max()))                     # complementary slackness
 
 
 def _non_unique(q, face):
@@ -261,11 +264,13 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     on a settled face only if an asset off it is priced at zero: meet has
     factored Q_FF - _TOL I, so no eigenvalue of the face's reduced Hessian is
     within _TOL of zero."""
+    still = not v.any()
+
     def meet(face):
         # (y, lam, z) on face's line at stop, or None if it has no valid stop
         line = _on_face(q, v, face)
         lam = -1.0 if line is None else stop(*line, 0.0, False)
-        if not (0.0 < lam < np.inf or (lam == 0.0 and not v.any())):
+        if not (0.0 < lam < np.inf or (lam == 0.0 and still)):
             return None
         y = line[0] + lam * line[1]
         return y, lam, _multipliers(q, -lam * v, y, face)
@@ -276,8 +281,8 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
         kkt = _kkt(y, z)
         if max(kkt, gap(y)) > _TOL:
             return None
-        priced = face | (z <= _TOL)
-        return y, lam, kkt, bool((priced != face).any()) and _non_unique(q, priced)
+        off = (z <= _TOL) > face  # priced at zero off the face
+        return y, lam, kkt, bool(off.any()) and _non_unique(q, face | off)
 
     guess = start.weights.w > 0 if isinstance(start, SolveReport) else start
     if guess is not None and guess.size == v.size:
@@ -292,7 +297,7 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
                 return (*point, 1, True)
             y, _, z = met
             swapped = (face & (y > 0)) | (~face & (z < -_TOL))
-            if not swapped.any() or np.array_equal(swapped, face):
+            if not swapped.any() or (swapped == face).all():
                 break
             face = swapped
     y, lam, free, faces, stopped = walk()
@@ -315,10 +320,10 @@ def _min_quadratic(q: np.ndarray, start: Start = None) -> SolveReport:
     1/2 y'Qy + lam y_k for every lam up to min_i (q_ik - q_kk), where the
     first bound multiplier reaches zero; the walk goes from there to lam = 0."""
     scaled = q / np.abs(q).max()
-    k = int(np.argmin(np.diag(scaled)))
-    vertex = np.eye(len(q))[k]
 
     def walk():
+        k = int(np.argmin(np.diag(scaled)))
+        vertex = np.eye(len(q))[k]
         lam = float(np.min(scaled[:, k] - scaled[k, k]))
         # stop at lam = 0; a flat step before it runs to its turning point
         y, _, free, faces, _ = _walk(scaled, -vertex, vertex, lam, lambda y, d, lam, flat: (
@@ -371,22 +376,25 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
     mu, sigma = stats.mu, stats.sigma_mat
     if np.isnan(r_min):
         raise DataError(f"r_min must be a number, got {r_min}")
-    if r_min > float(np.max(mu)) + 1e-12:
+    top = float(mu.max())
+    if r_min > top + 1e-12:
         raise InfeasibleError(
-            f"infeasible return target: r_min={r_min} exceeds max mean {np.max(mu):.6g}"
+            f"infeasible return target: r_min={r_min} exceeds max mean {top:.6g}"
         )
     minvar = solve_min_variance(stats) if minvar is None else minvar
     w0 = minvar.weights.w
-    if float(mu @ w0) >= r_min:
-        active = ("return_target",) if float(mu @ w0) - r_min <= _TOL * np.abs(mu).max() else ()
+    mean0 = float(mu @ w0)
+    if mean0 >= r_min:
+        active = ("return_target",) if mean0 - r_min <= _TOL * np.abs(mu).max() else ()
         return _finish(w0, minvar.objective_value, minvar.iterations, minvar.converged,
                        active, minvar.non_unique)
     # S and mu scaled to a largest entry of 1, and the floor with mu
     scale = np.abs(mu).max() or 1.0
-    q, v, r = sigma / np.abs(sigma).max(), mu / scale, min(r_min, float(np.max(mu))) / scale
+    q, v, r = sigma / np.abs(sigma).max(), mu / scale, min(r_min, top) / scale
 
     def floor_root(y, d, lam, flat):
-        return (r - v @ y) / (v @ d) if v @ d > 0 else np.inf
+        slope = v @ d
+        return (r - v @ y) / slope if slope > 0 else np.inf
 
     y, _, kkt, non_unique, faces, _ = _warm_or_walk(
         q, v, floor_root, lambda y: abs(r - float(v @ y)), start,
@@ -430,12 +438,13 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
         # the variance y'Qy + 2 s t + d'Qd t^2 at lam + t meets the cap;
         # along a flat step the return rises at constant variance, and an
         # infinite cap is never met
-        if flat or np.isinf(cap_q):
+        if flat or cap_q == np.inf:
             return np.inf
         # a gap within the rounding of y'Qy (entries of Q and y at most 1) is
         # met: at the min-variance point s is about 0, and the root would
         # turn that rounding into a step of ~sqrt(gap / d'Qd)
-        gap, s, dqd = cap_q - float(y @ q @ y), float(d @ q @ y), float(d @ q @ d)
+        dq = d @ q
+        gap, s, dqd = cap_q - float(y @ q @ y), float(dq @ y), float(dq @ d)
         with np.errstate(divide="ignore"):
             return (np.float64(gap) / (s + np.sqrt(s * s + dqd * gap))
                     if gap > rounding else 0.0)
@@ -483,29 +492,32 @@ def _erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     delta <= 1e-8, or after _NEWTON_STEPS steps; the live ones share one
     stacked solve per step, with the arithmetic each would have alone."""
     k, l = sigma.shape[:2]
-    x = _erc_start(sigma)
+    x = _erc_start(sigma)[:, :, None]  # columns (k, l, 1), as the stacked products take them
     steps = np.full(k, _NEWTON_STEPS)
     eye = np.eye(l)
     live, s, y = np.arange(k), sigma, x
     for step in range(1, _NEWTON_STEPS + 1):
-        r = l * y * np.matmul(s, y[:, :, None])[:, :, 0] - 1.0
-        u = np.linalg.solve(l * (y[:, :, None] * y[:, None, :]) * s + eye, r[:, :, None])[:, :, 0]
-        delta = np.sqrt(np.matmul(r[:, None, :], u[:, :, None])[:, 0, 0])
-        y = y * (1.0 - u / (1.0 + delta[:, None]))
-        done = delta <= 1e-8
+        r = l * y * (s @ y) - 1.0
+        u = np.linalg.solve(l * (y * y.transpose(0, 2, 1)) * s + eye, r)
+        delta = np.sqrt(r.transpose(0, 2, 1) @ u)
+        y = y * (1.0 - u / (1.0 + delta))
+        done = delta.ravel() <= 1e-8
         if done.any():
-            x[live[done]], steps[live[done]] = y[done], step
-            live, s, y = live[~done], s[~done], y[~done]
+            ended, keep = live[done], ~done
+            x[ended], steps[ended] = y[done], step
+            live, s, y = live[keep], s[keep], y[keep]
             if not live.size:
                 break
-    x[live] = y
-    return x, steps
+    else:  # dates still live after _NEWTON_STEPS steps
+        x[live] = y
+    return x[:, :, 0], steps
 
 
 def risk_contributions(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-asset contribution to portfolio variance: w_i * (S w)_i."""
+    """Per-asset contribution to portfolio variance: w_i * (S w)_i. w and
+    sigma may be stacks (..., l) and (..., l, l)."""
     w = np.asarray(w, dtype=float)
-    return w * (sigma @ w)
+    return w * (sigma @ w[..., None])[..., 0]
 
 
 def _singular(stats: CovarianceStats) -> bool:
@@ -522,9 +534,10 @@ def solve_risk_parity(stats: CovarianceStats) -> SolveReport:
     equal. Reported objective is the barrier objective reduced over positive
     rescalings: 1/2 + 1/2 ln(w'Sw) - (1/l) sum ln w_i.
     """
-    if _singular(stats):
+    reports = solve_risk_parity_stack([stats])
+    if not reports:
         raise DataError("singular covariance matrix: risk parity needs a positive-definite one")
-    return solve_risk_parity_stack([stats])[0]
+    return reports[0]
 
 
 def solve_risk_parity_stack(stats: list[CovarianceStats]) -> list[SolveReport]:
@@ -537,16 +550,15 @@ def solve_risk_parity_stack(stats: list[CovarianceStats]) -> list[SolveReport]:
     stats = stats[:next((i for i, st in enumerate(stats) if _singular(st)), len(stats))]
     if not stats:
         return []
-    x, steps = _erc_newton(np.stack([st.sigma_mat for st in stats]))
-    reports = []
-    for st, xi, n in zip(stats, x, steps):
-        sigma = st.sigma_mat
-        w = xi / xi.sum()
-        contrib = risk_contributions(w, sigma)
-        converged = float(contrib.max() / contrib.min()) - 1.0 <= 1e-6
-        objective = 0.5 + 0.5 * np.log(float(w @ sigma @ w)) - float(np.log(w).sum()) / len(w)
-        reports.append(_finish(w, objective, int(n), converged))
-    return reports
+    sigma = np.array([st.sigma_mat for st in stats])
+    x, steps = _erc_newton(sigma)
+    # each date's one-date arithmetic, as stacked products and row reductions
+    w = x / x.sum(axis=1, keepdims=True)
+    contrib = risk_contributions(w, sigma)
+    converged = contrib.max(axis=1) / contrib.min(axis=1) - 1.0 <= 1e-6
+    quad = (w[:, None, :] @ sigma @ w[:, :, None])[:, 0, 0]
+    objective = 0.5 + 0.5 * np.log(quad) - np.log(w).sum(axis=1) / w.shape[1]
+    return list(map(_finish, w, objective.tolist(), steps.tolist(), converged.tolist()))
 
 
 _METHODS = {
