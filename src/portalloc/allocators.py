@@ -225,11 +225,11 @@ def _walk(q, v, y, lam, stop):
 def _kkt(y, z):
     """KKT residual of y for min 1/2 y'Qy + c'y on the simplex, given its
     bound multipliers z (_multipliers); y >= 0, so that |y z| = y |z|."""
-    size = np.abs(z)
+    magnitude = np.abs(z)
     return max(abs(float(y.sum()) - 1.0),                   # unit sum
-               float(size[y > 0].max(initial=0.0)),         # stationarity
+               float(magnitude[y > 0].max(initial=0.0)),    # stationarity
                max(-float(z.min()), 0.0),                   # dual feasibility
-               float((y * size).max()))                     # complementary slackness
+               float((y * magnitude).max()))                # complementary slackness
 
 
 def _non_unique(q, face):
@@ -264,13 +264,13 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     on a settled face only if an asset off it is priced at zero: meet has
     factored Q_FF - _TOL I, so no eigenvalue of the face's reduced Hessian is
     within _TOL of zero."""
-    still = not v.any()
+    v_zero = not v.any()
 
     def meet(face):
         # (y, lam, z) on face's line at stop, or None if it has no valid stop
         line = _on_face(q, v, face)
         lam = -1.0 if line is None else stop(*line, 0.0, False)
-        if not (0.0 < lam < np.inf or (lam == 0.0 and still)):
+        if not (0.0 < lam < np.inf or (lam == 0.0 and v_zero)):
             return None
         y = line[0] + lam * line[1]
         return y, lam, _multipliers(q, -lam * v, y, face)

@@ -341,31 +341,23 @@ def _report(solver: str, report) -> dict:
 def recording():
     """Within the block, every report that allocators.solve, solve_min_variance
     and solve_risk_parity_stack return is appended to the yielded list, as
-    _report's record."""
+    _report's record, labelled with the function (and solve's method)."""
     reports = []
     originals = {name: getattr(allocators, name)
                  for name in ("solve", "solve_min_variance", "solve_risk_parity_stack")}
 
-    def solve(method, *args, **kwargs):
-        report = originals["solve"](method, *args, **kwargs)
-        reports.append(_report(f"solve:{method}", report))
-        return report
+    def recorded(name):
+        def call(*args, **kwargs):
+            result = originals[name](*args, **kwargs)
+            label = f"solve:{args[0]}" if name == "solve" else name
+            reports.extend(_report(label, r) for r in (result if isinstance(result, list)
+                                                       else [result]))
+            return result
+        return call
 
-    def solve_min_variance(*args, **kwargs):
-        report = originals["solve_min_variance"](*args, **kwargs)
-        reports.append(_report("solve_min_variance", report))
-        return report
-
-    def solve_risk_parity_stack(*args, **kwargs):
-        stack = originals["solve_risk_parity_stack"](*args, **kwargs)
-        reports.extend(_report("solve_risk_parity_stack", report) for report in stack)
-        return stack
-
-    wrappers = {"solve": solve, "solve_min_variance": solve_min_variance,
-                "solve_risk_parity_stack": solve_risk_parity_stack}
     try:
-        for name, wrapper in wrappers.items():
-            setattr(allocators, name, wrapper)
+        for name in originals:
+            setattr(allocators, name, recorded(name))
         yield reports
     finally:
         for name, original in originals.items():

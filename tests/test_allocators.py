@@ -337,27 +337,27 @@ class TestStackedRiskParity:
                 with pytest.raises(DataError, match="needs a positive-definite one"):
                     solve_risk_parity(stats[singular])
 
-    def test_stacked_reports_equal_the_one_date_arithmetic(self):
-        """Each report of a stack holds what the one-date formulas give on
-        its Newton point: w = x / sum x, the contributions' spread and the
-        reduced barrier objective, bit for bit."""
-        rng = np.random.default_rng(27)
-        for _ in range(60):
-            l, k = int(rng.integers(1, 31)), int(rng.integers(1, 16))
-            sigma = np.stack([self.covariance(rng, l) for _ in range(k)])
-            x, steps = allocators._erc_newton(sigma)
-            reports = solve_risk_parity_stack(
-                [stats_from_covariance(np.zeros(l), s) for s in sigma])
-            for i, got in enumerate(reports):
-                w = x[i] / x[i].sum()
-                contrib = w * (sigma[i] @ w)
-                objective = (0.5 + 0.5 * np.log(float(w @ sigma[i] @ w))
-                             - float(np.log(w).sum()) / len(w))
-                want = allocators._finish(w, objective, int(steps[i]),
-                                          float(contrib.max() / contrib.min()) - 1.0 <= 1e-6)
-                assert got.weights.w.tobytes() == want.weights.w.tobytes(), (l, k, i)
-                assert (got.objective_value, got.iterations, got.converged) == (
-                    want.objective_value, want.iterations, want.converged), (l, k, i)
+
+def test_stacked_risk_parity_reports_equal_the_one_date_arithmetic():
+    """Each report of a risk-parity stack holds what the one-date formulas
+    give on its Newton point: w = x / sum x, the contributions' spread and
+    the reduced barrier objective, bit for bit."""
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        l, k = int(rng.integers(1, 31)), int(rng.integers(1, 16))
+        sigma = np.stack([TestStackedRiskParity.covariance(rng, l) for _ in range(k)])
+        x, steps = allocators._erc_newton(sigma)
+        reports = solve_risk_parity_stack([stats_from_covariance(np.zeros(l), s) for s in sigma])
+        for i, got in enumerate(reports):
+            w = x[i] / x[i].sum()
+            contrib = w * (sigma[i] @ w)
+            objective = (0.5 + 0.5 * np.log(float(w @ sigma[i] @ w))
+                         - float(np.log(w).sum()) / len(w))
+            want = allocators._finish(w, objective, int(steps[i]),
+                                      float(contrib.max() / contrib.min()) - 1.0 <= 1e-6)
+            assert got.weights.w.tobytes() == want.weights.w.tobytes(), (l, k, i)
+            assert (got.objective_value, got.iterations, got.converged) == (
+                want.objective_value, want.iterations, want.converged), (l, k, i)
 
 
 class TestWeightsContract:
