@@ -11,6 +11,7 @@ naming the command and the file; one that alters any report field fails
 naming the command, the report and the field.
 """
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ def load(path: str) -> dict:
     with open(path) as fh:
         fixture = json.load(fh)
     if fixture["numpy"] != np.__version__:  # every manifest records the numpy version
-        pytest.skip(f"{path} was made with numpy {fixture['numpy']}, not {np.__version__}")
+        pytest.skip(f"{os.path.basename(path)} was made with numpy {fixture['numpy']}, "
+                    f"not {np.__version__}")
     return fixture
 
 
