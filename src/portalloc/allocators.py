@@ -248,7 +248,7 @@ def _certify(q, c, y, free):
 
 
 def _warm_or_walk(q, v, stop, gap, start, walk):
-    """(y, lam, kkt, non_unique, faces, stopped) at the caller's stop. A face
+    """(y, kkt, non_unique, faces, stopped) at the caller's stop. A face
     F settles at the point y where its critical line (_on_face) meets stop,
     if lam > 0 (or v = 0: on the frontier lam = 0 is the minimum-variance
     report, kept as it is), y_F > 0, and the KKT residual and gap(y), the
@@ -267,22 +267,22 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     v_zero = not v.any()
 
     def meet(face):
-        # (y, lam, z) on face's line at stop, or None if it has no valid stop
+        # (y, z) on face's line at stop, or None if it has no valid stop
         line = _on_face(q, v, face)
         lam = -1.0 if line is None else stop(*line, 0.0, False)
         if not (0.0 < lam < np.inf or (lam == 0.0 and v_zero)):
             return None
         y = line[0] + lam * line[1]
-        return y, lam, _multipliers(q, -lam * v, y, face)
+        return y, _multipliers(q, -lam * v, y, face)
 
-    def settle(face, y, lam, z):
+    def settle(face, y, z):
         if y[face].min() <= 0.0:
             return None
         kkt = _kkt(y, z)
         if max(kkt, gap(y)) > _TOL:
             return None
         off = (z <= _TOL) > face  # priced at zero off the face
-        return y, lam, kkt, bool(off.any()) and _non_unique(q, face | off)
+        return y, kkt, bool(off.any()) and _non_unique(q, face | off)
 
     guess = start.weights.w > 0 if isinstance(start, SolveReport) else start
     if guess is not None and guess.size == v.size:
@@ -293,9 +293,9 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
                 break
             point = settle(face, *met)
             # a mask (guess is start) has no report behind it: kept only if unique
-            if point is not None and not (point[3] and guess is start):
+            if point is not None and not (point[2] and guess is start):
                 return (*point, 1, True)
-            y, _, z = met
+            y, z = met
             swapped = (face & (y > 0)) | (~face & (z < -_TOL))
             if not swapped.any() or (swapped == face).all():
                 break
@@ -304,7 +304,7 @@ def _warm_or_walk(q, v, stop, gap, start, walk):
     met = meet(y > 0) if stopped else None
     point = None if met is None else settle(y > 0, *met)
     if point is None:
-        point = (y, lam, *_certify(q, -lam * v, y, free))
+        point = (y, *_certify(q, -lam * v, y, free))
     return (*point, faces, stopped)
 
 
@@ -330,7 +330,7 @@ def _min_quadratic(q: np.ndarray, start: Start = None) -> SolveReport:
             np.inf if flat and lam < 0 else -lam))
         return y, 0.0, free, faces, True
 
-    y, _, kkt, non_unique, faces, _ = _warm_or_walk(
+    y, kkt, non_unique, faces, _ = _warm_or_walk(
         scaled, np.zeros(len(q)), lambda *_: 0.0, lambda y: 0.0, start, walk)
     return _finish(y, _variance(y, q), faces, kkt <= _TOL, non_unique=non_unique)
 
@@ -396,7 +396,7 @@ def solve_markowitz_min_risk(stats: CovarianceStats, r_min: float,
         slope = v @ d
         return (r - v @ y) / slope if slope > 0 else np.inf
 
-    y, _, kkt, non_unique, faces, _ = _warm_or_walk(
+    y, kkt, non_unique, faces, _ = _warm_or_walk(
         q, v, floor_root, lambda y: abs(r - float(v @ y)), start,
         lambda: _walk(q, v, w0, 0.0, floor_root))
     conv = max(kkt, abs(r - float(v @ y))) <= _TOL
@@ -451,7 +451,7 @@ def solve_markowitz_max_return(stats: CovarianceStats, sigma_max: float,
 
     if isinstance(start, SolveReport) and "risk_cap" not in start.active_constraints:
         start = None
-    y, lam, kkt, non_unique, faces, stopped = _warm_or_walk(
+    y, kkt, non_unique, faces, stopped = _warm_or_walk(
         q, v, variance_root, lambda y: abs(cap_q - float(y @ q @ y)), start,
         lambda: _walk(q, v, minvar.weights.w, 0.0, variance_root))
     iters = minvar.iterations + faces

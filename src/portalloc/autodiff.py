@@ -24,17 +24,10 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
 
 
 def accumulate(t: Tensor, g) -> None:

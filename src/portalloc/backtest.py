@@ -22,11 +22,8 @@ TRADING_DAYS_PER_YEAR = 252
 
 @dataclass(frozen=True)
 class Split:
-    """Index ranges into the return frame: train [train_start, train_end),
-    test [test_start, test_end), with train_end == test_start."""
+    """A test range [test_start, test_end) of return-frame indices; it trains on all before."""
 
-    train_start: int
-    train_end: int
     test_start: int
     test_end: int
 
@@ -55,7 +52,7 @@ def make_schedule(dates: np.ndarray, initial_train_end: np.datetime64,
     start = first_test
     while start < len(dates):
         end = min(start + test_span, len(dates))
-        splits.append(Split(0, start, start, end))
+        splits.append(Split(start, end))
         start = end
     return WalkForwardSchedule(tuple(splits))
 
@@ -388,7 +385,11 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     train_cfg = train_cfg or TrainConfig()
     rf = bundle.rf
     m = rf.num_assets
-    lo = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
+    # test starts increase, so only the first split can lack feature history
+    lo, first = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags), schedule.splits[0]
+    if first.test_start - 1 < lo:
+        raise DataError(f"split 0 starts testing at index {first.test_start}, before "
+                        f"the first index with full feature history ({lo + 1})")
     records, chain = {}, {}
     reports = []
     for model in models:
@@ -397,11 +398,6 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
         for k, split in enumerate(schedule.splits):
             first_decision = split.test_start - 1
             t_end = split.test_end - 1
-            if first_decision < lo:
-                raise DataError(
-                    f"split {k} starts testing at index {split.test_start}, before "
-                    f"the first index with full feature history ({lo + 1})"
-                )
             if segments and segments[-1].bankrupt:
                 segments.append(_ruined_span(rf, first_decision, t_end))
                 continue

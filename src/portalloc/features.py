@@ -60,13 +60,12 @@ class Observation:
     """asset_tensor (2, assets, lags): channel 0 returns, channel 1 vols;
     context_matrix (series, context lags); lag axes run oldest -> newest.
 
-    A stack of observations carries one leading step axis on both arrays
-    and on the timestamps; indexing it selects steps.
+    A stack of observations carries one leading step axis on both arrays;
+    indexing it selects steps.
     """
 
     asset_tensor: np.ndarray
     context_matrix: np.ndarray
-    timestamp: np.datetime64 | np.ndarray
 
     def __post_init__(self):
         a, c = self.asset_tensor, self.context_matrix
@@ -82,8 +81,7 @@ class Observation:
     def __getitem__(self, index) -> "Observation":
         if self.asset_tensor.ndim == 3:
             raise TypeError("a single observation has no step axis")
-        return Observation(self.asset_tensor[index], self.context_matrix[index],
-                           self.timestamp[index])
+        return Observation(self.asset_tensor[index], self.context_matrix[index])
 
 
 def load_context_csv(path: str) -> ContextFrame:
@@ -148,5 +146,5 @@ def build_observations(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
     rets = rf.returns[asset_rows].transpose(0, 2, 1)
     vols = vf.vols[asset_rows - vol_offset].transpose(0, 2, 1)
     context = ctx.values[ts - ctx_lags.offsets_oldest_first() - ctx_offset].transpose(0, 2, 1)
-    return Observation(np.stack([rets, vols], axis=1), context, rf.dates[t_start:t_end])
+    return Observation(np.stack([rets, vols], axis=1), context)
 

@@ -197,23 +197,18 @@ class ReturnFrame:
 
 @dataclass(frozen=True)
 class VolFrame:
-    """Trailing per-period volatilities over a window of `window` returns.
+    """Trailing per-period volatilities, as rolling_volatility builds them.
 
-    Row t holds the population standard deviation of the `window` returns
+    Row t holds the population standard deviation of the window of returns
     ending at the matching ReturnFrame row; only full windows are kept.
     """
 
     dates: np.ndarray
-    assets: tuple[str, ...]
     vols: np.ndarray
-    window: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assets", tuple(self.assets))
-        if self.window < 2:
-            raise DataError("volatility window must be >= 2")
-        if self.vols.shape != (len(self.dates), len(self.assets)):
-            raise DataError("vol matrix shape does not match dates/assets")
+        if self.vols.ndim != 2 or len(self.vols) != len(self.dates):
+            raise DataError("vol matrix shape does not match dates")
         if np.any(self.vols < 0):
             raise DataError("negative volatility")
 
@@ -304,7 +299,7 @@ def rolling_volatility(rf: ReturnFrame, window: int) -> VolFrame:
         raise DataError(f"insufficient rows: need >= {window}, got {len(rf.dates)}")
     sliding = np.lib.stride_tricks.sliding_window_view(rf.returns, window, axis=0)
     vols = sliding.std(axis=2, ddof=0)
-    return VolFrame(rf.dates[window - 1:], rf.assets, vols, window)
+    return VolFrame(rf.dates[window - 1:], vols)
 
 
 def _weekday_dates(start: np.datetime64, count: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
         np.maximum(asset[1:, 1], 0.0, out=asset[1:, 1])
         ctx = ctx.copy()
         ctx[1:] += noise[:, split:].reshape(ctx[1:].shape)
-    obs = Observation(asset, ctx, window.observations.timestamp)
+    obs = Observation(asset, ctx)
     chosen = None
     if is_policy.any():
         chosen = forward(params, obs[is_policy])
@@ -328,10 +328,10 @@ def train(window: TradingWindow, arch: NetworkArch, cfg: TrainConfig) -> Trained
 
 def train_split(bundle, index: int, split, arch: NetworkArch, cfg: TrainConfig) -> TrainedPolicy:
     """Train on split `index` of a bundle (rf, vf, ctx, lags, ctx_lags): decision
-    steps from the first with full feature history up to split.train_end - 1, so
-    every reward is realized in the train range; seeded by SeedSequence([cfg.seed, index])."""
+    steps from the first with full feature history up to split.test_start - 1, so
+    every reward is realized before the test range; seeded by SeedSequence([cfg.seed, index])."""
     lo = min_valid_index(bundle.vf, bundle.rf, bundle.lags, bundle.ctx_lags)
     window = make_window(bundle.rf, bundle.vf, bundle.ctx, bundle.lags, bundle.ctx_lags,
-                         lo, split.train_end - 1)
+                         lo, split.test_start - 1)
     seed = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1)[0])
     return train(window, arch, replace(cfg, seed=seed))

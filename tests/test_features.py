@@ -123,7 +123,7 @@ class TestBuildObservation:
         mutated = rf.returns.copy()
         mutated[t + 1:] += 0.05
         rf2 = type(rf)(rf.dates, rf.assets, mutated)
-        vf2 = rolling_volatility(rf2, vf.window)
+        vf2 = rolling_volatility(rf2, 5)
         ctx2 = build_context_series(rf2, vf2)
         after = build_observation(rf2, vf2, ctx2, lags, lags, t)
         assert np.array_equal(before.asset_tensor, after.asset_tensor)
@@ -146,7 +146,7 @@ class TestBuildObservation:
         rf, vf, ctx = bundle(rng, assets=3)
         perm = [2, 0, 1]
         rf2 = type(rf)(rf.dates, tuple(rf.assets[i] for i in perm), rf.returns[:, perm])
-        vf2 = rolling_volatility(rf2, vf.window)
+        vf2 = rolling_volatility(rf2, 5)
         ctx2 = build_context_series(rf2, vf2)
         lags = LagSet((0, 1))
         a = build_observation(rf, vf, ctx, lags, lags, 30)

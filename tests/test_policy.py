@@ -16,8 +16,7 @@ ARCH = NetworkArch()
 def make_obs(rng, m=2, lags=7, ctx_series=3, ctx_lags=7, scale=0.02):
     asset = scale * rng.standard_normal((2, m, lags))
     asset[1] = np.abs(asset[1])
-    return Observation(asset, scale * rng.standard_normal((ctx_series, ctx_lags)),
-                       np.datetime64("2020-06-01"))
+    return Observation(asset, scale * rng.standard_normal((ctx_series, ctx_lags)))
 
 
 class TestInit:
@@ -91,8 +90,7 @@ class TestForward:
         for t in params.tensors.values():
             t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
         obs = make_obs(rng)
-        twin = Observation(obs.asset_tensor.copy(), obs.context_matrix.copy(),
-                           obs.timestamp)
+        twin = Observation(obs.asset_tensor.copy(), obs.context_matrix.copy())
         a, b = forward(params, obs), forward(params, twin)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.leverage == b.leverage
@@ -103,8 +101,7 @@ class TestForward:
             t.data = t.data + rng.normal(scale=0.5, size=t.data.shape)
         singles = [make_obs(rng, m=3, scale=1.0) for _ in range(6)]
         stack = Observation(np.stack([o.asset_tensor for o in singles]),
-                            np.stack([o.context_matrix for o in singles]),
-                            np.array([o.timestamp for o in singles]))
+                            np.stack([o.context_matrix for o in singles]))
         batched = forward(params, stack)
         assert batched.weights.shape == (6, 3) and batched.leverage.shape == (6,)
         for i, obs in enumerate(singles):

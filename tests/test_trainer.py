@@ -440,7 +440,6 @@ class TestMakeWindow:
             one = build_observation(rf, vf, ctx, lags, SMALL_LAGS, t)
             assert np.array_equal(window.observations[i].asset_tensor, one.asset_tensor)
             assert np.array_equal(window.observations[i].context_matrix, one.context_matrix)
-            assert window.observations[i].timestamp == one.timestamp
 
     def test_alignment_of_next_returns(self, rng):
         rets = 0.01 * rng.standard_normal((30, 2))
