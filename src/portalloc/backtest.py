@@ -204,12 +204,13 @@ class PerformanceReport:
     per_window: list[MetricSet] = field(default_factory=list)
 
 
+def _check_horizon(steps: int, available: int) -> None:
+    if steps > available:
+        raise DataError(f"horizon of {steps} steps exceeds available history ({available} steps)")
+
+
 def _slice_curve(curve: EquityCurve, last_steps: int) -> EquityCurve:
-    if last_steps > len(curve.values) - 1:
-        raise DataError(
-            f"horizon of {last_steps} steps exceeds available history "
-            f"({len(curve.values) - 1} steps)"
-        )
+    _check_horizon(last_steps, len(curve.values) - 1)
     return EquityCurve(curve.dates[-(last_steps + 1):], curve.values[-(last_steps + 1):],
                        curve.weights[-last_steps:], curve.leverage[-last_steps:],
                        curve.turnover[-last_steps:], curve.bankrupt)
@@ -356,16 +357,17 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                    ) -> list[PerformanceReport]:
     """Walk-forward every model over the schedule and report the metric table.
 
-    The learned model retrains per split on the expanding train range unless
-    per-split parameters are supplied in trained_params (split index -> params).
-    Traditional models re-solve every cfg.rebalance steps on trailing stats,
-    each warm-started from its previous report, and share each split's
-    _SplitMoments; models run in turn, so the first listed one's error is raised.
-    No decision depends on the replayed path, so each split is decided whole
-    and then replayed by run_strategy. A model that loses 100% on a step is
-    ruined: the rest of its split is stitched on as a flat curve at value 0,
-    with zero weights, leverage and turnover, and every later split is that
-    flat curve, not traded.
+    Feature history (test starts increase, so split 0's) and every horizon are
+    checked before any model runs. The learned model retrains per split on the
+    expanding train range unless per-split parameters are supplied in
+    trained_params (split index -> params). Traditional models re-solve every
+    cfg.rebalance steps on trailing stats, each warm-started from its previous
+    report, and share each split's _SplitMoments; models run in turn, so the
+    first listed one's error is raised. No decision depends on the replayed
+    path, so each split is decided whole and then replayed by run_strategy. A
+    model that loses 100% on a step is ruined: the rest of its split is stitched
+    on as a flat curve at value 0, with zero weights, leverage and turnover, and
+    every later split is that flat curve, not traded.
     """
     from .allocators import method_names
     from .features import min_valid_index
@@ -385,11 +387,12 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     train_cfg = train_cfg or TrainConfig()
     rf = bundle.rf
     m = rf.num_assets
-    # test starts increase, so only the first split can lack feature history
     lo, first = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags), schedule.splits[0]
     if first.test_start - 1 < lo:
         raise DataError(f"split 0 starts testing at index {first.test_start}, before "
                         f"the first index with full feature history ({lo + 1})")
+    for steps in cfg.horizons.values():
+        _check_horizon(steps, schedule.splits[-1].test_end - first.test_start)
     records, chain = {}, {}
     reports = []
     for model in models:

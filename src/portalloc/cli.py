@@ -303,15 +303,20 @@ def cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
+def _require_levels(cfg: RunConfig, methods: list[str]) -> None:
+    """A UsageError for the first of methods whose constraint level is unset."""
+    for method in methods:
+        key = {"markowitz": "r_min", "maxreturn": "sigma_max"}.get(method)
+        if key and not getattr(cfg, key):
+            raise UsageError(f"missing --{key.replace('_', '-')} (required by method {method!r})")
+
+
 def cmd_allocate(cfg: RunConfig) -> int:
     if not cfg.method:
         raise UsageError(f"missing --method; valid: {', '.join(method_names())}")
     if cfg.method not in method_names():
         raise UsageError(f"unknown method {cfg.method!r}; valid: {', '.join(method_names())}")
-    if cfg.method == "markowitz" and not cfg.r_min:
-        raise UsageError("missing --r-min (required by method 'markowitz')")
-    if cfg.method == "maxreturn" and not cfg.sigma_max:
-        raise UsageError("missing --sigma-max (required by method 'maxreturn')")
+    _require_levels(cfg, [cfg.method])
     if not cfg.prices:
         raise UsageError("missing --prices")
     rf = compute_returns(load_price_csv(cfg.prices))
@@ -361,6 +366,7 @@ def _load_checkpoints(cfg: RunConfig, count: int) -> dict[int, object] | None:
 
 
 def _run_comparison(cfg: RunConfig, models: list[str], command: str) -> int:
+    _require_levels(cfg, models)
     bundle = _bundle(cfg, "drl" in models)
     schedule = _schedule(cfg, bundle)
     trained = _load_checkpoints(cfg, len(schedule.splits)) if "drl" in models else None

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -239,7 +241,7 @@ class TestTensorContainer:
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
         ad.save_tensors(p1, tensors)
         ad.save_tensors(p2, tensors)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestCorruptCheckpoint:
@@ -249,10 +251,10 @@ class TestCorruptCheckpoint:
         return path
 
     def rewrite(self, path, edit) -> str:
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         edit(lines)
         bad = path + ".bad"
-        open(bad, "w").write("\n".join(lines) + "\n")
+        Path(bad).write_text("\n".join(lines) + "\n")
         return bad
 
     def test_non_integer_dims(self, tmp_path):

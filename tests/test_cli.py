@@ -1,10 +1,14 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from portalloc.cli import main
+from portalloc.backtest import CompareConfig
+from portalloc.cli import RunConfig, main
 from portalloc.market_data import PriceFrame, load_price_csv, write_price_csv
+from portalloc.policy import NetworkArch
+from portalloc.trainer import TrainConfig
 
 
 def read(path):
@@ -935,3 +939,73 @@ def test_allocate_reports_overflowing_moments(tmp_path, capsys):
                  "--outdir", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"data error: {OVERFLOWING_MOMENTS}\n"
+
+
+def compare_argv(tmp_path, command, models):
+    """A compare or backtest of models on synth_args' panel (420 returns,
+    testing from row 280) with FAST's settings."""
+    src = tmp_path / "data"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    chosen = ["--models", ",".join(models)] if command == "compare" else ["--method", models[0]]
+    return ([command, "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
+             "--initial-train-end", str(frame.dates[280])] + chosen + FAST)
+
+
+@pytest.mark.parametrize("command", ["compare", "backtest"])
+@pytest.mark.parametrize("method, flag", [("markowitz", "--r-min"), ("maxreturn", "--sigma-max")])
+def test_missing_constraint_level_exits_1_before_any_model_runs(tmp_path, capsys, monkeypatch,
+                                                                command, method, flag):
+    """compare and backtest reject a missing level as allocate does, before
+    any replay: equal weight, listed first in the compare, never runs."""
+    from portalloc import backtest
+
+    replays = []
+    monkeypatch.setattr(backtest, "run_strategy", lambda *args, **kwargs: replays.append(args))
+    models = ["equalweight", method] if command == "compare" else [method]
+    argv = compare_argv(tmp_path, command, models)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: missing {flag} (required by method '{method}')\n")
+    assert replays == []
+
+
+def test_horizon_beyond_the_test_region_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    """The stitched curve covers the 140 test steps from row 280 to 420: a
+    141-step horizon fails before drl trains on either split."""
+    from portalloc import trainer
+
+    trained, train = [], trainer.train
+
+    def counted(*args):
+        trained.append(args)
+        return train(*args)
+
+    monkeypatch.setattr(trainer, "train", counted)
+    argv = compare_argv(tmp_path, "compare", ["drl", "equalweight"])
+    capsys.readouterr()
+    assert main(argv + ["--horizons", "all:140,over:141"]) == 2
+    assert capsys.readouterr().err == (
+        "data error: horizon of 141 steps exceeds available history (140 steps)\n")
+    assert len(trained) == 0
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
+def test_horizon_of_the_whole_test_region_is_reported(tmp_path):
+    argv = compare_argv(tmp_path, "compare", ["equalweight"])
+    assert main(argv + ["--horizons", "all:140"]) == 0
+    rows = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
+    full, whole = (row.split(",", 2)[2] for row in rows[1:])
+    assert rows[2].startswith("equalweight,all,") and whole == full
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """RunConfig restates each library default as a flag default. Only the
+    horizons differ, on purpose: the CLI reports trailing 2- and 5-year
+    horizons, while a library comparison reports none unless asked."""
+    cfg = RunConfig()
+    assert cfg.train_cfg() == TrainConfig()
+    assert cfg.arch() == NetworkArch()
+    assert replace(cfg, horizons="").compare_cfg() == CompareConfig()
+    assert cfg.compare_cfg().horizons == {"2y": 504, "5y": 1260}

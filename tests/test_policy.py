@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,7 @@ class TestCheckpoint:
         params = init_network(ARCH, 2, 7, 3, 7, seed=0)
         path = str(tmp_path / "ckpt.txt")
         save_params(params, path)
-        text = open(path).read().replace('"assets":2', '"assets":3')
+        text = Path(path).read_text().replace('"assets":2', '"assets":3')
         (tmp_path / "bad.txt").write_text(text)
         with pytest.raises(DataError, match="checkpoint tensor"):
             load_params(str(tmp_path / "bad.txt"))
@@ -237,7 +239,7 @@ class TestCheckpointProperties:
                                   t.data.view(np.uint64)), name
         again = path + ".again"
         save_params(loaded, again)
-        assert open(again, "rb").read() == open(path, "rb").read()
+        assert Path(again).read_bytes() == Path(path).read_bytes()
 
     @PROPERTY
     @given(data=st.data())
