@@ -306,6 +306,48 @@ class TestCompareCommand:
         assert svg.startswith("<svg") and "polyline" in svg
         assert (out / "weights_equalweight.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("command", ["compare", "backtest"])
+    @pytest.mark.parametrize("method, flag", [("markowitz", "--r-min"),
+                                              ("maxreturn", "--sigma-max")])
+    def test_missing_constraint_level_exits_1_before_any_model_runs(
+            self, tmp_path, capsys, monkeypatch, command, method, flag):
+        """compare and backtest reject a missing level as allocate does, before
+        any replay: equal weight, listed first in the compare, never runs."""
+        from portalloc import backtest
+
+        replays = []
+        monkeypatch.setattr(backtest, "run_strategy", lambda *args, **kwargs: replays.append(args))
+        prices, train_end = self.setup_data(tmp_path)
+        models = f"equalweight,{method}" if command == "compare" else method
+        argv = [command] + self.compare_args(prices, tmp_path / "o", train_end, models)[1:]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: missing {flag} (required by method '{method}')\n")
+        assert replays == []
+
+    def test_horizon_beyond_the_test_region_exits_2_before_training(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        """The stitched curve covers the 140 test steps from row 280 to 420: a
+        140-step horizon passes and a 141-step one fails before drl trains."""
+        from portalloc import trainer
+
+        trained, train = [], trainer.train
+
+        def counted(*args):
+            trained.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        prices, train_end = self.setup_data(tmp_path)
+        argv = self.compare_args(prices, tmp_path / "o", train_end, models="drl,equalweight")
+        capsys.readouterr()
+        assert main(argv + ["--horizons", "all:140,over:141"]) == 2
+        assert capsys.readouterr().err == (
+            "data error: horizon of 141 steps exceeds available history (140 steps)\n")
+        assert len(trained) == 0
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
 
 class TestBacktestCommand:
     def test_single_model(self, tmp_path):
@@ -939,65 +981,6 @@ def test_allocate_reports_overflowing_moments(tmp_path, capsys):
                  "--outdir", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"data error: {OVERFLOWING_MOMENTS}\n"
-
-
-def compare_argv(tmp_path, command, models):
-    """A compare or backtest of models on synth_args' panel (420 returns,
-    testing from row 280) with FAST's settings."""
-    src = tmp_path / "data"
-    main(synth_args(src))
-    frame = load_price_csv(str(src / "prices.csv"))
-    chosen = ["--models", ",".join(models)] if command == "compare" else ["--method", models[0]]
-    return ([command, "--prices", str(src / "prices.csv"), "--outdir", str(tmp_path / "o"),
-             "--initial-train-end", str(frame.dates[280])] + chosen + FAST)
-
-
-@pytest.mark.parametrize("command", ["compare", "backtest"])
-@pytest.mark.parametrize("method, flag", [("markowitz", "--r-min"), ("maxreturn", "--sigma-max")])
-def test_missing_constraint_level_exits_1_before_any_model_runs(tmp_path, capsys, monkeypatch,
-                                                                command, method, flag):
-    """compare and backtest reject a missing level as allocate does, before
-    any replay: equal weight, listed first in the compare, never runs."""
-    from portalloc import backtest
-
-    replays = []
-    monkeypatch.setattr(backtest, "run_strategy", lambda *args, **kwargs: replays.append(args))
-    models = ["equalweight", method] if command == "compare" else [method]
-    argv = compare_argv(tmp_path, command, models)
-    capsys.readouterr()
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        f"usage error: missing {flag} (required by method '{method}')\n")
-    assert replays == []
-
-
-def test_horizon_beyond_the_test_region_exits_2_before_training(tmp_path, capsys, monkeypatch):
-    """The stitched curve covers the 140 test steps from row 280 to 420: a
-    141-step horizon fails before drl trains on either split."""
-    from portalloc import trainer
-
-    trained, train = [], trainer.train
-
-    def counted(*args):
-        trained.append(args)
-        return train(*args)
-
-    monkeypatch.setattr(trainer, "train", counted)
-    argv = compare_argv(tmp_path, "compare", ["drl", "equalweight"])
-    capsys.readouterr()
-    assert main(argv + ["--horizons", "all:140,over:141"]) == 2
-    assert capsys.readouterr().err == (
-        "data error: horizon of 141 steps exceeds available history (140 steps)\n")
-    assert len(trained) == 0
-    assert not (tmp_path / "o" / "metrics.csv").exists()
-
-
-def test_horizon_of_the_whole_test_region_is_reported(tmp_path):
-    argv = compare_argv(tmp_path, "compare", ["equalweight"])
-    assert main(argv + ["--horizons", "all:140"]) == 0
-    rows = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
-    full, whole = (row.split(",", 2)[2] for row in rows[1:])
-    assert rows[2].startswith("equalweight,all,") and whole == full
 
 
 def test_cli_defaults_are_the_library_defaults():
