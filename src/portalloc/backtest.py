@@ -231,8 +231,6 @@ def stitch_curves(segments: list[EquityCurve]) -> EquityCurve:
     one curve. Only values compound: each segment's are scaled to continue from
     the running end value (by 0 if it starts at value 0, after ruin). Dates
     after the first segment's, weights, leverage and turnover concatenate."""
-    if not segments:
-        raise DataError("no segments to stitch")
     values, end = [segments[0].values], segments[0].values[-1]
     for seg in segments[1:]:
         scale = end / seg.values[0] if seg.values[0] else 0.0
@@ -463,12 +461,9 @@ def report_table_text(reports: list[PerformanceReport]) -> str:
 
 def curves_csv(reports: list[PerformanceReport]) -> str:
     """Wide CSV of stitched out-of-sample curves: date, then one value column
-    per model. All stitched curves share the same date axis."""
-    base = reports[0].curve.dates
-    for rep in reports[1:]:
-        if not np.array_equal(rep.curve.dates, base):
-            raise DataError("model curves have mismatched date axes")
-    return dated_csv(base, [r.model for r in reports],
+    per model. compare_models stitches every model over the same splits, a
+    ruined one padded to the end of its split, so all share one date axis."""
+    return dated_csv(reports[0].curve.dates, [r.model for r in reports],
                      np.column_stack([r.curve.values for r in reports]))
 
 

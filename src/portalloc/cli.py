@@ -24,7 +24,7 @@ from .backtest import (CompareConfig, DataBundle, compare_models, curves_csv,
                        weights_csv)
 from .errors import DataError, NumericError, PortallocError
 from .features import LagSet, build_context_series, context_rows, load_context_csv
-from .market_data import (MAX_ARRAY_SIZE, RegimeSpec, ReturnFrame, SyntheticSpec,
+from .market_data import (MAX_ARRAY_SIZE, PriceFrame, RegimeSpec, ReturnFrame, SyntheticSpec,
                           atomic_write_text, compute_returns, generate_synthetic,
                           load_price_csv, read_dated_csv, rolling_volatility, write_price_csv)
 from .policy import NetworkArch, load_params, save_params
@@ -194,16 +194,20 @@ def _build_parser(command: str | None = None) -> _Parser:
 def _load_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"unreadable config file ({exc}): {path}") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise DataError(f"bad config line {i}: {line!r}")
-            values[key.strip()] = value.strip()
+    for i, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise DataError(f"bad config line {i}: {line!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -247,16 +251,19 @@ def write_manifest(cfg: RunConfig, command: str) -> None:
     atomic_write_text(os.path.join(cfg.outdir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
+def _prices(cfg: RunConfig) -> PriceFrame:
+    if not cfg.prices:
+        raise UsageError("missing --prices")
+    return load_price_csv(cfg.prices)
+
+
 def _bundle(cfg: RunConfig, features: bool = True) -> DataBundle:
     """The returns, plus the volatilities and context series that the
     learned model's observations read (features). Without features the
     volatility frame covers no assets and the context is None: the window
     and an external context are still checked, by the same functions, and
     min_valid_index still reads the volatility dates."""
-    if not cfg.prices:
-        raise UsageError("missing --prices")
-    pf = load_price_csv(cfg.prices)
-    rf = compute_returns(pf)
+    rf = compute_returns(_prices(cfg))
     vf = rolling_volatility(rf if features else ReturnFrame(rf.dates, (), rf.returns[:, :0]),
                             cfg.vol_window)
     extra = load_context_csv(cfg.context) if cfg.context else None
@@ -278,9 +285,7 @@ def _schedule(cfg: RunConfig, bundle: DataBundle):
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    if not cfg.prices:
-        raise UsageError("missing --prices")
-    frame = load_price_csv(cfg.prices)
+    frame = _prices(cfg)
     write_price_csv(frame, os.path.join(cfg.outdir, "prices.csv"))
     write_manifest(cfg, "ingest")
     print(f"ingested {len(frame.dates)} rows x {frame.num_assets} assets -> "
@@ -317,9 +322,7 @@ def cmd_allocate(cfg: RunConfig) -> int:
     if cfg.method not in method_names():
         raise UsageError(f"unknown method {cfg.method!r}; valid: {', '.join(method_names())}")
     _require_levels(cfg, [cfg.method])
-    if not cfg.prices:
-        raise UsageError("missing --prices")
-    rf = compute_returns(load_price_csv(cfg.prices))
+    rf = compute_returns(_prices(cfg))
     stats = estimate_stats(rf, cfg.est_window or None)
     report = solve(cfg.method, stats, r_min=cfg.level("r_min"),
                    sigma_max=cfg.level("sigma_max"))
@@ -458,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file the command reads or writes; a failed rename names its target
+        print(f"data error: {exc.strerror}: {exc.filename2 or exc.filename}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -29,8 +29,6 @@ class LagSet:
             raise DataError("lag set must start at 0")
         if any(b <= a for a, b in zip(lags, lags[1:])):
             raise DataError("lags must be strictly increasing")
-        if any(x < 0 for x in lags):
-            raise DataError("lags must be non-negative")
 
     def __len__(self) -> int:
         return len(self.lags)
@@ -45,14 +43,11 @@ class LagSet:
 
 @dataclass(frozen=True)
 class ContextFrame:
+    """values (dates, names): read_dated_csv and build_context_series build that shape."""
+
     dates: np.ndarray
     names: tuple[str, ...]
     values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if self.values.shape != (len(self.dates), len(self.names)):
-            raise DataError("context matrix shape does not match dates/names")
 
 
 @dataclass(frozen=True)
@@ -61,26 +56,14 @@ class Observation:
     context_matrix (series, context lags); lag axes run oldest -> newest.
 
     A stack of observations carries one leading step axis on both arrays;
-    indexing it selects steps.
+    indexing it selects steps. Only build_observations, run_episode and indexing
+    build one, so its shapes hold, its cells are finite and its vols >= 0.
     """
 
     asset_tensor: np.ndarray
     context_matrix: np.ndarray
 
-    def __post_init__(self):
-        a, c = self.asset_tensor, self.context_matrix
-        if a.ndim not in (3, 4) or a.shape[-3] != 2:
-            raise DataError("asset tensor must have shape (2, assets, lags)")
-        if c.ndim != a.ndim - 1 or c.shape[:-2] != a.shape[:-3]:
-            raise DataError("context matrix must be 2-D per step")
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(c)):
-            raise DataError("observation contains non-finite cells")
-        if np.any(a[..., 1, :, :] < 0):
-            raise DataError("volatility channel must be non-negative")
-
     def __getitem__(self, index) -> "Observation":
-        if self.asset_tensor.ndim == 3:
-            raise TypeError("a single observation has no step axis")
         return Observation(self.asset_tensor[index], self.context_matrix[index])
 
 
@@ -131,13 +114,11 @@ def build_observations(rf: ReturnFrame, vf: VolFrame, ctx: ContextFrame,
     asset_tensor[i, 0, k, j] is asset k's return at t_start + i - lag_j and
     asset_tensor[i, 1, k, j] the trailing volatility at the same offset, with
     lag axis j ordered oldest -> newest (lag 0, "now", is the last column).
+    ctx is build_context_series(rf, vf) and t_end <= len(rf.dates), as its
+    callers, make_window and the backtest's policy decisions, guarantee.
     """
     vol_offset = len(rf.dates) - len(vf.dates)
     ctx_offset = len(rf.dates) - len(ctx.dates)
-    if ctx_offset < 0 or not np.array_equal(ctx.dates, rf.dates[ctx_offset:]):
-        raise DataError("context frame dates do not align with the return frame")
-    if t_end > len(rf.dates):
-        raise DataError(f"index {t_end - 1} beyond end of data")
     needed = max(lags.max_lag + vol_offset, ctx_lags.max_lag + ctx_offset)
     if t_start < needed:
         raise DataError(f"insufficient history for lags at index {t_start}: need index >= {needed}")

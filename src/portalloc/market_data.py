@@ -177,18 +177,12 @@ class PriceFrame:
 
 @dataclass(frozen=True)
 class ReturnFrame:
-    """Per-period arithmetic returns; row t is the return from date t-1 to t."""
+    """Per-period arithmetic returns; row t is the return from date t-1 to t.
+    compute_returns rejects by name each return that is infinite or <= -100%."""
 
     dates: np.ndarray
     assets: tuple[str, ...]
     returns: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "assets", tuple(self.assets))
-        if self.returns.shape != (len(self.dates), len(self.assets)):
-            raise DataError("return matrix shape does not match dates/assets")
-        if np.any(self.returns <= -1.0):
-            raise DataError("return <= -100% implies a non-positive price")
 
     @property
     def num_assets(self) -> int:
@@ -201,16 +195,11 @@ class VolFrame:
 
     Row t holds the population standard deviation of the window of returns
     ending at the matching ReturnFrame row; only full windows are kept.
+    rolling_volatility, its only constructor, makes every one finite and >= 0.
     """
 
     dates: np.ndarray
     vols: np.ndarray
-
-    def __post_init__(self):
-        if self.vols.ndim != 2 or len(self.vols) != len(self.dates):
-            raise DataError("vol matrix shape does not match dates")
-        if np.any(self.vols < 0):
-            raise DataError("negative volatility")
 
 
 @dataclass(frozen=True)
@@ -291,14 +280,20 @@ def rolling_volatility(rf: ReturnFrame, window: int) -> VolFrame:
     """Trailing population standard deviation (divisor = window) of returns.
 
     The value at output row t covers the `window` returns ending at input
-    row t + window - 1; rows without a full window are dropped.
+    row t + window - 1; rows without a full window are dropped. A window
+    whose volatility overflows is rejected, naming its asset and end date.
     """
     if window < 2:
         raise DataError(f"volatility window must be >= 2, got {window}")
     if len(rf.dates) < window:
         raise DataError(f"insufficient rows: need >= {window}, got {len(rf.dates)}")
     sliding = np.lib.stride_tricks.sliding_window_view(rf.returns, window, axis=0)
-    vols = sliding.std(axis=2, ddof=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vols = sliding.std(axis=2, ddof=0)
+    if not np.isfinite(vols).all():
+        row, col = np.argwhere(~np.isfinite(vols))[0]
+        raise DataError(f"volatility of asset {rf.assets[col]} over the window ending "
+                        f"{rf.dates[row + window - 1]} overflows")
     return VolFrame(rf.dates[window - 1:], vols)
 
 

@@ -53,9 +53,6 @@ class CovarianceStats:
     eig: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        l = len(self.mu)
-        if self.sigma_mat.shape != (l, l) or self.corr.shape != (l, l) or len(self.vols) != l:
-            raise DataError("inconsistent moment shapes")
         eig, (failure,) = _check(self.sigma_mat[None], self.corr[None], self.vols[None])
         if failure:
             raise DataError(failure)

@@ -124,8 +124,6 @@ def run_episode(params: PolicyParameters, window: TradingWindow, noise_std: floa
     realized returns.
     """
     steps = len(window)
-    if steps < 1:
-        raise DataError("window too short for an episode")
     asset, ctx = window.observations.asset_tensor, window.observations.context_matrix
     is_policy = np.ones(steps, dtype=bool)
     weights = np.empty((steps, params.m))

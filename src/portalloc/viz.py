@@ -98,8 +98,6 @@ def _x_tick_labels(dates: np.ndarray) -> list[str]:
 
 def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray]) -> str:
     """Polyline per named series over a shared date axis."""
-    if not series:
-        raise DataError("no series to plot")
     lo = min(float(np.min(v)) for v in series.values())
     hi = max(float(np.max(v)) for v in series.values())
     parts = _frame("equity curves", lo, hi, _x_tick_labels(dates))
@@ -122,8 +120,6 @@ def line_chart_svg(dates: np.ndarray, series: dict[str, np.ndarray]) -> str:
 def stacked_area_svg(dates: np.ndarray, names: list[str], matrix: np.ndarray) -> str:
     """Stacked area chart of (possibly leverage-scaled) weight columns."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape != (len(dates), len(names)):
-        raise DataError("weight matrix shape does not match dates/names")
     with np.errstate(over="ignore"):
         cum = np.cumsum(np.clip(matrix, 0.0, None), axis=1)
     hi = float(cum[:, -1].max()) if cum.size else 1.0

@@ -168,9 +168,6 @@ def covariance_stats_failure(mu, sigma_mat, corr, vols) -> str | None:
     """The message of the first check of CovarianceStats that these moments
     fail, None if they pass: the checks in their order, each closeness test
     by np.allclose itself."""
-    l = len(mu)
-    if sigma_mat.shape != (l, l) or corr.shape != (l, l) or len(vols) != l:
-        return "inconsistent moment shapes"
     if not np.allclose(sigma_mat, sigma_mat.T, rtol=0, atol=1e-12):
         return "covariance matrix is not symmetric"
     eig = np.linalg.eigvalsh(sigma_mat)

@@ -396,6 +396,8 @@ class TestDispatchAndReports:
     def test_markowitz_requires_r_min(self, rng):
         with pytest.raises(DataError, match="requires r_min"):
             solve("markowitz", random_stats(rng, 2))
+        with pytest.raises(DataError, match="requires sigma_max"):
+            solve("maxreturn", random_stats(rng, 2))
 
     def test_every_solver_emits_feasible_weights(self, rng):
         for _ in range(8):

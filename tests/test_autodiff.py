@@ -109,6 +109,10 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             backward(tape, out)
 
+    def test_item_of_a_non_scalar_rejected(self):
+        with pytest.raises(ValueError, match=r"item\(\) on non-scalar tensor of shape \(3,\)"):
+            Tensor(np.zeros(3)).item()
+
     def test_backward_before_forward_rejected(self):
         with pytest.raises(ValueError, match="backward before forward"):
             backward(Tape(), Tensor(np.array(1.0)))

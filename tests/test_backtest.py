@@ -241,6 +241,12 @@ class TestMetrics:
             if s is not None and abs(annualized_return(curve)) > 1e-12:
                 assert np.sign(s) == np.sign(annualized_return(curve))
 
+    def test_zero_step_curve(self):
+        curve = curve_from_values([1.0])
+        with pytest.raises(DataError, match="curve too short for metrics"):
+            annualized_return(curve)
+        assert sortino(curve) is None and sharpe(curve) is None
+
     def test_no_down_days_sortino_undefined(self):
         curve = curve_from_values(np.geomspace(1.0, 1.2, 30))
         assert sortino(curve) is None
@@ -787,6 +793,19 @@ def test_run_strategy_rejects_nan_decisions_and_cost():
         run_strategy(lambda t: (np.array([nan, 0.5]), 1.0), rf, 0, 3, 0.0)
     with pytest.raises(DataError, match="cost_rate"):
         run_strategy(lambda t: (np.array([0.5, 0.5]), 1.0), rf, 0, 3, nan)
+
+
+def test_run_strategy_rejects_a_range_it_cannot_replay():
+    rf = compute_returns(make_price_frame(np.full((5, 2), 100.0)))  # 4 return rows
+
+    def decide(t):
+        return np.array([0.5, 0.5]), 1.0
+
+    with pytest.raises(DataError, match="t_end leaves no realized next-step return"):
+        run_strategy(decide, rf, 0, 4, 0.0)
+    for t_start, t_end in [(2, 2), (-1, 3)]:
+        with pytest.raises(DataError, match="empty or invalid strategy range"):
+            run_strategy(decide, rf, t_start, t_end, 0.0)
 
 
 def test_run_strategy_rejects_infinite_decisions_before_the_step():

@@ -7,7 +7,7 @@ import pytest
 from portalloc.backtest import CompareConfig
 from portalloc.cli import RunConfig, main
 from portalloc.market_data import PriceFrame, load_price_csv, write_price_csv
-from portalloc.policy import NetworkArch
+from portalloc.policy import NetworkArch, load_params
 from portalloc.trainer import TrainConfig
 
 
@@ -38,6 +38,25 @@ def test_synth_rerun_byte_identical(tmp_path):
     assert main(synth_args(a)) == 0
     assert main(synth_args(b)) == 0
     assert read(a / "prices.csv") == read(b / "prices.csv")
+
+
+def test_trailing_regime_separator_is_ignored(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    regimes = "0.0004,0.0002|0.01,0.012|0.3|250"
+    assert main(synth_args(a, regimes=regimes)) == 0
+    assert main(synth_args(b, regimes=regimes + ";")) == 0
+    assert read(a / "prices.csv") == read(b / "prices.csv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ingest"], "missing --prices"),
+    (["allocate", "--method", "minvariance"], "missing --prices"),
+    (["compare", "--models", "equalweight"], "missing --prices"),
+    (["backtest"], "missing --method (one model to backtest)"),
+])
+def test_missing_required_flag_exits_1_naming_it(tmp_path, capsys, argv, message):
+    assert main(argv + ["--outdir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_ingest_round_trip(tmp_path):
@@ -172,6 +191,17 @@ class TestTrainCommand:
         argv = train_args(str(src / "prices.csv"), tmp_path / "o", str(frame.dates[280]))
         assert main(argv + [setting]) == 2
         assert setting[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+
+    def test_no_policy_step_leaves_every_bias_at_zero(self, tmp_path):
+        src = tmp_path / "data"
+        main(synth_args(src))
+        frame = load_price_csv(str(src / "prices.csv"))
+        out = tmp_path / "o"
+        argv = train_args(str(src / "prices.csv"), out, str(frame.dates[280]))
+        assert main(argv + ["--policy-prob", "0"]) == 0
+        params = load_params(str(out / "checkpoint_w00.txt"))
+        biases = [t.data for name, t in params.tensors.items() if name.endswith("_b")]
+        assert biases and all(not b.any() for b in biases)
 
 
 class TestCompareCommand:
@@ -401,6 +431,21 @@ class TestContextWiring:
         assert code == 0
         assert (out / "metrics.csv").exists()
 
+    def test_checkpoint_without_the_context_series_exits_2(self, tmp_path, capsys):
+        src, ckpt = tmp_path / "data", tmp_path / "ckpt"
+        main(synth_args(src))
+        frame = load_price_csv(str(src / "prices.csv"))
+        ctx_path = tmp_path / "context.csv"
+        ctx_path.write_text("date,x\n" + "".join(f"{d},{i % 5}\n" for i, d in enumerate(frame.dates)))
+        assert main(train_args(str(src / "prices.csv"), ckpt, str(frame.dates[280]))) == 0
+        capsys.readouterr()
+        code = main(["compare", "--prices", str(src / "prices.csv"), "--context", str(ctx_path),
+                     "--outdir", str(tmp_path / "o"), "--initial-train-end",
+                     str(frame.dates[280]), "--models", "drl", "--checkpoints", str(ckpt)] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err == ("data error: context matrix shape (4, 3) does not "
+                                           "match network (3, 3)\n")
+
     def test_misaligned_context_exits_2(self, tmp_path, capsys):
         src = tmp_path / "data"
         main(synth_args(src))
@@ -467,6 +512,29 @@ class TestConfigFile:
         config.write_text("nonsense = 1\n")
         assert main(["synth", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file not found: CONFIG"),
+        ("seed = 1\noops\n", "bad config line 2: 'oops'"),
+    ])
+    def test_bad_config_file_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        if text is not None:
+            config.write_text(text)
+        assert main(["synth", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"data error: {message.replace('CONFIG', str(config))}\n"
+
+    def test_svg_key_writes_the_charts(self, tmp_path):
+        src, out = tmp_path / "data", tmp_path / "o"
+        main(synth_args(src))
+        frame = load_price_csv(str(src / "prices.csv"))
+        config = tmp_path / "run.cfg"
+        config.write_text("svg = yes\n")
+        assert main(["compare", "--config", str(config), "--prices", str(src / "prices.csv"),
+                     "--outdir", str(out), "--initial-train-end", str(frame.dates[280]),
+                     "--models", "equalweight"] + FAST) == 0
+        assert (out / "curves.svg").exists() and (out / "weights_equalweight.svg").exists()
+        assert "svg = True" in (out / "manifest.txt").read_text()
+
 
 @pytest.mark.parametrize("flags, code, needle", [
     (["synth", "--seed", "abc"], 1, "seed"),
@@ -475,6 +543,13 @@ class TestConfigFile:
     (["compare", "--models", "equalweight", "--horizons", "2y:abc"], 1, "horizons"),
     (["plot", "--curves", "BAD_CSV"], 2, "malformed row"),
     (["allocate", "--method", "markowitz", "--r-min", "nan"], 2, "r_min"),
+    (["allocate", "--method", "maxreturn", "--sigma-max", "-1"], 2,
+     "sigma_max must be >= 0, got -1.0"),
+    (["compare", "--models", "equalweight", "--horizons", "foo"], 1,
+     "bad horizon 'foo'; expected label:steps"),
+    (["synth", "--regimes", "0.1|0.2"], 1, "bad regime '0.1|0.2'; expected means|vols|corr|duration"),
+    (["synth", "--regimes", ""], 1, "no regimes given"),
+    (["train", "--asset-conv", "0:3"], 2, "conv filters and kernels must be >= 1"),
 ])
 def test_malformed_values_are_typed_errors(tmp_path, capsys, flags, code, needle):
     src = tmp_path / "data"
@@ -512,6 +587,8 @@ def test_repeated_or_empty_horizon_label_exits_1_naming_it(tmp_path, capsys, hor
 @pytest.mark.parametrize("setting", [
     "--cost-rate=-0.001", "--trad-leverage=-1", "--trad-leverage=inf",
     "--ew-leverage=-0.5", "--ew-leverage=nan", "--rebalance=0", "--horizons=2y:-5",
+    "--test-span=0", "--initial-train-end=1990-01-03", "--policy-prob=2",
+    "--max-iterations=0", "--patience=0",
 ])
 def test_bad_compare_settings_exit_2(tmp_path, capsys, setting):
     src = tmp_path / "data"
@@ -697,6 +774,20 @@ def test_non_finite_regimes_exit_2(tmp_path, capsys, regimes, bad):
     assert f"regime {bad}: means and volatilities must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--synth-assets", "0"], "num_assets and num_steps must be >= 1"),
+    (["--synth-assets", "3"], "regime 0: mean/vol length must equal num_assets"),
+    (["--regimes", "0,0|-0.01,0.01|0.3|250"], "regime 0: volatilities must be >= 0"),
+    (["--synth-assets", "3", "--regimes", "0,0,0|0.01,0.01,0.01|-0.6|250"],
+     "regime 0: constant correlation -0.6 is not positive semi-definite for 3 assets "
+     "(needs >= -0.5000)"),
+    (["--regimes", "0,0|5,5|0.3|250"], "synthetic returns reached -100%; reduce regime volatility"),
+])
+def test_bad_synth_spec_exits_2_naming_it(tmp_path, capsys, flags, message):
+    assert main(synth_args(tmp_path / "o") + flags) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["ingest", "synth", "allocate", "train", "backtest",
                                      "compare", "plot"])
 def test_every_subcommand_takes_every_config_flag(capsys, command):
@@ -804,6 +895,87 @@ def test_overflowing_price_step_exits_2_naming_it(tmp_path, capsys, command):
                            str(tmp_path / "o"), "--initial-train-end", str(dates[280])] + FAST)
     assert code == 2
     assert f"return of asset A on {dates[202]} is infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["compare", "--models", "drl"], ["train"]])
+def test_overflowing_volatility_exits_2_naming_it(tmp_path, capsys, command):
+    """Once a raw RuntimeWarning, then 'observation contains non-finite cells'."""
+    rng = np.random.default_rng(5)
+    prices = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((400, 3)), axis=0)
+    prices[200:, 0] *= 1e200  # a finite return whose square overflows
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(400))
+    write_price_csv(PriceFrame(dates, ("A", "B", "C"), prices), str(tmp_path / "prices.csv"))
+    code = main(command + ["--prices", str(tmp_path / "prices.csv"), "--outdir",
+                           str(tmp_path / "o"), "--initial-train-end", str(dates[280])] + FAST)
+    assert code == 2
+    assert capsys.readouterr().err == (f"data error: volatility of asset A over the window "
+                                       f"ending {dates[200]} overflows\n")
+
+
+def jump_panel(path, step_row):
+    """Two assets over 420 dates; asset A gains 2000% into row step_row."""
+    rng = np.random.default_rng(7)
+    prices = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((420, 2)), axis=0)
+    prices[step_row:, 0] *= 21.0
+    dates = np.busday_offset(np.datetime64("2000-01-03"), np.arange(420))
+    write_price_csv(PriceFrame(dates, ("A", "B"), prices), str(path))
+    return dates
+
+
+def test_one_step_windows_read_an_undefined_sharpe(tmp_path):
+    dates = jump_panel(tmp_path / "prices.csv", step_row=100)
+    out = tmp_path / "o"
+    assert main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir", str(out),
+                 "--initial-train-end", str(dates[400]), "--models", "equalweight"]
+                + FAST + ["--test-span", "1", "--horizons", "h:1"]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert rows[2].startswith("equalweight,h,") and rows[2].split(",")[4] == "undef"
+
+
+def test_metric_overflow_in_a_one_step_window_exits_3(tmp_path, capsys):
+    # a 3x-levered half in A earns 3000% on the step: 31 ** 252 overflows
+    dates = jump_panel(tmp_path / "prices.csv", step_row=410)
+    code = main(["compare", "--prices", str(tmp_path / "prices.csv"), "--outdir",
+                 str(tmp_path / "o"), "--initial-train-end", str(dates[400]), "--models",
+                 "equalweight", "--ew-leverage", "3"] + FAST + ["--test-span", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "numeric failure: a performance metric overflowed\n"
+
+
+@pytest.mark.parametrize("case", ["config is a directory", "config is not UTF-8",
+                                  "checkpoint is a directory", "outdir under a file",
+                                  "output name is a directory"])
+def test_unreadable_input_or_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, case):
+    src, out = tmp_path / "data", tmp_path / "o"
+    main(synth_args(src))
+    frame = load_price_csv(str(src / "prices.csv"))
+    argv = ["compare", "--prices", str(src / "prices.csv"), "--outdir", str(out),
+            "--initial-train-end", str(frame.dates[280]), "--models", "equalweight"] + FAST
+    if case == "config is a directory":
+        path = tmp_path / "run.cfg"
+        path.mkdir()
+        argv += ["--config", str(path)]
+    elif case == "config is not UTF-8":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed = \xff\n")
+        argv += ["--config", str(path)]
+    elif case == "checkpoint is a directory":
+        path = tmp_path / "ckpt" / "checkpoint_w00.txt"
+        path.mkdir(parents=True)
+        argv += ["--models", "drl", "--checkpoints", str(path.parent)]
+    elif case == "outdir under a file":
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "o"
+        argv += ["--outdir", str(path)]
+    else:
+        path = out / "metrics.csv"
+        path.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.endswith(f": {path}\n"), err
+    if case == "output name is a directory":
+        assert os.listdir(out) == ["metrics.csv"]  # the temporary file is removed
 
 
 @pytest.mark.filterwarnings("error")

@@ -60,6 +60,12 @@ class TestContextSeries:
         with pytest.raises(DataError, match="misaligned"):
             build_context_series(rf, vf, extra)
 
+    def test_misaligned_frames_rejected(self, rng):
+        rf, _, _ = bundle(rng)
+        _, other_vf, _ = bundle(rng, steps=60)
+        with pytest.raises(DataError, match="misaligned dates between return and volatility"):
+            build_context_series(rf, other_vf)
+
     def test_load_context_csv(self, tmp_path):
         path = tmp_path / "ctx.csv"
         path.write_text("date,riskaversion\n2020-01-02,0.5\n2020-01-03,-0.25\n")

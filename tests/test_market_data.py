@@ -139,6 +139,16 @@ class TestRollingVolatility:
         expected = rf.returns[3:10, 0].std(ddof=0)
         np.testing.assert_allclose(vf.vols[3, 0], expected, rtol=1e-12)
 
+    def test_overflowing_volatility_names_its_asset_and_window(self):
+        # every return is finite, but the square of the 1e200 one is not
+        prices = np.full((12, 2), 100.0)
+        prices[6:, 1] *= 1e200
+        rf = compute_returns(make_price_frame(prices, assets=("A", "B")))
+        with pytest.raises(DataError) as info:
+            rolling_volatility(rf, 3)
+        assert str(info.value) == (f"volatility of asset B over the window ending "
+                                   f"{rf.dates[5]} overflows")
+
     def test_shift_equivariance(self, rng):
         prices = 100 * np.cumprod(1 + 0.01 * rng.standard_normal((50, 2)), axis=0)
         full = rolling_volatility(compute_returns(make_price_frame(prices)), 5)
@@ -180,6 +190,8 @@ class TestSyntheticGenerator:
             SyntheticSpec(1, 5, (RegimeSpec(np.array([0.0]), np.array([0.01]), 0.0, 0),))
         with pytest.raises(DataError, match="correlation"):
             SyntheticSpec(2, 5, (RegimeSpec(np.zeros(2), np.full(2, 0.01), 1.5, 5),))
+        with pytest.raises(DataError, match="at least one regime is required"):
+            SyntheticSpec(1, 5)
 
     def test_prices_positive_and_start_at_100(self):
         frame = generate_synthetic(self.two_regime_spec(steps=500))
@@ -193,3 +205,5 @@ def test_frame_invariants_rejected():
         PriceFrame(dates[[0, 0, 1]], ("A",), np.full((3, 1), 10.0))
     with pytest.raises(DataError):
         PriceFrame(dates, ("A",), np.array([[1.0], [-2.0], [3.0]]))
+    with pytest.raises(DataError, match="price matrix shape does not match dates/assets"):
+        PriceFrame(dates, ("A", "B"), np.full((3, 1), 10.0))

@@ -59,6 +59,13 @@ def test_degenerate_asset_rejected():
         estimate_stats(frame_from_returns(rets, assets=("FLAT", "OK")))
 
 
+def test_stats_from_covariance_rejects_bad_moments():
+    with pytest.raises(DataError, match="inconsistent moment shapes"):
+        stats_from_covariance(np.zeros(2), np.eye(3))
+    with pytest.raises(DataError, match="degenerate asset at index 1: zero variance"):
+        stats_from_covariance(np.zeros(2), np.diag([1.0, 0.0]))
+
+
 def test_permutation_equivariance(rng):
     rets = 0.01 * rng.standard_normal((50, 4))
     perm = [2, 0, 3, 1]

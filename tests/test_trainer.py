@@ -428,6 +428,13 @@ class TestMakeWindow:
         with pytest.raises(DataError, match="no decision steps"):
             window_from_returns(rets, t_start=10, t_end=10)
 
+    def test_window_outside_the_data_rejected(self, rng):
+        rets = 0.01 * rng.standard_normal((20, 2))
+        with pytest.raises(DataError, match="window start 3 precedes first valid index 4"):
+            window_from_returns(rets, t_start=3)
+        with pytest.raises(DataError, match="window end 20 leaves no realized next-step return"):
+            window_from_returns(rets, t_end=20)
+
     def test_stack_matches_per_step_observations(self, rng):
         returns = 0.01 * rng.standard_normal((40, 2))
         prices = 100.0 * np.cumprod(np.vstack([np.ones(2), 1 + returns]), axis=0)
