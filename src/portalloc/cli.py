@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -174,11 +176,12 @@ _COMMANDS = ("ingest", "synth", "allocate", "train", "backtest", "compare", "plo
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """Every subcommand, with the config flags on `command`'s alone."""
-    parser = _Parser(prog="portalloc", description=__doc__)
+    """Every subcommand, with the config flags on `command`'s alone; one help-width read."""
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="portalloc", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=formatter)
         if name != command:
             continue
         p.add_argument("--config", default=None, help="flat key = value config file")

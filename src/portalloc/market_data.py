@@ -16,6 +16,9 @@ import datetime
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import contains, iadd, itemgetter
 
 import numpy as np
 
@@ -65,14 +68,14 @@ def _read_one_way(path: str):
         header, *lines = rows = [line.removesuffix("\r\n").rstrip("\n") for line in fh]
     commas = header.count(",")
     if (not lines or not header.startswith("date,") or not all(map(str.isascii, rows))
-            or any(c in row for row in rows for c in '"\r\0\x1c\x1d\x1e\x1f')
+            or any(any(map(contains, rows, repeat(c))) for c in '"\r\0\x1c\x1d\x1e\x1f')
             or max(map(len, rows)) > csv.field_size_limit()
-            or any(line.count(",") != commas for line in lines)):
+            or set(map(str.count, lines, repeat(","))) != {commas}):
         return None
     matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                         usecols=range(1, commas + 1))
-    ordinals = np.array([datetime.date.fromisoformat(line.partition(",")[0]).toordinal()
-                         for line in lines])
+    days = map(itemgetter(0), map(str.partition, lines, repeat(",")))
+    ordinals = np.array(list(map(datetime.date.toordinal, map(datetime.date.fromisoformat, days))))
     if not (np.all(np.diff(ordinals) > 0) and np.isfinite(matrix).all()):
         return None
     return ordinals, tuple(header.split(",")[1:]), matrix
@@ -282,14 +285,22 @@ def rolling_volatility(rf: ReturnFrame, window: int) -> VolFrame:
     The value at output row t covers the `window` returns ending at input
     row t + window - 1; rows without a full window are dropped. A window
     whose volatility overflows is rejected, naming its asset and end date.
+    The window slices are summed term by term, as numpy reduces the window view
+    of a C-ordered frame of two or more assets, so the bits are numpy's. A lone
+    column, which numpy sums pairwise, or another memory order keeps the view.
     """
     if window < 2:
         raise DataError(f"volatility window must be >= 2, got {window}")
     if len(rf.dates) < window:
         raise DataError(f"insufficient rows: need >= {window}, got {len(rf.dates)}")
-    sliding = np.lib.stride_tricks.sliding_window_view(rf.returns, window, axis=0)
+    r, n = rf.returns, len(rf.dates) - window + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        vols = sliding.std(axis=2, ddof=0)
+        if r.flags.c_contiguous and r.shape[1] >= 2:
+            mean = reduce(iadd, (r[k:k + n] for k in range(1, window)), r[:n].copy()) / window
+            squares = (np.square(r[k:k + n] - mean) for k in range(window))
+            vols = np.sqrt(reduce(iadd, squares, next(squares)) / window)
+        else:
+            vols = np.lib.stride_tricks.sliding_window_view(r, window, axis=0).std(axis=2, ddof=0)
     if not np.isfinite(vols).all():
         row, col = np.argwhere(~np.isfinite(vols))[0]
         raise DataError(f"volatility of asset {rf.assets[col]} over the window ending "

@@ -687,6 +687,14 @@ def scalar_svg_points(xs, ys) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
+def rolling_std(returns: np.ndarray, window: int) -> np.ndarray:
+    """rolling_volatility's values as numpy's std of the sliding window view,
+    with overflow left in place."""
+    sliding = np.lib.stride_tricks.sliding_window_view(returns, window, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sliding.std(axis=2, ddof=0)
+
+
 def row_by_row_dated_csv(dates: np.ndarray, names, matrix: np.ndarray) -> str:
     """dated_csv formatting every row with repr, held rows included."""
     lines = ["date," + ",".join(names)]

@@ -1,3 +1,4 @@
+import argparse
 import os
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from portalloc.backtest import CompareConfig
-from portalloc.cli import RunConfig, main
+from portalloc.cli import _COMMANDS, RunConfig, _build_parser, main
 from portalloc.market_data import PriceFrame, load_price_csv, write_price_csv
 from portalloc.policy import NetworkArch, load_params
 from portalloc.trainer import TrainConfig
@@ -1164,3 +1165,19 @@ def test_cli_defaults_are_the_library_defaults():
     assert cfg.arch() == NetworkArch()
     assert replace(cfg, horizons="").compare_cfg() == CompareConfig()
     assert cfg.compare_cfg().horizons == {"2y": 504, "5y": 1260}
+
+
+def test_help_width_read_once_changes_no_help_byte(monkeypatch):
+    """The parser's help at each terminal width, top level and every
+    subcommand with its config flags, equals HelpFormatter's own."""
+    helps = {}
+    for columns in ("60", "140"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in (None,) + _COMMANDS:
+            parser = _build_parser(command)
+            if command is not None:
+                parser = parser._subparsers._group_actions[0].choices[command]
+            helps[columns, command] = parser.format_help()
+            parser.formatter_class = argparse.HelpFormatter
+            assert helps[columns, command] == parser.format_help()
+    assert helps["60", None] != helps["140", None]  # the width is read

@@ -183,6 +183,32 @@ def test_written_panel_is_parsed_without_the_row_walk(tmp_path, monkeypatch):
     assert np.array_equal(frame.prices.view(np.int64), WIDE.prices.view(np.int64))
 
 
+@pytest.mark.parametrize("text", [
+    'date,"A"\n2020-01-02,1\n',
+    "date,A\n2020-01-02,1\r\n2020-01-03,2\r\r\n",
+    "date,A\0\n2020-01-02,1\n",
+    *(f"date,A\n2020-01-02,{c}2\n" for c in "\x1c\x1d\x1e\x1f"),
+    "date,A\n2020-01-02,\u0663\n",
+    "date,A\n2020-01-02,1,2\n",
+    "date,A,B\n2020-01-02,1\n",
+    "date,A\n2020-01-02," + "0" * csv.field_size_limit() + "1\n",
+], ids=["quote", "lone-cr", "nul", "x1c", "x1d", "x1e", "x1f", "non-ascii", "comma-more",
+        "comma-fewer", "over-field-limit"])
+def test_unsafe_file_goes_to_the_row_walk(tmp_path, text):
+    """Each feature the pre-scan looks for sends its file to the row walk, which
+    reads it as the cell-by-cell reader does."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    assert market_data._read_one_way(str(path)) is None
+    got = read_or_error(read_dated_csv, str(path))
+    want = read_or_error(oracles.cell_by_cell_read_dated_csv, str(path))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+
+
 def test_crlf_panel_is_parsed_without_the_row_walk(tmp_path, monkeypatch):
     path = tmp_path / "prices.csv"
     with open(path, "w", newline="") as fh:  # csv.writer ends lines with \r\n

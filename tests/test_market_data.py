@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import make_price_frame, weekday_dates
 from portalloc.errors import DataError
-from portalloc.market_data import (PriceFrame, RegimeSpec, SyntheticSpec,
+from portalloc.market_data import (PriceFrame, RegimeSpec, ReturnFrame, SyntheticSpec,
                                    compute_returns, generate_synthetic,
                                    generate_synthetic_with_regimes,
                                    load_price_csv, rolling_volatility,
@@ -154,6 +157,39 @@ class TestRollingVolatility:
         full = rolling_volatility(compute_returns(make_price_frame(prices)), 5)
         later = rolling_volatility(compute_returns(make_price_frame(prices[10:], start="2020-01-20")), 5)
         np.testing.assert_allclose(full.vols[-len(later.vols):], later.vols, rtol=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(shape=st.integers(2, 60).flatmap(lambda rows: st.tuples(st.just(rows),
+                                                                  st.integers(2, rows))),
+           assets=st.integers(1, 30), order=st.sampled_from("CF"), scale=st.integers(-8, 200),
+           zeros=st.sampled_from([None, 0.0, -0.0]), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(40, 10), assets=2, order="C", scale=-2, zeros=None, seed=0)
+    @example(shape=(40, 20), assets=24, order="C", scale=155, zeros=0.0, seed=1)
+    @example(shape=(40, 10), assets=3, order="F", scale=-2, zeros=-0.0, seed=2)
+    @example(shape=(40, 12), assets=1, order="C", scale=-2, zeros=None, seed=3)
+    @example(shape=(40, 21), assets=5, order="C", scale=-2, zeros=None, seed=4)
+    def test_equals_the_view_reduction_bit_for_bit(self, shape, assets, order, scale, zeros,
+                                                   seed):
+        """Slices for C-ordered frames of two or more assets, the view for a lone
+        column or Fortran order: the same bits or the same error, for windows up
+        to the row count."""
+        rows, window = shape
+        rng = np.random.default_rng(seed)
+        returns = 10.0 ** scale * rng.standard_normal((rows, assets))
+        if zeros is not None:  # zero windows and ties
+            returns[rng.random(returns.shape) < 0.5] = zeros
+        rf = ReturnFrame(weekday_dates("2020-01-06", rows), tuple(f"A{i}" for i in range(assets)),
+                         np.array(returns, order=order))
+        want = oracles.rolling_std(rf.returns, window)
+        if np.isfinite(want).all():
+            got = rolling_volatility(rf, window).vols
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            return
+        row, col = np.argwhere(~np.isfinite(want))[0]
+        with pytest.raises(DataError) as info:
+            rolling_volatility(rf, window)
+        assert str(info.value) == (f"volatility of asset {rf.assets[col]} over the window "
+                                   f"ending {rf.dates[row + window - 1]} overflows")
 
 
 class TestSyntheticGenerator:
