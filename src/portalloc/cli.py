@@ -235,6 +235,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         for key, value in _load_config_file(args.config).items():
+            if key == "command" and value != args.command:
+                raise UsageError(f"config file is for command {value!r}, not {args.command!r}")
+            if key == "command" or key.startswith("version."):
+                continue  # a manifest's own lines; a replay writes its own versions
             if key not in _FIELD_TYPES:
                 raise DataError(f"unknown config key {key!r}")
             cfg = replace(cfg, **{key: _coerce(key, value)})

@@ -10,7 +10,8 @@ leverage scalar scaled to [0, max_leverage].
 The graph is fixed, so its backward is written by hand: one batched forward
 keeps every layer's input and pre-activation and returns, with its Action, a
 backward that walks the heads, the hidden layers and both convolution stacks
-in reverse, adding into the parameters' grad slots.
+in reverse and returns every parameter's gradient. save_params and
+load_params write and read the network's text checkpoint.
 """
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .features import Observation
-from .market_data import MAX_ARRAY_SIZE
+from .market_data import MAX_ARRAY_SIZE, atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class Action:
 
     weights: np.ndarray
     leverage: float | np.ndarray
-    backward: Callable[[np.ndarray, np.ndarray], None] | None = field(
+    backward: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,10 +179,10 @@ def forward(params: PolicyParameters, obs: Observation) -> Action:
     """The network over one observation or a stack of them (leading axes):
     weights (..., m) and leverage (a float, or an array over the leading
     axes). The Action's backward(g_weights, g_leverage) takes a scalar's
-    gradient with respect to a stack's two outputs and adds the network's
-    share of it to every parameter's grad slot; it reads the parameters when
-    it runs, so it must run before they change. One pass thus serves both
-    inference and training."""
+    gradient with respect to a stack's two outputs and returns the network's
+    share of it, {name: gradient} for every parameter; it reads the
+    parameters when it runs, so it must run before they change. One pass thus
+    serves both inference and training."""
     a = obs.asset_tensor
     if a.shape[-2] != params.m or a.shape[-1] != params.lags:
         raise DataError(f"asset tensor shape {a.shape[-3:]} does not match network "
@@ -217,24 +217,25 @@ def forward(params: PolicyParameters, obs: Observation) -> Action:
     gate = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     max_lev = params.arch.max_leverage
 
-    def dense(name, x, g):
-        w = t[name + "_w"]
-        n, o = w.data.shape
-        ad.accumulate(w, x.reshape(-1, n).T @ g.reshape(-1, o))
-        ad.accumulate(t[name + "_b"], g.reshape(-1, o).sum(axis=0))
-        return np.matmul(g, w.data.T)
+    def backward(g_weights: np.ndarray, g_leverage: np.ndarray) -> dict[str, np.ndarray]:
+        grads: dict[str, np.ndarray] = {}
 
-    def conv_stack(layers, g):
-        for i in range(len(layers) - 1, -1, -1):
-            name, x, z = layers[i]
-            # in z's memory layout, which conv1d_bwd's bias sum depends on and
-            # which lets it read gz as (c_out, ..., L_out) without a copy
-            gz = np.multiply(g, z > 0.0, out=np.empty_like(z))
-            g, gk, gb = _kernels.conv1d_bwd(x, t[name + "_w"].data, gz, i > 0)
-            ad.accumulate(t[name + "_w"], gk)
-            ad.accumulate(t[name + "_b"], gb)
+        def dense(name, x, g):
+            w = t[name + "_w"].data
+            n, o = w.shape
+            grads[name + "_w"] = x.reshape(-1, n).T @ g.reshape(-1, o)
+            grads[name + "_b"] = g.reshape(-1, o).sum(axis=0)
+            return np.matmul(g, w.T)
 
-    def backward(g_weights: np.ndarray, g_leverage: np.ndarray) -> None:
+        def conv_stack(layers, g):
+            for i in range(len(layers) - 1, -1, -1):
+                name, x, z = layers[i]
+                # in z's memory layout, which conv1d_bwd's bias sum depends on and
+                # which lets it read gz as (c_out, ..., L_out) without a copy
+                gz = np.multiply(g, z > 0.0, out=np.empty_like(z))
+                g, grads[name + "_w"], grads[name + "_b"] = _kernels.conv1d_bwd(
+                    x, t[name + "_w"].data, gz, i > 0)
+
         g = dense("leverage_head", feat, g_leverage[..., None] * max_lev * gate * (1.0 - gate))
         g = g + dense("weights_head", feat, weights * (
             g_weights - np.einsum("...i,...i->...", g_weights, weights)[..., None]))
@@ -244,6 +245,7 @@ def forward(params: PolicyParameters, obs: Observation) -> Action:
         split = math.prod(asset[-1][2].shape[-2:])
         conv_stack(context, g[..., split:].reshape(context[-1][2].shape))
         conv_stack(asset, g[..., :split].reshape(asset[-1][2].shape))
+        return grads
 
     leverage = (gate * max_lev)[..., 0]
     return Action(weights, float(leverage) if leverage.ndim == 0 else leverage, backward)
@@ -255,17 +257,67 @@ def l2_penalty(params: PolicyParameters) -> float:
     return params.arch.l2_coeff * total
 
 
+_MAGIC = "portalloc-tensors v1"
+
+
 def save_params(params: PolicyParameters, path: str) -> None:
-    header = params.arch.to_json(params.m, params.lags, params.ctx_series, params.ctx_lags)
-    ad.save_tensors(path, params.tensors, header=header)
+    """Write a checkpoint as deterministic text: magic line; one JSON line
+    describing the architecture and input shapes; per tensor, sorted by name,
+    a ``tensor <name> <ndim> <dims...>`` line followed by one line of
+    space-separated repr floats; closing ``end`` line."""
+    lines = [_MAGIC, params.arch.to_json(params.m, params.lags, params.ctx_series,
+                                         params.ctx_lags)]
+    for name in sorted(params.tensors):
+        data = params.tensors[name].data
+        dims = " ".join(str(d) for d in data.shape)
+        lines.append(f"tensor {name} {data.ndim} {dims}".rstrip())
+        lines.append(" ".join(repr(float(v)) for v in data.reshape(-1)))
+    lines.append("end")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_params(path: str) -> PolicyParameters:
-    """Load a checkpoint; fails loudly if the stored architecture descriptor
-    is malformed or the tensor names and shapes disagree with it."""
-    tensors, header = ad.load_tensors(path)
+    """Load a checkpoint; fails loudly if the container is corrupt, lists a
+    tensor twice, the stored architecture descriptor is malformed or the
+    tensor names and shapes disagree with it."""
     try:
-        meta = json.loads(header)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"tensor container is not text ({exc.reason} at byte {exc.start}): "
+                        f"{path}") from None
+    if not lines or lines[0] != _MAGIC:
+        raise DataError(f"not a tensor container (bad magic): {path}")
+    tensors: dict[str, Tensor] = {}
+    i = 2
+    while i < len(lines) and lines[i] != "end":
+        parts = lines[i].split()
+        if len(parts) < 3 or parts[0] != "tensor":
+            raise DataError(f"corrupt tensor container at line {i + 1}: {path}")
+        name = parts[1]
+        if name in tensors:
+            raise DataError(f"tensor {name} is listed twice: {path}")
+        if i + 1 >= len(lines):
+            raise DataError(f"tensor {name} has no value line: {path}")
+        try:
+            ndim = int(parts[2])
+            shape = tuple(int(d) for d in parts[3:])
+            values = np.array(lines[i + 1].split(), dtype=float)
+        except ValueError as exc:
+            raise DataError(f"corrupt tensor {name} at line {i + 1} ({exc}): {path}") from None
+        if len(shape) != ndim or min(shape, default=0) < 0:
+            raise DataError(f"tensor {name} needs {ndim} non-negative dimensions, lists "
+                            f"{list(shape)}: {path}")
+        if values.size != math.prod(shape):
+            raise DataError(f"tensor {name} has {values.size} values, shape {shape}: {path}")
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"tensor {name} has non-finite values: {path}")
+        tensors[name] = Tensor(values.reshape(shape))
+        i += 2
+    if i >= len(lines):
+        raise DataError(f"truncated tensor container (no end line): {path}")
+    try:
+        meta = json.loads(lines[1])
         arch = NetworkArch(
             asset_conv=tuple(tuple(x) for x in meta["asset_conv"]),
             context_conv=tuple(tuple(x) for x in meta["context_conv"]),

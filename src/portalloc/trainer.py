@@ -174,7 +174,8 @@ def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer
     record holds the whole backward: every weight tensor w gets
     -2 l2_coeff w, then each policy step's factor gets the product of all the
     others, from prefix and suffix products (exact at a step that loses
-    100%), and the policy's backward carries that through the network."""
+    100%), and the policy's backward carries that through the network. Each
+    grad slot becomes 0 + the L2 term and network share it has, or is untouched."""
     pick, chosen = buffer.is_policy, buffer.chosen
     constant = float(np.prod(_growth(buffer.actions, buffer.next_returns)[~pick]))
     gross = constant
@@ -188,14 +189,18 @@ def buffer_objective(tape: Tape, params: PolicyParameters, buffer: EpisodeBuffer
     out = Tensor(gross - 1.0 - l2_penalty(params))
 
     def back():
-        for name in params.weight_names():
-            w = params.tensors[name]
-            ad.accumulate(w, 2.0 * (-out.grad * params.arch.l2_coeff) * w.data)
+        decay = 2.0 * (-out.grad * params.arch.l2_coeff)
+        l2 = {name: decay * params.tensors[name].data for name in params.weight_names()}
+        shares = {}
         if chosen is not None:
             before = np.concatenate(([1.0], prefix[:-1]))
             after = np.concatenate((np.cumprod(factors[:0:-1])[::-1], [1.0]))
             seed = out.grad * constant * before * after
-            chosen.backward((seed * leverage)[:, None] * returns, seed * dot)
+            shares = chosen.backward((seed * leverage)[:, None] * returns, seed * dot)
+        for name, t in params.tensors.items():
+            terms = [part[name] for part in (l2, shares) if name in part]
+            if terms:
+                t.grad = sum(terms, np.zeros_like(t.data))
 
     tape.record(back)
     return out

@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from portalloc import _kernels
-from portalloc.autodiff import Tape, Tensor, accumulate
+from portalloc.autodiff import Tape, Tensor
 from portalloc.errors import DataError
 from portalloc.features import build_observations
 
@@ -349,6 +349,16 @@ def conv1d_bwd(x, k, gy, input_grad: bool):
 # the policy network composed from generic tape layers: the gradient reference
 # for the policy's own batched forward and backward
 # ---------------------------------------------------------------------------
+
+def accumulate(t: Tensor, g) -> None:
+    """Add g to t's gradient slot, allocating it at zero on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    if np.shape(g) != t.grad.shape:
+        # mixing () and (1,) scalars is fine; anything else is a bug upstream
+        g = np.sum(g) if t.grad.shape == () else np.reshape(g, t.grad.shape)
+    t.grad += g
+
 
 def conv1d(tape: Tape, x: Tensor | np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid 1-D cross-correlation: x (..., c_in, L), kernels (c_out, c_in, k)

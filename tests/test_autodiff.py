@@ -1,10 +1,10 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from portalloc import autodiff as ad
 from portalloc.autodiff import Tape, Tensor, backward
 from portalloc.errors import DataError
 from portalloc.policy import NetworkArch, init_network, load_params, save_params
@@ -219,32 +219,33 @@ class TestProd:
 
 
 class TestTensorContainer:
-    def test_round_trip(self, tmp_path, rng):
-        tensors = {
-            "alpha_w": Tensor(rng.normal(size=(3, 2))),
-            "beta_b": Tensor(rng.normal(size=4)),
-            "gamma": Tensor(np.array(2.5)),
-        }
+    def test_round_trip(self, tmp_path):
+        params = init_network(NetworkArch(), 2, 7, 3, 7, seed=0)
+        edge = np.array([-0.0, 5e-324, 1e308, -1e308, 2.2250738585072014e-308 / 3])
+        for t in params.tensors.values():
+            flat = t.data.reshape(-1).copy()
+            flat[:edge.size] = edge[:flat.size]
+            t.data = flat.reshape(t.data.shape)
         path = str(tmp_path / "ckpt.txt")
-        ad.save_tensors(path, tensors, header='{"kind":"test"}')
-        loaded, header = ad.load_tensors(path)
-        assert header == '{"kind":"test"}'
-        assert set(loaded) == set(tensors)
-        for name in tensors:
-            assert np.array_equal(loaded[name].data, tensors[name].data)
-            assert loaded[name].data.shape == tensors[name].data.shape
+        save_params(params, path)
+        loaded = load_params(path)
+        assert set(loaded.tensors) == set(params.tensors)
+        for name, t in params.tensors.items():
+            assert loaded.tensors[name].data.shape == t.data.shape
+            assert np.array_equal(loaded.tensors[name].data.view(np.uint64),
+                                  t.data.view(np.uint64)), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
         with pytest.raises(DataError, match="bad magic"):
-            ad.load_tensors(str(path))
+            load_params(str(path))
 
-    def test_deterministic_bytes(self, tmp_path, rng):
-        tensors = {"w_w": Tensor(rng.normal(size=(2, 2)))}
+    def test_deterministic_bytes(self, tmp_path):
+        params = init_network(NetworkArch(), 2, 7, 3, 7, seed=5)
         p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        ad.save_tensors(p1, tensors)
-        ad.save_tensors(p2, tensors)
+        save_params(params, p1)
+        save_params(params, p2)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
@@ -266,7 +267,7 @@ class TestCorruptCheckpoint:
             lines[2] = lines[2].rsplit(" ", 1)[0] + " x"
         bad = self.rewrite(self.checkpoint(tmp_path), edit)
         with pytest.raises(DataError, match="corrupt tensor"):
-            ad.load_tensors(bad)
+            load_params(bad)
 
     @pytest.mark.parametrize("line", ["tensor asset_conv0_w 9 5 4 3",
                                       "tensor asset_conv0_b 1 5 1",
@@ -279,13 +280,13 @@ class TestCorruptCheckpoint:
             lines[at] = line
         bad = self.rewrite(self.checkpoint(tmp_path), edit)
         with pytest.raises(DataError, match=f"tensor {name} needs"):
-            ad.load_tensors(bad)
+            load_params(bad)
 
     def test_tensor_header_without_value_line(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text('portalloc-tensors v1\n{}\ntensor a_w 1 2')
         with pytest.raises(DataError, match="no value line"):
-            ad.load_tensors(str(path))
+            load_params(str(path))
 
     def test_bad_json_header(self, tmp_path):
         def edit(lines):
@@ -301,10 +302,21 @@ class TestCorruptCheckpoint:
         with pytest.raises(DataError, match="hidden"):
             load_params(bad)
 
+    def test_repeated_tensor_rejected(self, tmp_path):
+        # a later block of the same name would otherwise replace the saved values
+        def edit(lines):
+            lines[-1:] = ["tensor asset_conv0_b 1 5", " ".join(["1.0"] * 5), "end"]
+        path = self.checkpoint(tmp_path)
+        assert load_params(path).tensors["asset_conv0_b"].data[0] == 0.0
+        bad = self.rewrite(path, edit)
+        message = f"tensor asset_conv0_b is listed twice: {bad}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_params(bad)
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_value_rejected(self, tmp_path, cell):
         def edit(lines):
             lines[3] = " ".join([cell] + lines[3].split()[1:])
         bad = self.rewrite(self.checkpoint(tmp_path), edit)
         with pytest.raises(DataError, match="non-finite"):
-            ad.load_tensors(bad)
+            load_params(bad)

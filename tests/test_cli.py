@@ -312,8 +312,11 @@ class TestCompareCommand:
         # both load as the stored shapes if the header's values are truncated
         lambda text: text.replace(b'"asset_conv":[[5,2]', b'"asset_conv":[[5.5,2]'),
         lambda text: text.replace(b"tensor asset_conv0_w 3 ", b"tensor asset_conv0_w 9 "),
+        # a later block of the same name would otherwise replace the saved values
+        lambda text: text.replace(b"\nend\n",
+                                  b"\ntensor asset_conv0_b 1 5\n1.0 1.0 1.0 1.0 1.0\nend\n"),
     ], ids=["not-utf8", "float-dim", "string-dim", "infinite-dim", "infinite-hidden",
-            "huge-dim", "fractional-filter", "short-shape"])
+            "huge-dim", "fractional-filter", "short-shape", "repeated-tensor"])
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         prices, train_end = self.setup_data(tmp_path)
         ckpt = tmp_path / "ckpt"
@@ -507,6 +510,34 @@ class TestConfigFile:
         assert main(["allocate", "--config", str(config), "--method", "riskparity",
                      "--outdir", str(out2)]) == 0
         assert "method = riskparity" in (out2 / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("compare", ["--models", "drl,riskparity,equalweight", "--svg"]),
+        ("train", []),
+    ])
+    def test_manifest_replays_every_file(self, tmp_path, command, flags):
+        src = tmp_path / "data"
+        main(synth_args(src))
+        frame = load_price_csv(str(src / "prices.csv"))
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = train_args(str(src / "prices.csv"), first, str(frame.dates[280]))
+        assert main([command] + argv[1:] + flags) == 0
+        assert main([command, "--config", str(first / "manifest.txt"),
+                     "--outdir", str(replay)]) == 0
+        assert sorted(os.listdir(replay)) == sorted(os.listdir(first))
+        for name in os.listdir(first):
+            if name != "manifest.txt":
+                assert read(replay / name) == read(first / name), name
+        expect = read(first / "manifest.txt").replace(f"outdir = {first}\n".encode(),
+                                                      f"outdir = {replay}\n".encode())
+        assert read(replay / "manifest.txt") == expect
+
+    def test_manifest_of_another_command_exits_1(self, tmp_path, capsys):
+        main(synth_args(tmp_path / "data"))
+        manifest = tmp_path / "data" / "manifest.txt"
+        assert main(["train", "--config", str(manifest), "--outdir", str(tmp_path / "o")]) == 1
+        assert (capsys.readouterr().err
+                == "usage error: config file is for command 'synth', not 'train'\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -276,6 +276,30 @@ class TestClosedFormObjective:
     def test_minus_100_percent_step_through_deep_networks(self, policy_prob, arch):
         self.test_equals_the_taped_composition_at_a_minus_100_percent_step(policy_prob, arch)
 
+    @pytest.mark.parametrize("arch", (SMALL_ARCH,) + DEEP_ARCHS, ids=["small"] + DEEP_IDS)
+    def test_policy_backward_returns_one_gradient_per_tensor(self, arch):
+        rng = np.random.default_rng(9)
+        window = window_from_returns(0.02 * rng.standard_normal((40, 3)))
+        params = perturbed_params(window, scale=0.4, arch=arch)
+        buf = run_episode(params, window, 0.01, 0.5, np.random.default_rng(9))
+        g_weights = rng.standard_normal(buf.chosen.weights.shape)
+        g_leverage = rng.standard_normal(buf.chosen.leverage.shape)
+        grads = buf.chosen.backward(g_weights, g_leverage)
+        assert set(grads) == set(params.tensors)
+        for name, t in params.tensors.items():
+            assert grads[name].shape == t.data.shape, name
+        # the same gradients from the network composed of taped layers
+        tape = Tape()
+        weights, lev = oracles.forward_tape(tape, params, buf.obs[buf.is_policy])
+        out = oracles.add(tape, oracles.dot_const(tape, oracles.flatten(tape, weights),
+                                                  g_weights.reshape(-1)),
+                          oracles.dot_const(tape, oracles.flatten(tape, lev), g_leverage))
+        params.zero_grads()
+        ad.backward(tape, out)
+        for name, t in params.tensors.items():
+            assert np.array_equal(grads[name], t.grad), name
+        self.assert_identical(params, buf)
+
     def test_objective_is_one_tape_record(self):
         window = window_from_returns(0.02 * np.random.default_rng(5).standard_normal((40, 2)))
         params = perturbed_params(window, arch=DEEP_ARCHS[0])
