@@ -50,7 +50,7 @@ parity runs damped Newton on its barrier objective scaled to be
 self-concordant, which converges with no step-size rule to tune (Spinu
 2013), from the minimizer of that objective on the inverse-volatility ray;
 iterations counts its Newton steps. Its test for a positive-definite S
-reads the eigenvalues CovarianceStats keeps from its own PSD check. The
+reads the eigenvalues CovarianceStats keeps from its PSD check. The
 walk-forward comparison solves a split's rebalance dates for risk parity as
 one stack (solve_risk_parity_stack): the dates share one stacked solve per
 Newton step and each stops on its own, so every report equals its one-date

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import allocators, features, policy, risk_models, trainer
 from .errors import DataError, NumericError
 from .market_data import ReturnFrame, dated_csv
 
@@ -295,21 +296,18 @@ def _traditional_weights(method: str, rf: ReturnFrame, split: _SplitMoments, cha
     split's estimates as one stack. The first date to fail, which the stacks
     leave out, is estimated or solved alone when its turn comes, so that its
     error is raised in date order."""
-    from .allocators import solve, solve_min_variance, solve_risk_parity_stack
-    from .risk_models import estimate_stats
-
     uses_minvar = method in ("minvariance", "markowitz", "maxreturn")
-    stacked = solve_risk_parity_stack(split.stats) if method == "riskparity" else []
+    stacked = allocators.solve_risk_parity_stack(split.stats) if method == "riskparity" else []
     reports = []
     for i, t in enumerate(split.dates):
-        stats = split.stats[i] if i < len(split.stats) else estimate_stats(
+        stats = split.stats[i] if i < len(split.stats) else risk_models.estimate_stats(
             rf, cfg.est_window, end=t + 1)
         if uses_minvar and i == len(split.minvar):
-            chain["minvariance"] = solve_min_variance(
+            chain["minvariance"] = allocators.solve_min_variance(
                 stats, chain.get("minvariance", np.ones(rf.num_assets, dtype=bool)))
             split.minvar.append(chain["minvariance"])
         minvar = split.minvar[i] if uses_minvar else None
-        chain[method] = stacked[i] if i < len(stacked) else solve(
+        chain[method] = stacked[i] if i < len(stacked) else allocators.solve(
             method, stats, r_min=cfg.r_min, sigma_max=cfg.sigma_max, minvar=minvar,
             start=chain.get(method, None if minvar is None else minvar.weights.w > 0))
         reports.append(chain[method])
@@ -321,12 +319,9 @@ def _policy_decisions(params, bundle, t_start: int, t_end: int) -> tuple[np.ndar
     """Weights and leverage for steps [t_start, t_end), made up front by one
     batched forward: an observation depends on the data up to its step only,
     never on earlier actions, so the whole test span is known before replay."""
-    from .features import build_observations
-    from .policy import forward
-
-    obs = build_observations(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
-                             bundle.ctx_lags, t_start, t_end)
-    action = forward(params, obs)
+    obs = features.build_observations(bundle.rf, bundle.vf, bundle.ctx, bundle.lags,
+                                      bundle.ctx_lags, t_start, t_end)
+    action = policy.forward(params, obs)
     return action.weights, action.leverage
 
 
@@ -367,25 +362,20 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
     on as a flat curve at value 0, with zero weights, leverage and turnover, and
     every later split is that flat curve, not traded.
     """
-    from .allocators import method_names
-    from .features import min_valid_index
-    from .policy import NetworkArch
-    from .risk_models import estimate_stats
-    from .trainer import TrainConfig, train_split
-
     if not models:
         raise DataError("empty model list")
-    valid = set(method_names()) | {"drl", "equalweight"}
+    valid = set(allocators.method_names()) | {"drl", "equalweight"}
     for i, name in enumerate(models):
         if name not in valid:
             raise DataError(f"unknown model {name!r}; valid: {', '.join(sorted(valid))}")
         if name in models[:i]:
             raise DataError(f"model {name!r} is listed more than once")
-    arch = arch or NetworkArch()
-    train_cfg = train_cfg or TrainConfig()
+    arch = arch or policy.NetworkArch()
+    train_cfg = train_cfg or trainer.TrainConfig()
     rf = bundle.rf
     m = rf.num_assets
-    lo, first = min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags), schedule.splits[0]
+    lo = features.min_valid_index(bundle.vf, rf, bundle.lags, bundle.ctx_lags)
+    first = schedule.splits[0]
     if first.test_start - 1 < lo:
         raise DataError(f"split 0 starts testing at index {first.test_start}, before "
                         f"the first index with full feature history ({lo + 1})")
@@ -407,14 +397,14 @@ def compare_models(models: list[str], bundle: DataBundle, schedule: WalkForwardS
                 if trained_params is not None and k in trained_params:
                     params = trained_params[k]
                 else:
-                    params = train_split(bundle, k, split, arch, train_cfg).params
+                    params = trainer.train_split(bundle, k, split, arch, train_cfg).params
                 weights, leverage = _policy_decisions(params, bundle, first_decision, t_end)
             elif model == "equalweight":
                 weights, leverage = np.full((steps, m), 1.0 / m), np.full(steps, cfg.ew_leverage)
             else:
                 if k not in records:
                     dates = range(first_decision, t_end, cfg.rebalance)
-                    records[k] = _SplitMoments(dates, estimate_stats(
+                    records[k] = _SplitMoments(dates, risk_models.estimate_stats(
                         rf, cfg.est_window, ends=[t + 1 for t in dates]))
                 weights, _ = _traditional_weights(model, rf, records[k], chain, cfg)
                 leverage = np.full(steps, cfg.trad_leverage)

@@ -172,15 +172,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_COMMANDS = ("ingest", "synth", "allocate", "train", "backtest", "compare", "plot")
-
-
 def _build_parser(command: str | None = None) -> _Parser:
     """Every subcommand, with the config flags on `command`'s alone; one help-width read."""
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="portalloc", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name, formatter_class=formatter)
         if name != command:
             continue
@@ -207,10 +204,12 @@ def _load_config_file(path: str) -> dict[str, str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, eq, value = line.partition("=")
+        key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise DataError(f"bad config line {i}: {line!r}")
-        values[key.strip()] = value.strip()
+        if key in values:
+            raise DataError(f"config key {key!r} is listed again at line {i}: {path}")
+        values[key] = value
     return values
 
 
@@ -221,13 +220,13 @@ def _coerce(name: str, raw) -> object:
     kind = _FIELD_TYPES[name]
     if isinstance(raw, bool):
         return raw
-    text = str(raw)
+    text = str(raw).strip()  # as a config file's values are, so that a manifest replays the run
     if kind == "int":
         return _convert(name, int, text)
     if kind == "float":
         return _convert(name, float, text)
     if kind == "bool":
-        return text.strip().lower() in {"1", "true", "yes"}
+        return text.lower() in {"1", "true", "yes"}
     return text
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -54,24 +54,12 @@ class NetworkArch:
                 raise DataError("conv filters and kernels must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise DataError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
-        if not (math.isfinite(self.max_leverage) and self.max_leverage > 0):
+        if isinstance(self.max_leverage, bool) or not (
+                math.isfinite(self.max_leverage) and self.max_leverage > 0):
             raise DataError(f"max_leverage must be finite and > 0, got {self.max_leverage!r}")
-        if not (math.isfinite(self.l2_coeff) and self.l2_coeff >= 0):
+        if isinstance(self.l2_coeff, bool) or not (
+                math.isfinite(self.l2_coeff) and self.l2_coeff >= 0):
             raise DataError(f"l2_coeff must be finite and >= 0, got {self.l2_coeff!r}")
-
-    def to_json(self, m: int, lags: int, ctx_series: int, ctx_lags: int) -> str:
-        payload = {
-            "asset_conv": [list(x) for x in self.asset_conv],
-            "context_conv": [list(x) for x in self.context_conv],
-            "hidden": list(self.hidden),
-            "max_leverage": self.max_leverage,
-            "l2_coeff": self.l2_coeff,
-            "assets": m,
-            "lags": lags,
-            "context_series": ctx_series,
-            "context_lags": ctx_lags,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -265,8 +253,9 @@ def save_params(params: PolicyParameters, path: str) -> None:
     describing the architecture and input shapes; per tensor, sorted by name,
     a ``tensor <name> <ndim> <dims...>`` line followed by one line of
     space-separated repr floats; closing ``end`` line."""
-    lines = [_MAGIC, params.arch.to_json(params.m, params.lags, params.ctx_series,
-                                         params.ctx_lags)]
+    header = {**asdict(params.arch), "assets": params.m, "lags": params.lags,
+              "context_series": params.ctx_series, "context_lags": params.ctx_lags}
+    lines = [_MAGIC, json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for name in sorted(params.tensors):
         data = params.tensors[name].data
         dims = " ".join(str(d) for d in data.shape)
@@ -318,13 +307,7 @@ def load_params(path: str) -> PolicyParameters:
         raise DataError(f"truncated tensor container (no end line): {path}")
     try:
         meta = json.loads(lines[1])
-        arch = NetworkArch(
-            asset_conv=tuple(tuple(x) for x in meta["asset_conv"]),
-            context_conv=tuple(tuple(x) for x in meta["context_conv"]),
-            hidden=tuple(meta["hidden"]),
-            max_leverage=meta["max_leverage"],
-            l2_coeff=meta["l2_coeff"],
-        )
+        arch = NetworkArch(**{f.name: meta[f.name] for f in fields(NetworkArch)})
         dims = (meta["assets"], meta["lags"], meta["context_series"], meta["context_lags"])
         shapes = _network_shapes(arch, *dims)
     except (ValueError, KeyError, TypeError, OverflowError, DataError) as exc:

@@ -1,7 +1,7 @@
 """Moment estimation for the convex allocators: mean vector, covariance,
 correlation and volatilities over trailing windows of returns, computed as a
 stack over a leading date axis: a walk-forward split's rebalance dates, or a
-stack of one for one date, one covariance matrix or one CovarianceStats."""
+stack of one for one date or one covariance matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -25,7 +25,7 @@ def _accepted(a, b, rtol: float, atol: float) -> np.ndarray:
 
 
 def _check(sigma, corr, vols) -> tuple[np.ndarray, list[str | None]]:
-    """The checks of CovarianceStats, in order, over stacked moments: sigma's
+    """The five moment checks, in order, over stacked moments: sigma's
     ascending eigenvalues (NaN on a date that is not symmetric, where eigvalsh
     does not run) and per date the first failing check's message, or None."""
     symmetric = _accepted(sigma, sigma.transpose(0, 2, 1), 0.0, 1e-12)
@@ -43,27 +43,15 @@ def _check(sigma, corr, vols) -> tuple[np.ndarray, list[str | None]]:
 
 @dataclass(frozen=True)
 class CovarianceStats:
-    """Window moments: mu (l,), sigma_mat (l, l), corr (l, l), vols (l,), and
-    eig (l,), sigma_mat's ascending eigenvalues, kept from the PSD check."""
+    """Window moments that passed _check: mu (l,), sigma_mat (l, l), corr (l, l),
+    vols (l,), and eig (l,), sigma_mat's ascending eigenvalues, kept from the PSD
+    check. estimate_stats and stats_from_covariance build it; it checks nothing."""
 
     mu: np.ndarray
     sigma_mat: np.ndarray
     corr: np.ndarray
     vols: np.ndarray
-    eig: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        eig, (failure,) = _check(self.sigma_mat[None], self.corr[None], self.vols[None])
-        if failure:
-            raise DataError(failure)
-        object.__setattr__(self, "eig", eig[0])
-
-    @classmethod
-    def _checked(cls, mu, sigma_mat, corr, vols, eig) -> "CovarianceStats":
-        """One date of a stack that passed _check, with its eigenvalues."""
-        stats = object.__new__(cls)
-        stats.__dict__.update(mu=mu, sigma_mat=sigma_mat, corr=corr, vols=vols, eig=eig)
-        return stats
+    eig: np.ndarray = field(repr=False, compare=False)
 
 
 def _stats_stack(mu, sigma, names) -> tuple[list[CovarianceStats], str | None]:
@@ -83,7 +71,7 @@ def _stats_stack(mu, sigma, names) -> tuple[list[CovarianceStats], str | None]:
         name = names[int(np.argmin(variances[k]))]
         failures.append(f"degenerate asset {name}: zero variance, correlation undefined")
     j = next((i for i, failure in enumerate(failures) if failure), len(failures))
-    stats = list(map(CovarianceStats._checked, mu[:j], sigma[:j], corr[:j], vols[:j], eig[:j]))
+    stats = list(map(CovarianceStats, mu[:j], sigma[:j], corr[:j], vols[:j], eig[:j]))
     return stats, failures[j] if j < len(failures) else None
 
 

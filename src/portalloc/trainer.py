@@ -18,7 +18,7 @@ improving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from operator import add
 
@@ -266,10 +266,8 @@ class TrainedPolicy:
 
 
 def training_log_csv(log: list[IterationLog]) -> str:
-    lines = ["iteration,objective,best_objective,gradient_norm"]
-    for row in log:
-        lines.append(f"{row.iteration},{row.objective!r},{row.best_objective!r},"
-                     f"{row.gradient_norm!r}")
+    lines = [",".join(f.name for f in fields(IterationLog))]
+    lines += [",".join(map(repr, vars(row).values())) for row in log]
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,7 @@ gradients, the convolution passes as tensordot of a sliding-window view as
 the bit-for-bit reference for the kernels, and the policy network composed
 from generic tape layers as the bit-for-bit reference for its own batched
 forward and backward, the moment checks by np.allclose as the reference
-for the cheaper comparisons that CovarianceStats tries first, and risk
+for the cheaper comparisons that risk_models._check makes, and risk
 parity's damped Newton on one covariance as the bit-for-bit reference for
 the stacked solve.
 """
@@ -165,7 +165,7 @@ def erc_newton(sigma: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def covariance_stats_failure(mu, sigma_mat, corr, vols) -> str | None:
-    """The message of the first check of CovarianceStats that these moments
+    """The message of the first check of risk_models._check that these moments
     fail, None if they pass: the checks in their order, each closeness test
     by np.allclose itself."""
     if not np.allclose(sigma_mat, sigma_mat.T, rtol=0, atol=1e-12):

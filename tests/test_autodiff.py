@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -295,11 +296,14 @@ class TestCorruptCheckpoint:
         with pytest.raises(DataError, match="bad checkpoint header"):
             load_params(bad)
 
-    def test_missing_header_key(self, tmp_path):
+    @pytest.mark.parametrize("key", [f.name for f in fields(NetworkArch)]
+                             + ["assets", "lags", "context_series", "context_lags"])
+    def test_missing_header_key(self, tmp_path, key):
         def edit(lines):
-            lines[1] = lines[1].replace('"hidden"', '"hidden_sizes"')
+            lines[1] = lines[1].replace(f'"{key}":', f'"{key}_gone":')
         bad = self.rewrite(self.checkpoint(tmp_path), edit)
-        with pytest.raises(DataError, match="hidden"):
+        message = f"bad checkpoint header (KeyError: '{key}')"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_params(bad)
 
     def test_repeated_tensor_rejected(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from portalloc.backtest import CompareConfig
-from portalloc.cli import _COMMANDS, RunConfig, _build_parser, main
+from portalloc.cli import _HANDLERS, RunConfig, _build_parser, main
 from portalloc.market_data import PriceFrame, load_price_csv, write_price_csv
 from portalloc.policy import NetworkArch, load_params
 from portalloc.trainer import TrainConfig
@@ -315,8 +315,13 @@ class TestCompareCommand:
         # a later block of the same name would otherwise replace the saved values
         lambda text: text.replace(b"\nend\n",
                                   b"\ntensor asset_conv0_b 1 5\n1.0 1.0 1.0 1.0 1.0\nend\n"),
+        lambda text: text.replace(b'"max_leverage":3.0', b'"max_leverage":true'),
+        lambda text: text.replace(b'"l2_coeff":1e-08', b'"l2_coeff":false'),
+        # a header whose architecture needs tensors the checkpoint does not list
+        lambda text: text.replace(b'"hidden":[]', b'"hidden":[3]'),
     ], ids=["not-utf8", "float-dim", "string-dim", "infinite-dim", "infinite-hidden",
-            "huge-dim", "fractional-filter", "short-shape", "repeated-tensor"])
+            "huge-dim", "fractional-filter", "short-shape", "repeated-tensor", "bool-leverage",
+            "bool-l2", "unlisted-tensors"])
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
         prices, train_end = self.setup_data(tmp_path)
         ckpt = tmp_path / "ckpt"
@@ -514,6 +519,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, flags", [
         ("compare", ["--models", "drl,riskparity,equalweight", "--svg"]),
         ("train", []),
+        # a padded value is stripped, as a config file's is, before the run uses it
+        ("compare", ["--models", "equalweight", "--horizons", " 1y:50"]),
     ])
     def test_manifest_replays_every_file(self, tmp_path, command, flags):
         src = tmp_path / "data"
@@ -547,6 +554,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("text, message", [
         (None, "config file not found: CONFIG"),
         ("seed = 1\noops\n", "bad config line 2: 'oops'"),
+        ("seed = 1\n# again\nseed = 2\n", "config key 'seed' is listed again at line 3: CONFIG"),
     ])
     def test_bad_config_file_exits_2_naming_it(self, tmp_path, capsys, text, message):
         config = tmp_path / "run.cfg"
@@ -1204,7 +1212,7 @@ def test_help_width_read_once_changes_no_help_byte(monkeypatch):
     helps = {}
     for columns in ("60", "140"):
         monkeypatch.setenv("COLUMNS", columns)
-        for command in (None,) + _COMMANDS:
+        for command in (None, *_HANDLERS):
             parser = _build_parser(command)
             if command is not None:
                 parser = parser._subparsers._group_actions[0].choices[command]

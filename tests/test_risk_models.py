@@ -141,21 +141,17 @@ def crafted_moments():
 
 
 def test_moment_checks_are_exactly_as_strict_as_allclose():
-    """CovarianceStats checks its moments as a stack of one date, by np.isclose
+    """_check checks one date's moments as a stack of one, by np.isclose
     reduced over each date; on inputs at every edge of the three closeness
     checks it must accept and reject what the np.allclose checks do, with the
     same message."""
     from oracles import covariance_stats_failure
-    from portalloc.risk_models import CovarianceStats
+    from portalloc.risk_models import _check
 
     outcomes = set()
     for label, mu, sigma, corr, vols in crafted_moments():
         want = covariance_stats_failure(mu, sigma, corr, vols)
-        try:
-            CovarianceStats(mu, sigma, corr, vols)
-            got = None
-        except DataError as exc:
-            got = str(exc)
+        (got,) = _check(sigma[None], corr[None], vols[None])[1]
         assert got == want, label
         outcomes.add(want)
     # every closeness check both accepts and rejects among the cases
